@@ -13,13 +13,16 @@ failure.
 from __future__ import annotations
 
 import argparse
+import ctypes
 import json
 import sys
 import time
+from contextlib import contextmanager
 from datetime import datetime, timezone
 from pathlib import Path
 
 import numpy as np
+import scipy
 
 from . import __version__
 from .matcore import (
@@ -201,6 +204,36 @@ def _run_eval(params: dict, out_dir: Path) -> None:
     _write_manifest(out_dir, "eval", params, 0)
 
 
+@contextmanager
+def _single_blas_thread():
+    """Run the block with the OpenBLAS copies bundled in numpy and scipy on
+    one thread each, then restore their previous thread counts.
+
+    With several threads, thread start-up dominates the small fits of a
+    bench and flattens its scaling curve.  A library without the
+    ``scipy_openblas_{get,set}_num_threads[64_]`` symbols is left alone.
+    """
+    restore = []
+    for package in (np, scipy):
+        libs = Path(package.__file__).parent.parent / f"{package.__name__}.libs"
+        for path in sorted(libs.glob("libscipy_openblas*.so")):
+            lib = ctypes.CDLL(str(path))
+            for suffix in ("64_", ""):
+                get = getattr(lib, f"scipy_openblas_get_num_threads{suffix}", None)
+                set_ = getattr(lib, f"scipy_openblas_set_num_threads{suffix}", None)
+                if get is not None and set_ is not None:
+                    get.restype, get.argtypes = ctypes.c_int, []
+                    set_.restype, set_.argtypes = None, [ctypes.c_int]
+                    restore.append((set_, get()))
+                    set_(1)
+                    break
+    try:
+        yield
+    finally:
+        for set_, threads in restore:
+            set_(threads)
+
+
 def _run_bench(params: dict, out_dir: Path) -> None:
     p_list = params["p_list"]
     n = params["n"]
@@ -217,11 +250,12 @@ def _run_bench(params: dict, out_dir: Path) -> None:
         k = max(1, round(0.02 * p * (p - 1) / 2))
         times = []
         iterations = 0
-        for _ in range(reps):
-            start = time.perf_counter()
-            result = fit(S, SparsityConstraint(k=k))
-            times.append(time.perf_counter() - start)
-            iterations = result.iterations
+        with _single_blas_thread():
+            for _ in range(reps):
+                start = time.perf_counter()
+                result = fit(S, SparsityConstraint(k=k))
+                times.append(time.perf_counter() - start)
+                iterations = result.iterations
         rows.append((p, float(np.median(times)), iterations))
     with open(out_dir / "bench.csv", "w") as fh:
         fh.write("p,median_seconds,iterations\n")

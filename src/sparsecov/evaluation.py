@@ -146,9 +146,10 @@ def gaussian_nll(Sigma_hat: np.ndarray, S: np.ndarray, n: int) -> float:
     return 0.5 * n * (logdet + float(np.trace(cho_solve((L, True), S))))
 
 
-def _nnz_upper(Sigma: np.ndarray) -> int:
-    iu = np.triu_indices(Sigma.shape[0], k=1)
-    return int(np.count_nonzero(Sigma[iu]))
+def _nnz_upper(M: np.ndarray) -> int:
+    """Number of nonzero strict upper-triangular entries of M."""
+    iu = np.triu_indices(M.shape[0], k=1)
+    return int(np.count_nonzero(M[iu]))
 
 
 def info_criteria(

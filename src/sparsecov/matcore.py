@@ -179,8 +179,12 @@ def inverse_pd(M: np.ndarray) -> np.ndarray:
     The result is symmetrized so round-off cannot break downstream
     symmetry checks.
     """
-    L = cholesky_pd(M)
-    inv = cho_solve((L, True), np.eye(M.shape[0]))
+    return _inverse_from_cholesky(cholesky_pd(M))
+
+
+def _inverse_from_cholesky(L: np.ndarray) -> np.ndarray:
+    """:func:`inverse_pd` from a lower Cholesky factor already computed."""
+    inv = cho_solve((L, True), np.eye(L.shape[0]))
     return (inv + inv.T) / 2.0
 
 

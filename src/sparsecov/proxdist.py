@@ -26,12 +26,16 @@ from scipy.linalg import cho_solve
 
 from .matcore import (
     NotPositiveDefiniteError,
+    _inverse_from_cholesky,
     as_symmetric,
     cholesky_pd,
     inverse_pd,
 )
-from .sparsity import SparsityConstraint, support_mask
-from .sylvester import SurrogateSystem, solve_spectral
+from .sparsity import SparsityConstraint, _project, support_mask
+# The loop solves through the unvalidated _solve.  SurrogateSystem and
+# solve_spectral stay bound in this module because the benchmark's tracer
+# (benchmark/tracer.py) wraps them here by name.
+from .sylvester import SurrogateSystem, _solve, solve_spectral  # noqa: F401
 
 __all__ = [
     "FitConfig",
@@ -144,7 +148,10 @@ class FitResult:
     construction.  ``support`` marks the exact nonzero pattern of its
     projection onto the constraint set, which is the sparsity pattern
     the penalty drove the iterate toward; ``final_penalty`` is the
-    squared distance between the two at exit.
+    squared distance between the two at exit.  ``objective_trace`` holds
+    one penalized objective per MM iteration, at ``rho_trace``'s weight;
+    its last entry is the objective at ``sigma_hat``, after the terminal
+    polish.
     """
 
     sigma_hat: np.ndarray
@@ -158,11 +165,53 @@ class FitResult:
     ridge_delta: float = 0.0
 
 
-def _loss_parts(Sigma: np.ndarray, S: np.ndarray) -> float:
-    """ln det Sigma + tr(Sigma^{-1} S); raises if Sigma is not PD."""
-    L = cholesky_pd(Sigma)
+def _loss_from_factor(L: np.ndarray, S: np.ndarray) -> float:
+    """ln det Sigma + tr(Sigma^{-1} S) from the lower Cholesky factor of Sigma."""
     logdet = 2.0 * float(np.sum(np.log(np.diag(L))))
     return logdet + float(np.trace(cho_solve((L, True), S)))
+
+
+def _loss_parts(Sigma: np.ndarray, S: np.ndarray) -> float:
+    """ln det Sigma + tr(Sigma^{-1} S); raises if Sigma is not PD."""
+    return _loss_from_factor(cholesky_pd(Sigma), S)
+
+
+class _Iterate:
+    """A positive definite iterate with what an MM step reads from it.
+
+    Built once per line-search candidate: the Cholesky factor from the PD
+    gate, the loss, the projection ``P(Sigma)`` and ``dist(Sigma, C)^2``.
+    ``A = Sigma^{-1}`` and ``A S A`` are formed from the cached factor on
+    first use, so a candidate that becomes the next iterate is never
+    factored again.  ``sigma`` must be exactly symmetric; construction
+    raises NotPositiveDefiniteError if it is not PD.
+    """
+
+    __slots__ = ("sigma", "chol", "loss", "proj", "dist2", "_inv", "_asa")
+
+    def __init__(self, sigma: np.ndarray, S: np.ndarray, c: SparsityConstraint):
+        self.sigma = sigma
+        self.chol = cholesky_pd(sigma)
+        self.loss = _loss_from_factor(self.chol, S)
+        self.proj = _project(sigma, c)
+        diff = sigma - self.proj
+        self.dist2 = float(np.sum(diff * diff))
+        self._inv = None
+        self._asa = None
+
+    def objective(self, rho: float) -> float:
+        return self.loss + 0.5 * rho * self.dist2
+
+    def inverse(self) -> np.ndarray:
+        if self._inv is None:
+            self._inv = _inverse_from_cholesky(self.chol)
+        return self._inv
+
+    def asa(self, S: np.ndarray) -> np.ndarray:
+        if self._asa is None:
+            A = self.inverse()
+            self._asa = A @ S @ A
+        return self._asa
 
 
 def negative_loglik_loss(Sigma: np.ndarray, S: np.ndarray) -> float:
@@ -221,35 +270,32 @@ def surrogate_gradient(
     return (G + G.T) / 2.0
 
 
-def _mm_step(
-    Sigma_k: np.ndarray,
+def _step(
+    it: _Iterate,
     S: np.ndarray,
     c: SparsityConstraint,
     rho: float,
     max_halvings: int,
-    h_k: float | None = None,
-) -> tuple[np.ndarray, int, float]:
-    """One accepted MM step; returns (Sigma_next, halvings, h_next)."""
-    A = inverse_pd(Sigma_k)
-    C_k = rho * c.project(Sigma_k) + A @ S @ A
+    h_k: float,
+) -> tuple[_Iterate, int, float]:
+    """One accepted MM step from ``it``; returns (next iterate, halvings, h_next).
+
+    ``h_k`` is the objective the candidate must beat, normally
+    ``it.objective(rho)``.
+    """
+    C_k = rho * it.proj + it.asa(S)
     C_k = (C_k + C_k.T) / 2.0  # the triple product drifts by O(eps)
-    system = SurrogateSystem(Sigma_k, C_k, rho, A)
-    Sigma_hat = solve_spectral(system)
-
-    if h_k is None:
-        h_k = _loss_parts(Sigma_k, S) + 0.5 * rho * c.squared_distance(Sigma_k)
-
-    direction = Sigma_hat - Sigma_k
+    direction = _solve(it.sigma, C_k, rho) - it.sigma
     for s in range(max_halvings + 1):
-        candidate = Sigma_k + 0.5**s * direction
+        candidate = it.sigma + 0.5**s * direction
         candidate = (candidate + candidate.T) / 2.0
         try:
-            h_cand = _loss_parts(candidate, S)
+            nxt = _Iterate(candidate, S, c)
         except NotPositiveDefiniteError:
             continue
-        h_cand += 0.5 * rho * c.squared_distance(candidate)
+        h_cand = nxt.objective(rho)
         if h_cand < h_k:
-            return candidate, s, h_cand
+            return nxt, s, h_cand
     raise BacktrackExhaustedError(
         f"no accepted step within {max_halvings} halvings at rho={rho:.3e}; "
         "iterate is stationary or the update is numerically degenerate",
@@ -283,11 +329,16 @@ def mm_step(
         If no candidate is accepted, which at a stationary point is the
         expected outcome (the full step is a fixed point there).
     """
+    if not rho > 0:
+        raise ValueError(f"rho must be positive, got {rho}")
     Sigma_k = as_symmetric(Sigma_k)
     S = as_symmetric(S)
+    if Sigma_k.shape != S.shape:
+        raise ValueError(f"shape mismatch: {Sigma_k.shape} vs {S.shape}")
     c.check_dimension(Sigma_k.shape[0])
-    Sigma_next, halvings, _ = _mm_step(Sigma_k, S, c, rho, max_halvings)
-    return Sigma_next, halvings
+    it = _Iterate(Sigma_k, S, c)
+    nxt, halvings, _ = _step(it, S, c, rho, max_halvings, it.objective(rho))
+    return nxt.sigma, halvings
 
 
 def _resolve_ridge(S: np.ndarray, cfg: FitConfig) -> tuple[np.ndarray, float]:
@@ -306,20 +357,20 @@ def _resolve_ridge(S: np.ndarray, cfg: FitConfig) -> tuple[np.ndarray, float]:
     return S_used, delta
 
 
-def _free_coordinates(Sigma: np.ndarray, c: SparsityConstraint) -> tuple:
+def _free_coordinates(P: np.ndarray, c: SparsityConstraint) -> tuple:
     """Index arrays (I, J) of the coordinates the penalty never touches.
 
     Covariance mode leaves every diagonal entry free; both modes leave the
-    current projected support free.  Support pairs are dropped when the
-    coordinate count would exceed POLISH_COORD_CAP, since the Newton system
-    below is dense in the coordinate count.
+    support of the current projection ``P`` free.  Support pairs are
+    dropped when the coordinate count would exceed POLISH_COORD_CAP, since
+    the Newton system below is dense in the coordinate count.
     """
-    p = Sigma.shape[0]
+    p = P.shape[0]
     idx: list[tuple[int, int]] = []
     if c.mode == "covariance":
         idx.extend((i, i) for i in range(p))
     if c.k > 0 and p + c.k <= POLISH_COORD_CAP:
-        mask = np.triu(np.abs(c.project(Sigma)) > 0, 1)
+        mask = np.triu(np.abs(P) > 0, 1)
         rows, cols = np.nonzero(mask)
         idx.extend(zip(rows.tolist(), cols.tolist()))
     if not idx:
@@ -404,7 +455,7 @@ def _fit_core(
             "singular; set ridge_delta > 0 in FitConfig"
         )
 
-    Sigma = np.diag(np.diag(S)).copy()
+    it = _Iterate(np.diag(np.diag(S)).copy(), S, c)
     rho = cfg.rho0
     objective_trace: list[float] = []
     rho_trace: list[float] = []
@@ -413,28 +464,26 @@ def _fit_core(
     h_prev: float | None = None
 
     for _ in range(cfg.max_outer):
-        h_before = _loss_parts(Sigma, S) + 0.5 * rho * c.squared_distance(Sigma)
+        h_before = it.objective(rho)
         try:
-            Sigma_next, halvings, h = _mm_step(
-                Sigma, S, c, rho, cfg.max_halvings, h_k=h_before
-            )
+            it_next, halvings, h = _step(it, S, c, rho, cfg.max_halvings, h_before)
             accepted = True
         except BacktrackExhaustedError:
-            Sigma_next, halvings, h = Sigma, 0, h_before
+            it_next, halvings, h = it, 0, h_before
             accepted = False
         if callback is not None:
             callback(
                 {
                     "iteration": len(objective_trace) + 1,
                     "rho": rho,
-                    "sigma": Sigma_next,
+                    "sigma": it_next.sigma,
                     "objective_before": h_before,
                     "objective": h,
                     "halvings": halvings,
                     "accepted": accepted,
                 }
             )
-        Sigma = Sigma_next
+        it = it_next
         total_halvings += halvings
         objective_trace.append(h)
         rho_trace.append(rho)
@@ -453,22 +502,26 @@ def _fit_core(
     # gradient is small relative to the inverse scale.
     rho_ref = rho_trace[-1]
     h = objective_trace[-1]
+    polished = False  # the iterate moved since the last trace entry
     for _ in range(REFINE_MAX):
         h_pass = h
-        free_i, free_j = _free_coordinates(Sigma, c)
+        free_i, free_j = _free_coordinates(it.proj, c)
         if free_i is not None:
-            pen = 0.5 * rho_ref * c.squared_distance(Sigma)
-            Sigma, f = _polish_free(Sigma, S, free_i, free_j, h - pen)
-            h = f + 0.5 * rho_ref * c.squared_distance(Sigma)
-        A = inverse_pd(Sigma)
-        G = A - A @ S @ A + rho_ref * (Sigma - c.project(Sigma))
+            pen = 0.5 * rho_ref * it.dist2
+            Sigma, f = _polish_free(it.sigma, S, free_i, free_j, h - pen)
+            if Sigma is not it.sigma:
+                it = _Iterate(Sigma, S, c)
+                polished = True
+            h = f + 0.5 * rho_ref * it.dist2
+        A = it.inverse()
+        G = A - it.asa(S) + rho_ref * (it.sigma - it.proj)
         if float(np.linalg.norm(G)) <= 0.5 * STATIONARITY_RTOL * max(
             1.0, float(np.linalg.norm(A))
         ):
             break
         try:
-            Sigma_next, halvings, h_next = _mm_step(
-                Sigma, S, c, rho_ref, cfg.max_halvings, h_k=h
+            it_next, halvings, h_next = _step(
+                it, S, c, rho_ref, cfg.max_halvings, h
             )
         except BacktrackExhaustedError:
             break
@@ -477,15 +530,16 @@ def _fit_core(
                 {
                     "iteration": len(objective_trace) + 1,
                     "rho": rho_ref,
-                    "sigma": Sigma_next,
+                    "sigma": it_next.sigma,
                     "objective_before": h,
                     "objective": h_next,
                     "halvings": halvings,
                     "accepted": True,
                 }
             )
-        Sigma = Sigma_next
+        it = it_next
         h = h_next
+        polished = False
         total_halvings += halvings
         objective_trace.append(h)
         rho_trace.append(rho_ref)
@@ -493,17 +547,20 @@ def _fit_core(
         # gradient test either; stop crawling
         if abs(h - h_pass) / max(abs(h_pass), 1e-12) <= cfg.tol:
             break
+    if polished:
+        # the last polish moved the estimate after the last entry was
+        # written; report the objective at the returned estimate instead
+        objective_trace[-1] = h
 
-    projected = c.project(Sigma)
     return FitResult(
-        sigma_hat=Sigma,
+        sigma_hat=it.sigma,
         objective_trace=objective_trace,
         rho_trace=rho_trace,
         iterations=len(objective_trace),
         total_halvings=total_halvings,
         converged=converged,
-        final_penalty=float(np.sum((Sigma - projected) ** 2)),
-        support=support_mask(projected, tol=0.0),
+        final_penalty=it.dist2,
+        support=support_mask(it.proj, tol=0.0),
         ridge_delta=ridge_delta,
     )
 

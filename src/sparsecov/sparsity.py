@@ -57,26 +57,29 @@ def _top_k_upper(M: np.ndarray, k: int):
 
     Ties are broken toward the smaller (row, col) lexicographic position so
     the projection is deterministic even on the measure-zero tie set.
-    Exactly-zero entries are never selected.
+    Exactly-zero entries are never selected.  A partition finds the k-th
+    magnitude in linear time; every entry above it is kept, then the tied
+    entries in index order, which is the set a stable descending sort
+    would select.
     """
     rows, cols = np.triu_indices(M.shape[0], 1)
     vals = np.abs(M[rows, cols])
-    # stable sort on descending magnitude keeps lexicographic order in ties
-    order = np.argsort(-vals, kind="stable")[:k]
-    keep = order[vals[order] > 0.0]
+    if k == 0:
+        keep = np.zeros(vals.size, dtype=bool)
+    elif k < vals.size:
+        kth = np.partition(vals, vals.size - k)[vals.size - k]
+        keep = vals > kth
+        ties = np.flatnonzero(vals == kth)[: k - np.count_nonzero(keep)]
+        keep[ties] = True
+        keep &= vals > 0.0
+    else:
+        keep = vals > 0.0
     return rows[keep], cols[keep]
 
 
-def project(M: np.ndarray, c: SparsityConstraint) -> np.ndarray:
-    """Euclidean projection of a symmetric matrix onto the constraint set.
-
-    Covariance mode copies the diagonal unchanged; correlation mode sets it
-    to ones.  In both modes the ``k`` largest-magnitude strict-upper
-    entries survive and are mirrored to the lower triangle.
-    """
-    M = as_symmetric(M)
-    p = M.shape[0]
-    c.check_dimension(p)
+def _project(M: np.ndarray, c: SparsityConstraint) -> np.ndarray:
+    """:func:`project` without validation: ``M`` must be exactly symmetric
+    and ``c`` must fit its dimension."""
     out = np.zeros_like(M)
     if c.mode == "correlation":
         np.fill_diagonal(out, 1.0)
@@ -88,12 +91,26 @@ def project(M: np.ndarray, c: SparsityConstraint) -> np.ndarray:
     return out
 
 
+def project(M: np.ndarray, c: SparsityConstraint) -> np.ndarray:
+    """Euclidean projection of a symmetric matrix onto the constraint set.
+
+    Covariance mode copies the diagonal unchanged; correlation mode sets it
+    to ones.  In both modes the ``k`` largest-magnitude strict-upper
+    entries survive and are mirrored to the lower triangle.
+    """
+    M = as_symmetric(M)
+    c.check_dimension(M.shape[0])
+    return _project(M, c)
+
+
 def squared_distance(M: np.ndarray, c: SparsityConstraint) -> float:
     """Squared Frobenius distance from ``M`` to the constraint set.
 
     Zero exactly when ``M`` is a member.
     """
-    diff = as_symmetric(M) - project(M, c)
+    M = as_symmetric(M)
+    c.check_dimension(M.shape[0])
+    diff = M - _project(M, c)
     return float(np.sum(diff * diff))
 
 

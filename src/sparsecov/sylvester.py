@@ -120,8 +120,18 @@ def solve_spectral(sys: SurrogateSystem) -> np.ndarray:
     Cost is one symmetric eigendecomposition plus four dense products,
     O(p^3) overall.  The result is exactly symmetric.
     """
-    lam, Q = spectral_decompose(sys.sigma_k)
-    return _solve_in_eigenbasis(lam, Q, sys.c_k, sys.rho)
+    return _solve(sys.sigma_k, sys.c_k, sys.rho)
+
+
+def _solve(sigma_k: np.ndarray, c_k: np.ndarray, rho: float) -> np.ndarray:
+    """:func:`solve_spectral` without validation, for the MM loop.
+
+    The caller guarantees what :class:`SurrogateSystem` would check:
+    ``sigma_k`` exactly symmetric and positive definite, ``c_k`` exactly
+    symmetric of the same shape, and ``rho > 0``.
+    """
+    lam, Q = spectral_decompose(sigma_k)
+    return _solve_in_eigenbasis(lam, Q, c_k, rho)
 
 
 def solve_kronecker(sys: SurrogateSystem) -> np.ndarray:

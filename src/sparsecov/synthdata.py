@@ -24,6 +24,7 @@ from ._workers import parallel_map
 from .baselines import ThresholdSpec, threshold
 from .evaluation import (
     MetricReport,
+    _nnz_upper,
     compute_report,
     entropy_loss,
     fp_fn_rates,
@@ -186,11 +187,6 @@ def sample_mvn(Sigma: np.ndarray, n: int, rng: RngStream) -> np.ndarray:
     L = cholesky_pd(Sigma)
     Z = rng.generator().standard_normal((n, Sigma.shape[0]))
     return Z @ L.T
-
-
-def _nnz_upper(M: np.ndarray) -> int:
-    iu = np.triu_indices(M.shape[0], k=1)
-    return int(np.count_nonzero(M[iu]))
 
 
 def _proxdist_report(

@@ -5,6 +5,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 import sparsecov as sc
+from sparsecov import sylvester
 from sparsecov.proxdist import RHO_CEIL
 
 
@@ -90,6 +91,16 @@ def test_mm_step_exhausts_at_stationary_point():
     assert info.value.halvings == 32
 
 
+def test_mm_step_validates_inputs():
+    c = sc.SparsityConstraint(1)
+    with pytest.raises(ValueError, match="rho"):
+        sc.mm_step(np.eye(3), np.eye(3), c, rho=0.0)
+    with pytest.raises(ValueError, match="shape"):
+        sc.mm_step(np.eye(3), np.eye(2), c, rho=1.0)
+    with pytest.raises(sc.NotPositiveDefiniteError):
+        sc.mm_step(np.diag([1.0, -1.0, 1.0]), np.eye(3), c, rho=1.0)
+
+
 def test_fit_diagonal_limit():
     # off-support entries settle at O(1/rho), so a tight tolerance is
     # needed to let rho run high enough before the change test fires
@@ -140,6 +151,42 @@ def test_fit_callback_contract():
             "halvings",
             "accepted",
         }
+
+
+def test_objective_trace_ends_at_estimate():
+    # k = all pairs: the terminal polish moves the iterate after the last
+    # MM step, and the trace must still end at the returned estimate
+    S = _sample_problem(20, 40, 0)
+    c = sc.SparsityConstraint(190)
+    result = sc.fit(S, c)
+    S_used = S + result.ridge_delta * np.eye(20)
+    at_estimate = sc.objective(result.sigma_hat, S_used, c, result.rho_trace[-1])
+    assert result.objective_trace[-1] == pytest.approx(at_estimate, rel=1e-12)
+    assert result.iterations == len(result.objective_trace)
+
+
+def test_fit_reports_exact_objectives_with_one_eigh_per_step(monkeypatch):
+    # the loop carries each iterate's loss and projection instead of
+    # recomputing them; what it reports must still be the public objective,
+    # and a step must cost one eigendecomposition
+    S = _sample_problem(20, 100, 11)
+    c = sc.SparsityConstraint(12)
+    calls = []
+    decompose = sylvester.spectral_decompose
+
+    def counted(M):
+        calls.append(M.shape)
+        return decompose(M)
+
+    monkeypatch.setattr(sylvester, "spectral_decompose", counted)
+    events = []
+    result = sc.fit(S, c, callback=events.append)
+    assert result.ridge_delta == 0.0
+    assert len(events) > 10
+    for ev in events:
+        expected = sc.objective(ev["sigma"], S, c, ev["rho"])
+        assert ev["objective"] == pytest.approx(expected, rel=1e-12)
+    assert len(calls) <= len(events) + 1
 
 
 def test_fit_respects_max_outer():

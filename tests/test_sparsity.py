@@ -3,6 +3,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 import sparsecov as sc
+from sparsecov.sparsity import _top_k_upper
 
 
 def test_constraint_validation():
@@ -87,3 +88,36 @@ def test_constraint_method_sugar():
     c = sc.SparsityConstraint(0)
     assert_allclose(c.project(M), np.eye(2))
     assert c.squared_distance(M) == pytest.approx(2 * 0.49)
+
+
+def _reference_top_k(M, k):
+    # the full stable argsort on descending magnitude that project replaced
+    rows, cols = np.triu_indices(M.shape[0], 1)
+    vals = np.abs(M[rows, cols])
+    order = np.argsort(-vals, kind="stable")[:k]
+    keep = order[vals[order] > 0.0]
+    return rows[keep], cols[keep]
+
+
+def _reference_project(M, c):
+    out = np.eye(M.shape[0]) if c.mode == "correlation" else np.diag(np.diag(M))
+    rows, cols = _reference_top_k(M, c.k)
+    out[rows, cols] = M[rows, cols]
+    out[cols, rows] = M[rows, cols]
+    return out
+
+
+def test_project_matches_stable_argsort_on_ties_and_zeros():
+    # integer entries in [-3, 3]: most magnitudes tie and many are exactly 0
+    rng = np.random.default_rng(4)
+    for _ in range(200):
+        p = int(rng.integers(1, 9))
+        B = rng.integers(-3, 4, size=(p, p)).astype(float)
+        M = np.triu(B) + np.triu(B, 1).T
+        for k in range(p * (p - 1) // 2 + 1):
+            # the selected pairs too: exact zeros are never among them
+            got = set(zip(*(idx.tolist() for idx in _top_k_upper(M, k))))
+            assert got == set(zip(*(idx.tolist() for idx in _reference_top_k(M, k))))
+            for mode in ("covariance", "correlation"):
+                c = sc.SparsityConstraint(k, mode=mode)
+                assert np.array_equal(sc.project(M, c), _reference_project(M, c))
