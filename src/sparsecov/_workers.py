@@ -1,41 +1,20 @@
-"""Shared worker-pool plumbing.
+"""The map behind CV cells and simulation replicates.
 
-SPARSECOV_THREADS caps the number of concurrent workers used for
-embarrassingly parallel loops (CV cells, simulation replicates).  Unset
-means one worker per available CPU.  Threads suffice because the heavy
-kernels run in LAPACK/BLAS outside the interpreter lock.
+The items run in order in the calling thread.  A thread pool made the
+replicate study slower, not faster: the fits are short enough that the
+threads contend for the interpreter lock, and pools nested in pools
+oversubscribe the CPUs.  The name stays because the benchmark's tracer
+(benchmark/tracer.py) wraps ``parallel_map`` in every module that binds it.
 """
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
-from typing import Callable, Iterable, Sequence, TypeVar
+from typing import Callable, Sequence, TypeVar
 
 T = TypeVar("T")
 R = TypeVar("R")
 
-ENV_VAR = "SPARSECOV_THREADS"
-
-
-def worker_count() -> int:
-    """Worker cap from SPARSECOV_THREADS, defaulting to the CPU count."""
-    raw = os.environ.get(ENV_VAR)
-    if raw is None:
-        return os.cpu_count() or 1
-    try:
-        value = int(raw)
-    except ValueError:
-        raise ValueError(f"{ENV_VAR} must be an integer, got {raw!r}") from None
-    if value < 1:
-        raise ValueError(f"{ENV_VAR} must be at least 1, got {value}")
-    return value
-
 
 def parallel_map(fn: Callable[[T], R], items: Sequence[T]) -> list[R]:
-    """Map ``fn`` over ``items``, in order, using up to worker_count() threads."""
-    workers = min(worker_count(), len(items))
-    if workers <= 1:
-        return [fn(item) for item in items]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, items))
+    """Map ``fn`` over ``items`` in order."""
+    return [fn(item) for item in items]

@@ -12,7 +12,8 @@ equation in closed form (see :mod:`sparsecov.sylvester`), and
 backtracks by step halving until the trial point is positive definite
 and strictly decreases the objective.  The penalty weight rho follows a
 geometric schedule so that iterates are pushed onto the sparse set as
-rho grows.
+rho grows.  At the final rho, truncated Newton steps with the same
+backtracking drive the penalized gradient to zero.
 """
 
 from __future__ import annotations
@@ -60,12 +61,12 @@ RHO_CEIL = 1e300
 
 # Terminal refinement: the single-step schedule leaves an O(1/rho) lag in
 # the coordinates the anchored majorizer pins to the previous iterate, so
-# after the loop exits we equilibrate at the final rho until the gradient
-# of the penalized objective clears this relative tolerance.
-STATIONARITY_RTOL = 1e-3
-REFINE_MAX = 60
-POLISH_MAX = 50
-POLISH_COORD_CAP = 256
+# after the schedule exits, Newton steps at the final rho run until the
+# penalized gradient G satisfies ||G||_F <= STATIONARITY_RTOL * ||A||_F,
+# A = Sigma^{-1}.  Newton converges quadratically near the optimum, so a
+# tight tolerance costs a step or two: on criterion 9's k = 0 fit, 1e-3
+# leaves a diagonal error of 2.6e-4 and 1e-8 one of 4.6e-8.
+STATIONARITY_RTOL = 1e-8
 
 
 class BacktrackExhaustedError(RuntimeError):
@@ -102,7 +103,9 @@ class FitConfig:
     tol : float
         Relative objective-change threshold for convergence.
     max_outer : int
-        Outer iteration budget.
+        Iteration budget, shared by the rho schedule and the terminal
+        refinement: the refinement takes only the steps the schedule
+        leaves unused.
     max_halvings : int
         Largest step-halving exponent tried per iteration.
     ridge_delta : float
@@ -149,9 +152,8 @@ class FitResult:
     projection onto the constraint set, which is the sparsity pattern
     the penalty drove the iterate toward; ``final_penalty`` is the
     squared distance between the two at exit.  ``objective_trace`` holds
-    one penalized objective per MM iteration, at ``rho_trace``'s weight;
-    its last entry is the objective at ``sigma_hat``, after the terminal
-    polish.
+    one penalized objective per iteration, at ``rho_trace``'s weight;
+    its last entry is the objective at ``sigma_hat``.
     """
 
     sigma_hat: np.ndarray
@@ -270,22 +272,20 @@ def surrogate_gradient(
     return (G + G.T) / 2.0
 
 
-def _step(
+def _line_search(
     it: _Iterate,
+    direction: np.ndarray,
     S: np.ndarray,
     c: SparsityConstraint,
     rho: float,
     max_halvings: int,
     h_k: float,
 ) -> tuple[_Iterate, int, float]:
-    """One accepted MM step from ``it``; returns (next iterate, halvings, h_next).
+    """Accept ``it.sigma + 2^{-s} direction`` for the smallest ``s`` that is
+    PD and beats ``h_k``; returns (next iterate, s, its objective).
 
-    ``h_k`` is the objective the candidate must beat, normally
-    ``it.objective(rho)``.
+    ``h_k`` is normally ``it.objective(rho)``.
     """
-    C_k = rho * it.proj + it.asa(S)
-    C_k = (C_k + C_k.T) / 2.0  # the triple product drifts by O(eps)
-    direction = _solve(it.sigma, C_k, rho) - it.sigma
     for s in range(max_halvings + 1):
         candidate = it.sigma + 0.5**s * direction
         candidate = (candidate + candidate.T) / 2.0
@@ -301,6 +301,83 @@ def _step(
         "iterate is stationary or the update is numerically degenerate",
         halvings=max_halvings,
     )
+
+
+def _step(
+    it: _Iterate,
+    S: np.ndarray,
+    c: SparsityConstraint,
+    rho: float,
+    max_halvings: int,
+    h_k: float,
+) -> tuple[_Iterate, int, float]:
+    """One accepted MM step from ``it``; returns (next iterate, halvings, h_next)."""
+    C_k = rho * it.proj + it.asa(S)
+    C_k = (C_k + C_k.T) / 2.0  # the triple product drifts by O(eps)
+    direction = _solve(it.sigma, C_k, rho) - it.sigma
+    return _line_search(it, direction, S, c, rho, max_halvings, h_k)
+
+
+def _hessian(
+    it: _Iterate, S: np.ndarray, c: SparsityConstraint, rho: float
+) -> Callable[[np.ndarray], np.ndarray]:
+    """Hessian-vector product of ``h_rho`` at ``it`` with the support held fixed.
+
+    ``H[V] = -A V A + A V M + M V A + rho * V`` on the penalized entries,
+    with ``A = Sigma^{-1}`` and ``M = A S A``: the first three terms are
+    the second derivatives of ``ln det Sigma`` and ``tr(Sigma^{-1} S)``.
+    The penalized entries are those the projection sets to zero, plus the
+    diagonal in correlation mode, where the projection pins it to one.
+    """
+    A = it.inverse()
+    M = it.asa(S)
+    penalized = it.proj == 0.0
+    if c.mode == "correlation":
+        np.fill_diagonal(penalized, True)
+
+    def product(V: np.ndarray) -> np.ndarray:
+        AV = A @ V
+        X = AV @ M
+        HV = X + X.T - AV @ A + rho * (penalized * V)
+        return (HV + HV.T) / 2.0
+
+    return product
+
+
+def _newton_direction(
+    it: _Iterate, S: np.ndarray, c: SparsityConstraint, rho: float, G: np.ndarray
+) -> np.ndarray:
+    """Truncated Newton direction for ``h_rho`` at ``it``, ``G`` its gradient.
+
+    Conjugate gradients on ``H[D] = -G`` in the Frobenius inner product
+    (Nocedal & Wright, Algorithm 7.1), stopped once the residual falls to
+    ``min(0.5, sqrt(||G||)) ||G||``.  Negative curvature ends the solve:
+    on the first iteration the direction is ``-G``, later it is the
+    current iterate.  In exact arithmetic CG ends within the dimension
+    ``p(p+1)/2`` of the symmetric matrices, which caps the iterations.
+    """
+    hess = _hessian(it, S, c, rho)
+    g_norm = float(np.linalg.norm(G))
+    tol = min(0.5, math.sqrt(g_norm)) * g_norm
+    D = np.zeros_like(G)
+    r = G.copy()  # residual H[D] + G
+    d = -r
+    rr = g_norm * g_norm
+    p = G.shape[0]
+    for j in range(p * (p + 1) // 2):
+        Hd = hess(d)
+        curvature = float(np.sum(d * Hd))
+        if curvature <= 0.0:
+            return -G if j == 0 else D
+        alpha = rr / curvature
+        D = D + alpha * d
+        r = r + alpha * Hd
+        rr_next = float(np.sum(r * r))
+        if math.sqrt(rr_next) <= tol:
+            break
+        d = -r + (rr_next / rr) * d
+        rr = rr_next
+    return D
 
 
 def mm_step(
@@ -357,88 +434,6 @@ def _resolve_ridge(S: np.ndarray, cfg: FitConfig) -> tuple[np.ndarray, float]:
     return S_used, delta
 
 
-def _free_coordinates(P: np.ndarray, c: SparsityConstraint) -> tuple:
-    """Index arrays (I, J) of the coordinates the penalty never touches.
-
-    Covariance mode leaves every diagonal entry free; both modes leave the
-    support of the current projection ``P`` free.  Support pairs are
-    dropped when the coordinate count would exceed POLISH_COORD_CAP, since
-    the Newton system below is dense in the coordinate count.
-    """
-    p = P.shape[0]
-    idx: list[tuple[int, int]] = []
-    if c.mode == "covariance":
-        idx.extend((i, i) for i in range(p))
-    if c.k > 0 and p + c.k <= POLISH_COORD_CAP:
-        mask = np.triu(np.abs(P) > 0, 1)
-        rows, cols = np.nonzero(mask)
-        idx.extend(zip(rows.tolist(), cols.tolist()))
-    if not idx:
-        return None, None
-    arr = np.asarray(idx)
-    return arr[:, 0], arr[:, 1]
-
-
-def _polish_free(
-    Sigma: np.ndarray, S: np.ndarray, I: np.ndarray, J: np.ndarray, f: float
-) -> tuple[np.ndarray, float]:
-    """Newton descent on the penalty-free coordinates of the loss.
-
-    The anchored majorizer charges rho for movement in every coordinate,
-    but the distance penalty only involves the off-support entries, so the
-    loop exits with the diagonal and the support still biased toward the
-    anchor.  This drives the loss gradient on those coordinates to zero
-    with the off-support entries held fixed; the penalty term is therefore
-    unchanged (up to re-selection, which only lowers it) and descent in
-    the loss ``f = ln det Sigma + tr(Sigma^{-1} S)`` is descent overall.
-
-    The coordinate basis is ``B_a = e_i e_j^T + e_j e_i^T`` (twice the unit
-    for diagonal coordinates); gradient entries are ``2 G_ij`` with
-    ``G = A - A S A`` and the Hessian follows from the second directional
-    derivative ``tr(-A B_b A B_a + A B_b M B_a + M B_b A B_a)``, M = ASA.
-    """
-    for _ in range(POLISH_MAX):
-        A = inverse_pd(Sigma)
-        M = A @ S @ A
-        G = A - M
-        g = 2.0 * G[I, J]
-        if np.max(np.abs(g)) <= 1e-12 * max(1.0, float(np.linalg.norm(A))):
-            break
-
-        def h2(P: np.ndarray, Q: np.ndarray) -> np.ndarray:
-            # rows indexed by coordinate a, columns by coordinate b
-            return (
-                Q[np.ix_(I, J)] * P[np.ix_(J, I)]
-                + Q[np.ix_(I, I)] * P[np.ix_(J, J)]
-                + Q[np.ix_(J, J)] * P[np.ix_(I, I)]
-                + Q[np.ix_(J, I)] * P[np.ix_(I, J)]
-            )
-
-        H = -h2(A, A) + h2(A, M) + h2(M, A)
-        try:
-            step = np.linalg.solve(H, g)
-        except np.linalg.LinAlgError:
-            step = g
-        if float(step @ g) <= 0.0:  # not a descent direction; H indefinite
-            step = g
-        accepted = False
-        for s in range(33):
-            candidate = Sigma.copy()
-            update = 0.5**s * step
-            np.subtract.at(candidate, (I, J), update)
-            np.subtract.at(candidate, (J, I), update)
-            try:
-                f_cand = _loss_parts(candidate, S)
-            except NotPositiveDefiniteError:
-                continue
-            if f_cand < f:
-                Sigma, f, accepted = candidate, f_cand, True
-                break
-        if not accepted:
-            break
-    return Sigma, f
-
-
 def _fit_core(
     S: np.ndarray,
     c: SparsityConstraint,
@@ -463,6 +458,22 @@ def _fit_core(
     converged = False
     h_prev: float | None = None
 
+    def record(sigma, rho, h_before, h, halvings, accepted):
+        objective_trace.append(h)
+        rho_trace.append(rho)
+        if callback is not None:
+            callback(
+                {
+                    "iteration": len(objective_trace),
+                    "rho": rho,
+                    "sigma": sigma,
+                    "objective_before": h_before,
+                    "objective": h,
+                    "halvings": halvings,
+                    "accepted": accepted,
+                }
+            )
+
     for _ in range(cfg.max_outer):
         h_before = it.objective(rho)
         try:
@@ -471,22 +482,9 @@ def _fit_core(
         except BacktrackExhaustedError:
             it_next, halvings, h = it, 0, h_before
             accepted = False
-        if callback is not None:
-            callback(
-                {
-                    "iteration": len(objective_trace) + 1,
-                    "rho": rho,
-                    "sigma": it_next.sigma,
-                    "objective_before": h_before,
-                    "objective": h,
-                    "halvings": halvings,
-                    "accepted": accepted,
-                }
-            )
+        record(it_next.sigma, rho, h_before, h, halvings, accepted)
         it = it_next
         total_halvings += halvings
-        objective_trace.append(h)
-        rho_trace.append(rho)
         if h_prev is not None:
             rel_change = abs(h - h_prev) / max(abs(h_prev), 1e-12)
             if rel_change <= cfg.tol:
@@ -495,62 +493,29 @@ def _fit_core(
         h_prev = h
         rho = min(rho * cfg.rho_growth, cfg.rho_max, RHO_CEIL)
 
-    # Equilibrate at the final rho: one step per rho level leaves the
-    # iterate short of stationarity for the penalized objective, and the
-    # anchored majorizer slows the diagonal by a factor of rho, so we
-    # alternate a diagonal Newton polish with full steps until the
-    # gradient is small relative to the inverse scale.
-    rho_ref = rho_trace[-1]
+    # Refine at the final rho with the budget the schedule left: one step
+    # per rho level leaves the iterate short of stationarity, and the
+    # anchored majorizer slows the coordinates the penalty never touches
+    # by a factor of rho.  Newton steps see the true curvature instead.
+    rho = rho_trace[-1]
     h = objective_trace[-1]
-    polished = False  # the iterate moved since the last trace entry
-    for _ in range(REFINE_MAX):
-        h_pass = h
-        free_i, free_j = _free_coordinates(it.proj, c)
-        if free_i is not None:
-            pen = 0.5 * rho_ref * it.dist2
-            Sigma, f = _polish_free(it.sigma, S, free_i, free_j, h - pen)
-            if Sigma is not it.sigma:
-                it = _Iterate(Sigma, S, c)
-                polished = True
-            h = f + 0.5 * rho_ref * it.dist2
+    for _ in range(cfg.max_outer - len(objective_trace)):
         A = it.inverse()
-        G = A - it.asa(S) + rho_ref * (it.sigma - it.proj)
-        if float(np.linalg.norm(G)) <= 0.5 * STATIONARITY_RTOL * max(
-            1.0, float(np.linalg.norm(A))
-        ):
+        G = A - it.asa(S) + rho * (it.sigma - it.proj)
+        G = (G + G.T) / 2.0
+        if np.linalg.norm(G) <= STATIONARITY_RTOL * np.linalg.norm(A):
             break
+        direction = _newton_direction(it, S, c, rho, G)
         try:
-            it_next, halvings, h_next = _step(
-                it, S, c, rho_ref, cfg.max_halvings, h
+            it_next, halvings, h_next = _line_search(
+                it, direction, S, c, rho, cfg.max_halvings, h
             )
         except BacktrackExhaustedError:
             break
-        if callback is not None:
-            callback(
-                {
-                    "iteration": len(objective_trace) + 1,
-                    "rho": rho_ref,
-                    "sigma": it_next.sigma,
-                    "objective_before": h,
-                    "objective": h_next,
-                    "halvings": halvings,
-                    "accepted": True,
-                }
-            )
+        record(it_next.sigma, rho, h, h_next, halvings, True)
         it = it_next
         h = h_next
-        polished = False
         total_halvings += halvings
-        objective_trace.append(h)
-        rho_trace.append(rho_ref)
-        # a pass that barely moved the objective will not clear the
-        # gradient test either; stop crawling
-        if abs(h - h_pass) / max(abs(h_pass), 1e-12) <= cfg.tol:
-            break
-    if polished:
-        # the last polish moved the estimate after the last entry was
-        # written; report the objective at the returned estimate instead
-        objective_trace[-1] = h
 
     return FitResult(
         sigma_hat=it.sigma,
@@ -578,7 +543,9 @@ def fit(
     stops when the relative objective change falls to ``cfg.tol`` or the
     iteration budget runs out.  A step rejected by backtracking leaves
     the iterate in place; the schedule still advances, so the run
-    terminates once rho saturates and the objective freezes.
+    terminates once rho saturates and the objective freezes.  Truncated
+    Newton steps at the final rho then take what is left of the budget
+    until the penalized gradient is small relative to ``Sigma^{-1}``.
 
     Parameters
     ----------
@@ -590,9 +557,10 @@ def fit(
     cfg : FitConfig
         Schedule and tolerance settings.
     callback : callable, optional
-        Called once per outer iteration with a dict of that iteration's
-        state (iteration, rho, sigma, objective_before, objective,
-        halvings, accepted).  For tracing and tests.
+        Called once per iteration, schedule and refinement alike, with a
+        dict of that iteration's state (iteration, rho, sigma,
+        objective_before, objective, halvings, accepted).  For tracing
+        and tests.
 
     Raises
     ------

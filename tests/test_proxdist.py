@@ -5,8 +5,8 @@ import pytest
 from numpy.testing import assert_allclose
 
 import sparsecov as sc
-from sparsecov import sylvester
-from sparsecov.proxdist import RHO_CEIL
+from sparsecov import proxdist, sylvester
+from sparsecov.proxdist import RHO_CEIL, STATIONARITY_RTOL
 
 
 def _sample_problem(p, n, seed, frac=0.05):
@@ -154,8 +154,8 @@ def test_fit_callback_contract():
 
 
 def test_objective_trace_ends_at_estimate():
-    # k = all pairs: the terminal polish moves the iterate after the last
-    # MM step, and the trace must still end at the returned estimate
+    # k = all pairs: the refinement takes Newton steps after the schedule,
+    # each traced, so the trace must end at the returned estimate
     S = _sample_problem(20, 40, 0)
     c = sc.SparsityConstraint(190)
     result = sc.fit(S, c)
@@ -194,6 +194,68 @@ def test_fit_respects_max_outer():
     result = sc.fit(S, sc.SparsityConstraint(3), sc.FitConfig(max_outer=3))
     assert result.iterations == 3
     assert not result.converged
+
+
+def test_refinement_shares_the_iteration_budget():
+    # with max_outer equal to the schedule's length the schedule runs in
+    # full and leaves the refinement no steps
+    S = _sample_problem(20, 100, 11)
+    c = sc.SparsityConstraint(12)
+    full = sc.fit(S, c)
+    rhos = full.rho_trace
+    schedule = next(i for i in range(1, len(rhos)) if rhos[i] == rhos[i - 1])
+    capped = sc.fit(S, c, sc.FitConfig(max_outer=schedule))
+    assert capped.iterations == schedule
+    assert capped.objective_trace == full.objective_trace[:schedule]
+
+
+def test_fit_ends_stationary_on_bench_instance():
+    # the criterion-11 instance at p = 200: the refinement must reach a
+    # stationary point of the penalized objective, support pairs included
+    p = 200
+    truth = sc.make_design(sc.SimDesign(kind="moving_average", p=p, seed=0))
+    data = sc.sample_mvn(truth, 500, sc.RngStream(seed=0, stream_id=p))
+    S = sc.sample_covariance(data)
+    c = sc.SparsityConstraint(398)
+    result = sc.fit(S, c)
+    Sigma = result.sigma_hat
+    A = np.linalg.inv(Sigma)
+    S_used = S + result.ridge_delta * np.eye(p)
+    G = A - A @ S_used @ A + result.rho_trace[-1] * (Sigma - sc.project(Sigma, c))
+    assert np.linalg.norm(G) / np.linalg.norm(A) <= STATIONARITY_RTOL
+
+
+def test_newton_operator_matches_fd_of_gradient():
+    # the refinement's Hessian product against central differences of the
+    # penalized gradient with the support held at the base point's
+    rng = np.random.default_rng(3)
+    h = 1e-6
+    p = 4
+    for mode in ("covariance", "correlation"):
+        for _ in range(10):
+            B = rng.standard_normal((p, p))
+            Sigma = B @ B.T + p * np.eye(p)
+            Sigma = (Sigma + Sigma.T) / 2.0
+            B = rng.standard_normal((p, p))
+            S = B @ B.T + p * np.eye(p)
+            c = sc.SparsityConstraint(int(rng.integers(0, p * (p - 1) // 2 + 1)), mode)
+            rho = float(rng.uniform(0.5, 5.0))
+            P = sc.project(Sigma, c)
+            penalized = P == 0.0
+            if mode == "correlation":
+                np.fill_diagonal(penalized, True)
+
+            def grad(X):
+                A = np.linalg.inv(X)
+                return A - A @ S @ A + rho * np.where(penalized, X - P, 0.0)
+
+            it = proxdist._Iterate(Sigma, S, c)
+            hess = proxdist._hessian(it, S, c, rho)
+            for _ in range(3):
+                V = rng.standard_normal((p, p))
+                V = (V + V.T) / 2.0
+                fd = (grad(Sigma + h * V) - grad(Sigma - h * V)) / (2 * h)
+                assert np.max(np.abs(hess(V) - fd)) <= 1e-5
 
 
 def test_fit_rho_max_caps_schedule():
