@@ -23,7 +23,6 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy.linalg import cho_solve
 
 from .matcore import (
     NotPositiveDefiniteError,
@@ -33,9 +32,11 @@ from .matcore import (
     inverse_pd,
 )
 from .sparsity import SparsityConstraint, _project, support_mask
-# The loop solves through the unvalidated _solve.  SurrogateSystem and
-# solve_spectral stay bound in this module because the benchmark's tracer
+# The loop solves through the unvalidated _solve and reads Sigma^{-1} from
+# the Cholesky factor alone.  cho_solve, SurrogateSystem and solve_spectral
+# stay bound in this module because the benchmark's tracer
 # (benchmark/tracer.py) wraps them here by name.
+from scipy.linalg import cho_solve  # noqa: F401
 from .sylvester import SurrogateSystem, _solve, solve_spectral  # noqa: F401
 
 __all__ = [
@@ -167,52 +168,47 @@ class FitResult:
     ridge_delta: float = 0.0
 
 
-def _loss_from_factor(L: np.ndarray, S: np.ndarray) -> float:
-    """ln det Sigma + tr(Sigma^{-1} S) from the lower Cholesky factor of Sigma."""
+def _inverse_and_loss(sigma: np.ndarray, S: np.ndarray) -> tuple[np.ndarray, float]:
+    """``(Sigma^{-1}, ln det Sigma + tr(Sigma^{-1} S))`` from one Cholesky
+    factorization; raises NotPositiveDefiniteError if Sigma is not PD.
+
+    The trace of the product of two symmetric matrices is the sum of
+    their entrywise product, so the loss needs no solve against ``S``.
+    """
+    L = cholesky_pd(sigma)
+    inv = _inverse_from_cholesky(L)
     logdet = 2.0 * float(np.sum(np.log(np.diag(L))))
-    return logdet + float(np.trace(cho_solve((L, True), S)))
-
-
-def _loss_parts(Sigma: np.ndarray, S: np.ndarray) -> float:
-    """ln det Sigma + tr(Sigma^{-1} S); raises if Sigma is not PD."""
-    return _loss_from_factor(cholesky_pd(Sigma), S)
+    return inv, logdet + float(np.vdot(inv, S))
 
 
 class _Iterate:
     """A positive definite iterate with what an MM step reads from it.
 
-    Built once per line-search candidate: the Cholesky factor from the PD
-    gate, the loss, the projection ``P(Sigma)`` and ``dist(Sigma, C)^2``.
-    ``A = Sigma^{-1}`` and ``A S A`` are formed from the cached factor on
-    first use, so a candidate that becomes the next iterate is never
-    factored again.  ``sigma`` must be exactly symmetric; construction
-    raises NotPositiveDefiniteError if it is not PD.
+    Built once per line-search candidate, from one Cholesky factorization
+    (the PD gate): ``inv = Sigma^{-1}`` by inverting the factor, the loss
+    ``2 sum log L_ii + <inv, S>``, the projection ``P(Sigma)`` and
+    ``dist(Sigma, C)^2``.  Nothing else factors or solves against
+    ``Sigma``.  ``A S A`` is formed on first use, since a rejected
+    candidate never needs it.  ``sigma`` must be exactly symmetric;
+    construction raises NotPositiveDefiniteError if it is not PD.
     """
 
-    __slots__ = ("sigma", "chol", "loss", "proj", "dist2", "_inv", "_asa")
+    __slots__ = ("sigma", "inv", "loss", "proj", "dist2", "_asa")
 
     def __init__(self, sigma: np.ndarray, S: np.ndarray, c: SparsityConstraint):
         self.sigma = sigma
-        self.chol = cholesky_pd(sigma)
-        self.loss = _loss_from_factor(self.chol, S)
+        self.inv, self.loss = _inverse_and_loss(sigma, S)
         self.proj = _project(sigma, c)
         diff = sigma - self.proj
         self.dist2 = float(np.sum(diff * diff))
-        self._inv = None
         self._asa = None
 
     def objective(self, rho: float) -> float:
         return self.loss + 0.5 * rho * self.dist2
 
-    def inverse(self) -> np.ndarray:
-        if self._inv is None:
-            self._inv = _inverse_from_cholesky(self.chol)
-        return self._inv
-
     def asa(self, S: np.ndarray) -> np.ndarray:
         if self._asa is None:
-            A = self.inverse()
-            self._asa = A @ S @ A
+            self._asa = self.inv @ S @ self.inv
         return self._asa
 
 
@@ -228,7 +224,7 @@ def negative_loglik_loss(Sigma: np.ndarray, S: np.ndarray) -> float:
     S = as_symmetric(S)
     if Sigma.shape != S.shape:
         raise ValueError(f"shape mismatch: {Sigma.shape} vs {S.shape}")
-    return _loss_parts(Sigma, S)
+    return _inverse_and_loss(Sigma, S)[1]
 
 
 def objective(
@@ -241,7 +237,8 @@ def objective(
     S = as_symmetric(S)
     if Sigma.shape != S.shape:
         raise ValueError(f"shape mismatch: {Sigma.shape} vs {S.shape}")
-    return _loss_parts(Sigma, S) + 0.5 * rho * c.squared_distance(Sigma)
+    c.check_dimension(Sigma.shape[0])
+    return _Iterate(Sigma, S, c).objective(rho)
 
 
 def surrogate_gradient(
@@ -284,13 +281,13 @@ def _line_search(
     """Accept ``it.sigma + 2^{-s} direction`` for the smallest ``s`` that is
     PD and beats ``h_k``; returns (next iterate, s, its objective).
 
-    ``h_k`` is normally ``it.objective(rho)``.
+    ``h_k`` is normally ``it.objective(rho)``.  ``direction`` must be
+    exactly symmetric, as every MM and Newton direction is, so that each
+    candidate is.
     """
     for s in range(max_halvings + 1):
-        candidate = it.sigma + 0.5**s * direction
-        candidate = (candidate + candidate.T) / 2.0
         try:
-            nxt = _Iterate(candidate, S, c)
+            nxt = _Iterate(it.sigma + 0.5**s * direction, S, c)
         except NotPositiveDefiniteError:
             continue
         h_cand = nxt.objective(rho)
@@ -329,7 +326,7 @@ def _hessian(
     The penalized entries are those the projection sets to zero, plus the
     diagonal in correlation mode, where the projection pins it to one.
     """
-    A = it.inverse()
+    A = it.inv
     M = it.asa(S)
     penalized = it.proj == 0.0
     if c.mode == "correlation":
@@ -500,7 +497,7 @@ def _fit_core(
     rho = rho_trace[-1]
     h = objective_trace[-1]
     for _ in range(cfg.max_outer - len(objective_trace)):
-        A = it.inverse()
+        A = it.inv
         G = A - it.asa(S) + rho * (it.sigma - it.proj)
         G = (G + G.T) / 2.0
         if np.linalg.norm(G) <= STATIONARITY_RTOL * np.linalg.norm(A):

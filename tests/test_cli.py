@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 import sparsecov as sc
+from sparsecov import cli
 from sparsecov.cli import main
 
 
@@ -198,7 +199,15 @@ def test_eval_outputs(sim_dir, tmp_path):
     assert metrics["rmse"] >= 0.0
 
 
-def test_bench_outputs(tmp_path):
+def test_bench_outputs(tmp_path, monkeypatch):
+    fit_sizes = []
+    fit = cli.fit
+
+    def counted(S, *args, **kwargs):
+        fit_sizes.append(S.shape[0])
+        return fit(S, *args, **kwargs)
+
+    monkeypatch.setattr(cli, "fit", counted)
     out = tmp_path / "bench"
     code = main(
         [
@@ -219,6 +228,8 @@ def test_bench_outputs(tmp_path):
     assert len(lines) == 3
     manifest = _read_json(out / "manifest.json")
     assert manifest["parameters"]["p_list"] == [10, 20]
+    # one untimed warm-up fit per p, then the timed reps
+    assert fit_sizes == [10, 10, 20, 20]
 
 
 def test_missing_input_is_usage_error(tmp_path):

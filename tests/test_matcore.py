@@ -68,7 +68,26 @@ def test_inverse_pd_random_roundtrip():
     rng = np.random.default_rng(1)
     B = rng.standard_normal((5, 5))
     M = B @ B.T + 5 * np.eye(5)
-    assert_allclose(sc.inverse_pd(M) @ M, np.eye(5), atol=1e-12)
+    A = sc.inverse_pd(M)
+    assert_allclose(A @ M, np.eye(5), atol=1e-12)
+    assert np.array_equal(A, A.T)
+    # condition number 1e6: the factor's inverse matches a general solver
+    Q, _ = np.linalg.qr(rng.standard_normal((30, 30)))
+    M = (Q * np.logspace(0, -6, 30)) @ Q.T
+    M = (M + M.T) / 2
+    A = sc.inverse_pd(M)
+    assert np.linalg.cond(M) == pytest.approx(1e6, rel=1e-3)
+    assert np.array_equal(A, A.T)
+    expected = np.linalg.inv(M)
+    assert np.linalg.norm(A - expected) <= 1e-10 * np.linalg.norm(expected)
+    # the loss read from the factor matches slogdet plus the trace of a solve
+    B = rng.standard_normal((30, 30))
+    M = B @ B.T + 30 * np.eye(30)
+    B = rng.standard_normal((40, 30))
+    S = B.T @ B / 40
+    _, logdet = np.linalg.slogdet(M)
+    expected = logdet + np.trace(np.linalg.solve(M, S))
+    assert sc.negative_loglik_loss(M, S) == pytest.approx(expected, rel=1e-12)
 
 
 def test_spectral_decompose_reconstructs():

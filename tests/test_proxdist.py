@@ -168,21 +168,38 @@ def test_objective_trace_ends_at_estimate():
 def test_fit_reports_exact_objectives_with_one_eigh_per_step(monkeypatch):
     # the loop carries each iterate's loss and projection instead of
     # recomputing them; what it reports must still be the public objective,
-    # and a step must cost one eigendecomposition
+    # a step must cost one eigendecomposition, each candidate one Cholesky
+    # factorization, and nothing may solve against the factor
     S = _sample_problem(20, 100, 11)
     c = sc.SparsityConstraint(12)
     calls = []
+    factorizations = []
     decompose = sylvester.spectral_decompose
+    cholesky = proxdist.cholesky_pd
 
     def counted(M):
         calls.append(M.shape)
         return decompose(M)
 
+    def counted_cholesky(M):
+        factorizations.append(M.shape)
+        return cholesky(M)
+
+    def no_solve(*args, **kwargs):
+        raise AssertionError("the fit solved against a Cholesky factor")
+
     monkeypatch.setattr(sylvester, "spectral_decompose", counted)
+    monkeypatch.setattr(proxdist, "cholesky_pd", counted_cholesky)
+    monkeypatch.setattr(proxdist, "cho_solve", no_solve)
     events = []
     result = sc.fit(S, c, callback=events.append)
     assert result.ridge_delta == 0.0
     assert len(events) > 10
+    candidates = sum(
+        ev["halvings"] + 1 if ev["accepted"] else sc.FitConfig().max_halvings + 1
+        for ev in events
+    )
+    assert len(factorizations) == candidates + 1
     for ev in events:
         expected = sc.objective(ev["sigma"], S, c, ev["rho"])
         assert ev["objective"] == pytest.approx(expected, rel=1e-12)
