@@ -35,7 +35,6 @@ from .matcore import (
 from .evaluation import compute_report
 from .proxdist import FitConfig, fit, fit_correlation
 from .sparsity import SparsityConstraint
-from .sylvester import NoConvergenceError
 from .synthdata import RngStream, SimDesign, make_design, sample_mvn
 from .tuning import CvSpec, _estimate, cross_validate, default_grid
 
@@ -116,14 +115,11 @@ def _load_covariance(params: dict) -> tuple[np.ndarray, int | None]:
 
 
 def _fit_config(params: dict) -> FitConfig:
+    """The fit settings a command's parameters give; ``cv`` takes no schedule
+    flags, so absent ones keep FitConfig's defaults."""
     ridge = params.get("ridge", "auto")
-    ridge_delta = 0.0 if ridge == "auto" else float(ridge)
-    return FitConfig(
-        rho0=params.get("rho0", 0.1),
-        rho_growth=params.get("rho_growth", 1.2),
-        tol=params.get("tol", 1e-6),
-        ridge_delta=ridge_delta,
-    )
+    schedule = {key: params[key] for key in ("rho0", "rho_growth", "tol") if key in params}
+    return FitConfig(ridge_delta=0.0 if ridge == "auto" else float(ridge), **schedule)
 
 
 def _run_estimate(params: dict, out_dir: Path) -> None:
@@ -308,9 +304,9 @@ def build_parser() -> argparse.ArgumentParser:
     src.add_argument("--cov", help="sample covariance CSV")
     p_est.add_argument("--k", type=int, required=True)
     p_est.add_argument("--mode", choices=("cov", "corr"), default="cov")
-    p_est.add_argument("--rho0", type=float, default=0.1)
-    p_est.add_argument("--rho-growth", type=float, default=1.2)
-    p_est.add_argument("--tol", type=float, default=1e-6)
+    p_est.add_argument("--rho0", type=float, default=FitConfig.rho0)
+    p_est.add_argument("--rho-growth", type=float, default=FitConfig.rho_growth)
+    p_est.add_argument("--tol", type=float, default=FitConfig.tol)
     p_est.add_argument("--ridge", default="auto", help='"auto" or a ridge value')
     p_est.add_argument("--out", required=True, help="output directory")
 
@@ -376,7 +372,7 @@ def main(argv: list[str] | None = None) -> int:
         else:
             params, out = _params_from_args(args)
             COMMANDS[args.command](params, _ensure_dir(out))
-    except (NotPositiveDefiniteError, NoConvergenceError, np.linalg.LinAlgError) as exc:
+    except (NotPositiveDefiniteError, np.linalg.LinAlgError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
     except (ValueError, OSError, KeyError) as exc:

@@ -21,9 +21,6 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .matcore import NotPositiveDefiniteError, as_symmetric, log_det_pd
-# cholesky_pd stays bound in this module because the benchmark's tracer
-# (benchmark/tracer.py) wraps it here by name.
-from .matcore import cholesky_pd  # noqa: F401
 from .proxdist import FitConfig, fit, negative_loglik_loss
 from .sparsity import SparsityConstraint
 from .baselines import ThresholdSpec, threshold

@@ -32,12 +32,7 @@ from .matcore import (
     inverse_pd,
 )
 from .sparsity import SparsityConstraint, _project, support_mask
-# The loop solves through the unvalidated _solve and reads Sigma^{-1} from
-# the Cholesky factor alone.  cho_solve, SurrogateSystem and solve_spectral
-# stay bound in this module because the benchmark's tracer
-# (benchmark/tracer.py) wraps them here by name.
-from scipy.linalg import cho_solve  # noqa: F401
-from .sylvester import SurrogateSystem, _solve, solve_spectral  # noqa: F401
+from .sylvester import _solve
 
 __all__ = [
     "FitConfig",
@@ -212,6 +207,28 @@ class _Iterate:
         return self._asa
 
 
+def _check_inputs(
+    matrices: tuple[np.ndarray, ...],
+    c: SparsityConstraint | None = None,
+    rho: float = 0.0,
+) -> list[np.ndarray]:
+    """The public entry points' validation; returns ``matrices`` made
+    exactly symmetric.
+
+    Rejects a negative rho, matrices that are not symmetric or not all of
+    one shape, and a dimension too small for ``c``'s sparsity level.
+    """
+    if not rho >= 0:
+        raise ValueError(f"rho must be nonnegative, got {rho}")
+    out = [as_symmetric(M) for M in matrices]
+    for M in out[1:]:
+        if M.shape != out[0].shape:
+            raise ValueError(f"shape mismatch: {out[0].shape} vs {M.shape}")
+    if c is not None:
+        c.check_dimension(out[0].shape[0])
+    return out
+
+
 def negative_loglik_loss(Sigma: np.ndarray, S: np.ndarray) -> float:
     """Gaussian negative log-likelihood loss ``ln det Sigma + tr(Sigma^{-1} S)``.
 
@@ -220,10 +237,7 @@ def negative_loglik_loss(Sigma: np.ndarray, S: np.ndarray) -> float:
     NotPositiveDefiniteError
         If ``Sigma`` is not positive definite (the loss is +inf there).
     """
-    Sigma = as_symmetric(Sigma)
-    S = as_symmetric(S)
-    if Sigma.shape != S.shape:
-        raise ValueError(f"shape mismatch: {Sigma.shape} vs {S.shape}")
+    Sigma, S = _check_inputs((Sigma, S))
     return _inverse_and_loss(Sigma, S)[1]
 
 
@@ -231,13 +245,7 @@ def objective(
     Sigma: np.ndarray, S: np.ndarray, c: SparsityConstraint, rho: float
 ) -> float:
     """Penalized objective ``negative_loglik_loss + (rho/2) dist(Sigma, C)^2``."""
-    if rho < 0:
-        raise ValueError(f"rho must be nonnegative, got {rho}")
-    Sigma = as_symmetric(Sigma)
-    S = as_symmetric(S)
-    if Sigma.shape != S.shape:
-        raise ValueError(f"shape mismatch: {Sigma.shape} vs {S.shape}")
-    c.check_dimension(Sigma.shape[0])
+    Sigma, S = _check_inputs((Sigma, S), c, rho)
     return _Iterate(Sigma, S, c).objective(rho)
 
 
@@ -260,9 +268,7 @@ def surrogate_gradient(
     ``Sigma = Sigma_k`` this is the stationarity residual of the full
     objective.
     """
-    Sigma = as_symmetric(Sigma)
-    Sigma_k = as_symmetric(Sigma_k)
-    S = as_symmetric(S)
+    Sigma, Sigma_k, S = _check_inputs((Sigma, Sigma_k, S), c, rho)
     A = inverse_pd(Sigma_k)
     D = Sigma - Sigma_k
     G = A - A @ S @ A + A @ D @ A + rho * (Sigma - c.project(Sigma_k))
@@ -405,11 +411,7 @@ def mm_step(
     """
     if not rho > 0:
         raise ValueError(f"rho must be positive, got {rho}")
-    Sigma_k = as_symmetric(Sigma_k)
-    S = as_symmetric(S)
-    if Sigma_k.shape != S.shape:
-        raise ValueError(f"shape mismatch: {Sigma_k.shape} vs {S.shape}")
-    c.check_dimension(Sigma_k.shape[0])
+    Sigma_k, S = _check_inputs((Sigma_k, S), c, rho)
     it = _Iterate(Sigma_k, S, c)
     nxt, halvings, _ = _step(it, S, c, rho, max_halvings, it.objective(rho))
     return nxt.sigma, halvings
@@ -431,12 +433,46 @@ def _resolve_ridge(S: np.ndarray, cfg: FitConfig) -> tuple[np.ndarray, float]:
     return S_used, delta
 
 
-def _fit_core(
+def fit(
     S: np.ndarray,
     c: SparsityConstraint,
-    cfg: FitConfig,
-    callback: Callable[[dict], None] | None,
+    cfg: FitConfig = FitConfig(),
+    callback: Callable[[dict], None] | None = None,
 ) -> FitResult:
+    """Fit a sparse covariance matrix to the sample covariance ``S``.
+
+    Starts from ``Diag(S)`` (starting from S itself provokes heavy
+    backtracking), runs MM steps while growing rho geometrically, and
+    stops when the relative objective change falls to ``cfg.tol`` or the
+    iteration budget runs out.  A step rejected by backtracking leaves
+    the iterate in place; the schedule still advances, so the run
+    terminates once rho saturates and the objective freezes.  Truncated
+    Newton steps at the final rho then take what is left of the budget
+    until the penalized gradient is small relative to ``Sigma^{-1}``.
+
+    Parameters
+    ----------
+    S : ndarray
+        Sample covariance matrix, symmetric positive semidefinite.
+        Near-singular S is ridged automatically (see FitConfig).
+    c : SparsityConstraint
+        Target sparsity level and mode.
+    cfg : FitConfig
+        Schedule and tolerance settings.
+    callback : callable, optional
+        Called once per iteration, schedule and refinement alike, with a
+        dict of that iteration's state (iteration, rho, sigma,
+        objective_before, objective, halvings, accepted).  For tracing
+        and tests.
+
+    Raises
+    ------
+    ValueError
+        If S has non-finite entries or shape problems.
+    NotPositiveDefiniteError
+        If S still has a nonpositive diagonal entry after ridging, so
+        the diagonal start is singular.
+    """
     S = as_symmetric(S)
     p = S.shape[0]
     c.check_dimension(p)
@@ -527,49 +563,6 @@ def _fit_core(
     )
 
 
-def fit(
-    S: np.ndarray,
-    c: SparsityConstraint,
-    cfg: FitConfig = FitConfig(),
-    callback: Callable[[dict], None] | None = None,
-) -> FitResult:
-    """Fit a sparse covariance matrix to the sample covariance ``S``.
-
-    Starts from ``Diag(S)`` (starting from S itself provokes heavy
-    backtracking), runs MM steps while growing rho geometrically, and
-    stops when the relative objective change falls to ``cfg.tol`` or the
-    iteration budget runs out.  A step rejected by backtracking leaves
-    the iterate in place; the schedule still advances, so the run
-    terminates once rho saturates and the objective freezes.  Truncated
-    Newton steps at the final rho then take what is left of the budget
-    until the penalized gradient is small relative to ``Sigma^{-1}``.
-
-    Parameters
-    ----------
-    S : ndarray
-        Sample covariance matrix, symmetric positive semidefinite.
-        Near-singular S is ridged automatically (see FitConfig).
-    c : SparsityConstraint
-        Target sparsity level and mode.
-    cfg : FitConfig
-        Schedule and tolerance settings.
-    callback : callable, optional
-        Called once per iteration, schedule and refinement alike, with a
-        dict of that iteration's state (iteration, rho, sigma,
-        objective_before, objective, halvings, accepted).  For tracing
-        and tests.
-
-    Raises
-    ------
-    ValueError
-        If S has non-finite entries or shape problems.
-    NotPositiveDefiniteError
-        If S still has a nonpositive diagonal entry after ridging, so
-        the diagonal start is singular.
-    """
-    return _fit_core(S, c, cfg, callback)
-
-
 def fit_correlation(
     R: np.ndarray,
     k: int,
@@ -591,4 +584,4 @@ def fit_correlation(
     if np.max(np.abs(np.diag(R) - 1.0)) > 1e-8:
         raise ValueError("R must have unit diagonal to within 1e-8")
     c = SparsityConstraint(k=k, mode="correlation")
-    return _fit_core(R, c, cfg, callback)
+    return fit(R, c, cfg, callback)

@@ -21,7 +21,7 @@ fixed-point iteration that converges when ``||sigma_k^{-1}||_2^2 < rho``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -67,7 +67,6 @@ class SurrogateSystem:
     sigma_k: np.ndarray
     c_k: np.ndarray
     rho: float
-    _inv: np.ndarray | None = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
         sigma_k = as_symmetric(self.sigma_k)
@@ -88,10 +87,8 @@ class SurrogateSystem:
         return self.sigma_k.shape[0]
 
     def inverse(self) -> np.ndarray:
-        """``sigma_k^{-1}``, computed once and cached."""
-        if self._inv is None:
-            object.__setattr__(self, "_inv", inverse_pd(self.sigma_k))
-        return self._inv
+        """``sigma_k^{-1}``."""
+        return inverse_pd(self.sigma_k)
 
 
 def equation_residual(sys: SurrogateSystem, X: np.ndarray) -> float:
@@ -99,19 +96,6 @@ def equation_residual(sys: SurrogateSystem, X: np.ndarray) -> float:
     A = sys.inverse()
     R = sys.rho * X + A @ X @ A - sys.c_k
     return float(np.linalg.norm(R) / max(1.0, np.linalg.norm(sys.c_k)))
-
-
-def _solve_in_eigenbasis(eigenvalues, eigenvectors, C, rho):
-    """Core spectral solve given an eigendecomposition of sigma_k."""
-    denom = rho + 1.0 / np.outer(eigenvalues, eigenvalues)
-    if not np.all(denom > 0):
-        raise ValueError(
-            "solver denominators are not all positive; "
-            "sigma_k is numerically singular or indefinite"
-        )
-    Ct = eigenvectors.T @ C @ eigenvectors
-    X = eigenvectors @ (Ct / denom) @ eigenvectors.T
-    return (X + X.T) / 2.0
 
 
 def solve_spectral(sys: SurrogateSystem) -> np.ndarray:
@@ -131,7 +115,14 @@ def _solve(sigma_k: np.ndarray, c_k: np.ndarray, rho: float) -> np.ndarray:
     symmetric of the same shape, and ``rho > 0``.
     """
     lam, Q = spectral_decompose(sigma_k)
-    return _solve_in_eigenbasis(lam, Q, c_k, rho)
+    denom = rho + 1.0 / np.outer(lam, lam)
+    if not np.all(denom > 0):
+        raise ValueError(
+            "solver denominators are not all positive; "
+            "sigma_k is numerically singular or indefinite"
+        )
+    X = Q @ ((Q.T @ c_k @ Q) / denom) @ Q.T
+    return (X + X.T) / 2.0
 
 
 def solve_kronecker(sys: SurrogateSystem) -> np.ndarray:

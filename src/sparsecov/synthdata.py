@@ -20,7 +20,6 @@ from typing import Sequence
 
 import numpy as np
 
-from ._workers import parallel_map
 from .baselines import ThresholdSpec, threshold
 from .evaluation import (
     MetricReport,
@@ -350,7 +349,7 @@ def run_replicates(
             out[method] = (float(best), report)
         return out
 
-    results = parallel_map(one_replicate, list(range(reps)))
+    results = [one_replicate(r) for r in range(reps)]
     reports = {m: [res[m][1] for res in results] for m in methods}
     best_params = {m: [res[m][0] for res in results] for m in methods}
     return ReplicateTable(

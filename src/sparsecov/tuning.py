@@ -20,7 +20,6 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from ._workers import parallel_map
 from .baselines import ThresholdSpec, threshold
 from .evaluation import entropy_loss
 from .matcore import NotPositiveDefiniteError, is_positive_definite, sample_covariance
@@ -141,8 +140,7 @@ def cross_validate(
         test_pd = is_positive_definite(S_test) if spec.loss == "entropy" else False
         split.append((S_train, S_test, test_pd))
 
-    def cell_loss(cell: tuple[int, int]) -> float:
-        gi, fi = cell
+    def cell_loss(gi: int, fi: int) -> float:
         S_train, S_test, test_pd = split[fi]
         try:
             est = _estimate(method, S_train, grid[gi], cfg)
@@ -164,9 +162,8 @@ def cross_validate(
             stacklevel=2,
         )
 
-    cells = [(gi, fi) for gi in range(grid.size) for fi in range(len(folds))]
-    losses = np.asarray(parallel_map(cell_loss, cells)).reshape(
-        grid.size, len(folds)
+    losses = np.array(
+        [[cell_loss(gi, fi) for fi in range(len(folds))] for gi in range(grid.size)]
     )
 
     means = losses.mean(axis=1)
