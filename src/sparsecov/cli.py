@@ -36,7 +36,7 @@ from .evaluation import compute_report
 from .proxdist import FitConfig, fit, fit_correlation
 from .sparsity import SparsityConstraint
 from .synthdata import RngStream, SimDesign, make_design, sample_mvn
-from .tuning import CvSpec, _estimate, cross_validate, default_grid
+from .tuning import LOSSES, METHODS, CvSpec, _estimate, cross_validate, default_grid
 
 DESIGN_ALIASES = {
     "independent": "independent",
@@ -106,12 +106,11 @@ def _run_simulate(params: dict, out_dir: Path) -> None:
     _write_manifest(out_dir, "simulate", params, params["seed"])
 
 
-def _load_covariance(params: dict) -> tuple[np.ndarray, int | None]:
-    """The working covariance and, when raw data was given, its row count."""
+def _load_covariance(params: dict) -> np.ndarray:
+    """The working covariance: the given matrix, or the data's sample covariance."""
     if params.get("cov"):
-        return load_symmetric_csv(params["cov"]), None
-    data = load_data_csv(params["input"])
-    return sample_covariance(data), data.shape[0]
+        return load_symmetric_csv(params["cov"])
+    return sample_covariance(load_data_csv(params["input"]))
 
 
 def _fit_config(params: dict) -> FitConfig:
@@ -123,7 +122,7 @@ def _fit_config(params: dict) -> FitConfig:
 
 
 def _run_estimate(params: dict, out_dir: Path) -> None:
-    S, _ = _load_covariance(params)
+    S = _load_covariance(params)
     cfg = _fit_config(params)
     k = params["k"]
     if params.get("mode", "cov") == "corr":
@@ -312,12 +311,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_cv = sub.add_parser("cv", help="cross-validate a tuning parameter")
     p_cv.add_argument("--input", required=True)
-    p_cv.add_argument("--method", required=True, choices=("proxdist", "soft", "hard"))
+    p_cv.add_argument("--method", required=True, choices=METHODS)
     p_cv.add_argument("--folds", type=int, default=5)
     grid = p_cv.add_mutually_exclusive_group()
     grid.add_argument("--grid-size", type=int, default=40)
     grid.add_argument("--grid-file")
-    p_cv.add_argument("--loss", choices=("frobenius", "entropy"), default="frobenius")
+    p_cv.add_argument("--loss", choices=LOSSES, default="frobenius")
     p_cv.add_argument("--seed", type=int, default=0)
     p_cv.add_argument("--out", required=True, help="output directory")
 

@@ -4,11 +4,15 @@ Conventions, stated once here:
 
 * RMSE divides the squared Frobenius distance by all p^2 entries, so
   symmetric pairs count twice.
+* An estimate's support is ``support_mask(Sigma_hat, tol)``, or a mask
+  the caller supplies, such as ``FitResult.support``.  False positive
+  and false negative rates, ``nnz`` and the information criteria's model
+  size all read that one support.
 * False positive and false negative rates are computed over strict
   upper-triangular positions only, per class, with 0/0 taken as 0.
 * The Gaussian negative log-likelihood drops the (np/2) ln(2*pi)
   constant; model comparisons at fixed data are unaffected.
-* Information criteria count q = p + (strict-upper nonzeros) free
+* Information criteria count q = p + (strict-upper support entries) free
   parameters; EBIC adds 2*gamma*q*ln(p(p+1)/2) with gamma = 0.5 by
   default.
 """
@@ -22,7 +26,7 @@ import numpy as np
 
 from .matcore import NotPositiveDefiniteError, as_symmetric, log_det_pd
 from .proxdist import FitConfig, fit, negative_loglik_loss
-from .sparsity import SparsityConstraint
+from .sparsity import SparsityConstraint, support_mask
 from .baselines import ThresholdSpec, threshold
 
 __all__ = [
@@ -94,27 +98,12 @@ def rmse(Sigma_true: np.ndarray, Sigma_hat: np.ndarray) -> float:
     return float(np.linalg.norm(Sigma_true - Sigma_hat) / p)
 
 
-def fp_fn_rates(
-    Sigma_true: np.ndarray,
-    Sigma_hat: np.ndarray,
-    tol: float | None = None,
-) -> tuple[float, float]:
-    """False positive and false negative rates over strict-upper entries.
-
-    The true support is taken from exact nonzeros of ``Sigma_true``.
-    The estimated support counts entries with ``|value| > tol``; pass
-    ``tol=0.0`` for estimators that produce exact zeros.  The default
-    ``tol=None`` uses ``1e-8 * max|Sigma_hat|``.  Empty classes give a
-    rate of 0.
-    """
-    Sigma_true = np.asarray(Sigma_true, dtype=float)
-    Sigma_hat = np.asarray(Sigma_hat, dtype=float)
-    _check_same_shape(Sigma_true, Sigma_hat)
-    if tol is None:
-        tol = 1e-8 * float(np.max(np.abs(Sigma_hat), initial=0.0))
+def _support_rates(Sigma_true: np.ndarray, support: np.ndarray) -> tuple[float, float]:
+    """False positive and false negative rates of a support mask against
+    the exact nonzeros of ``Sigma_true``, over strict-upper entries."""
     iu = np.triu_indices(Sigma_true.shape[0], k=1)
     true_nz = Sigma_true[iu] != 0.0
-    est_nz = np.abs(Sigma_hat[iu]) > tol
+    est_nz = support[iu]
     n_zero = int(np.sum(~true_nz))
     n_nonzero = int(np.sum(true_nz))
     fp = int(np.sum(est_nz & ~true_nz))
@@ -122,6 +111,24 @@ def fp_fn_rates(
     fp_rate = fp / n_zero if n_zero else 0.0
     fn_rate = fn / n_nonzero if n_nonzero else 0.0
     return fp_rate, fn_rate
+
+
+def fp_fn_rates(
+    Sigma_true: np.ndarray,
+    Sigma_hat: np.ndarray,
+    tol: float | None = None,
+) -> tuple[float, float]:
+    """False positive and false negative rates over strict-upper entries.
+
+    The true support is taken from exact nonzeros of ``Sigma_true``, the
+    estimated one from ``support_mask(Sigma_hat, tol)``; pass ``tol=0.0``
+    for estimators that produce exact zeros.  Empty classes give a rate
+    of 0.
+    """
+    Sigma_true = np.asarray(Sigma_true, dtype=float)
+    Sigma_hat = np.asarray(Sigma_hat, dtype=float)
+    _check_same_shape(Sigma_true, Sigma_hat)
+    return _support_rates(Sigma_true, support_mask(Sigma_hat, tol))
 
 
 def gaussian_nll(Sigma_hat: np.ndarray, S: np.ndarray, n: int) -> float:
@@ -176,26 +183,35 @@ def compute_report(
     n: int | None = None,
     tol: float | None = None,
     gamma: float = EBIC_GAMMA,
+    support: np.ndarray | None = None,
 ) -> MetricReport:
     """Assemble the full metric record for one estimate.
 
+    Support metrics read ``support``, by default
+    ``support_mask(Sigma_hat, tol)``; a fit passes ``FitResult.support``.
     ``entropy_loss`` is ``None`` when the estimate is not positive
     definite; the likelihood fields are also ``None`` when ``S``/``n``
-    are absent.  ``tol`` is passed through to :func:`fp_fn_rates`.
+    are absent.
     """
     Sigma_true = as_symmetric(Sigma_true)
     Sigma_hat = as_symmetric(Sigma_hat)
     _check_same_shape(Sigma_true, Sigma_hat)
+    if support is None:
+        support = support_mask(Sigma_hat, tol)
+    else:
+        support = np.asarray(support, dtype=bool)
+        _check_same_shape(Sigma_hat, support)
+    nnz = _nnz_upper(support)
     try:
         ent = entropy_loss(Sigma_true, Sigma_hat)
     except NotPositiveDefiniteError:
         ent = None
-    fp, fn = fp_fn_rates(Sigma_true, Sigma_hat, tol=tol)
+    fp, fn = _support_rates(Sigma_true, support)
     nll = aic = bic = ebic = None
     if S is not None and n is not None:
         try:
             nll = gaussian_nll(Sigma_hat, S, n)
-            aic, bic, ebic = info_criteria(Sigma_hat, S, n, gamma=gamma)
+            aic, bic, ebic = info_criteria(Sigma_hat, S, n, gamma=gamma, support_nnz=nnz)
         except NotPositiveDefiniteError:
             nll = aic = bic = ebic = None
     return MetricReport(
@@ -207,7 +223,7 @@ def compute_report(
         aic=aic,
         bic=bic,
         ebic=ebic,
-        nnz=_nnz_upper(Sigma_hat),
+        nnz=nnz,
     )
 
 
@@ -222,8 +238,9 @@ def roc_sweep(
 
     ``method`` is one of ``proxdist`` (grid of sparsity levels k),
     ``soft``, or ``hard`` (grids of threshold levels).  Each point is
-    ``(fp_rate, 1 - fn_rate)`` against the true support; points are
-    returned sorted by fpr.
+    ``(fp_rate, 1 - fn_rate)`` of a fit's ``FitResult.support``, or of a
+    thresholded estimate's exact nonzeros, against the true support;
+    points are returned sorted by fpr.
     """
     S = as_symmetric(S)
     Sigma_true = as_symmetric(Sigma_true)
@@ -231,13 +248,12 @@ def roc_sweep(
     points = []
     for g in np.asarray(grid).ravel():
         if method == "proxdist":
-            c = SparsityConstraint(k=int(round(float(g))))
-            res = fit(S, c, cfg)
-            est = c.project(res.sigma_hat)
+            support = fit(S, SparsityConstraint(k=int(round(float(g)))), cfg).support
         elif method in ("soft", "hard"):
             est = threshold(S, ThresholdSpec(lam=float(g), kind=method))
+            support = support_mask(est, tol=0.0)
         else:
             raise ValueError(f"unknown method {method!r}")
-        fp, fn = fp_fn_rates(Sigma_true, est, tol=0.0)
+        fp, fn = _support_rates(Sigma_true, support)
         points.append((fp, 1.0 - fn))
     return sorted(points)

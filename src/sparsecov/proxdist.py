@@ -29,7 +29,6 @@ from .matcore import (
     _inverse_from_cholesky,
     as_symmetric,
     cholesky_pd,
-    inverse_pd,
 )
 from .sparsity import SparsityConstraint, _project, support_mask
 from .sylvester import _solve
@@ -206,6 +205,12 @@ class _Iterate:
             self._asa = self.inv @ S @ self.inv
         return self._asa
 
+    def gradient(self, S: np.ndarray, rho: float) -> np.ndarray:
+        """Gradient of ``h_rho`` here, ``A - A S A + rho (Sigma - P(Sigma))``,
+        symmetrized against the triple product's O(eps) drift."""
+        G = self.inv - self.asa(S) + rho * (self.sigma - self.proj)
+        return (G + G.T) / 2.0
+
 
 def _check_inputs(
     matrices: tuple[np.ndarray, ...],
@@ -269,10 +274,10 @@ def surrogate_gradient(
     objective.
     """
     Sigma, Sigma_k, S = _check_inputs((Sigma, Sigma_k, S), c, rho)
-    A = inverse_pd(Sigma_k)
+    it = _Iterate(Sigma_k, S, c)
     D = Sigma - Sigma_k
-    G = A - A @ S @ A + A @ D @ A + rho * (Sigma - c.project(Sigma_k))
-    return (G + G.T) / 2.0
+    ADA = it.inv @ D @ it.inv
+    return it.gradient(S, rho) + (ADA + ADA.T) / 2.0 + rho * D
 
 
 def _line_search(
@@ -282,23 +287,21 @@ def _line_search(
     c: SparsityConstraint,
     rho: float,
     max_halvings: int,
-    h_k: float,
-) -> tuple[_Iterate, int, float]:
+) -> tuple[_Iterate, int]:
     """Accept ``it.sigma + 2^{-s} direction`` for the smallest ``s`` that is
-    PD and beats ``h_k``; returns (next iterate, s, its objective).
+    PD and lowers ``h_rho`` below ``it``'s; returns (next iterate, s).
 
-    ``h_k`` is normally ``it.objective(rho)``.  ``direction`` must be
-    exactly symmetric, as every MM and Newton direction is, so that each
-    candidate is.
+    ``direction`` must be exactly symmetric, as every MM and Newton
+    direction is, so that each candidate is.
     """
+    h = it.objective(rho)
     for s in range(max_halvings + 1):
         try:
             nxt = _Iterate(it.sigma + 0.5**s * direction, S, c)
         except NotPositiveDefiniteError:
             continue
-        h_cand = nxt.objective(rho)
-        if h_cand < h_k:
-            return nxt, s, h_cand
+        if nxt.objective(rho) < h:
+            return nxt, s
     raise BacktrackExhaustedError(
         f"no accepted step within {max_halvings} halvings at rho={rho:.3e}; "
         "iterate is stationary or the update is numerically degenerate",
@@ -312,13 +315,12 @@ def _step(
     c: SparsityConstraint,
     rho: float,
     max_halvings: int,
-    h_k: float,
-) -> tuple[_Iterate, int, float]:
-    """One accepted MM step from ``it``; returns (next iterate, halvings, h_next)."""
+) -> tuple[_Iterate, int]:
+    """One accepted MM step from ``it``; returns (next iterate, halvings)."""
     C_k = rho * it.proj + it.asa(S)
     C_k = (C_k + C_k.T) / 2.0  # the triple product drifts by O(eps)
     direction = _solve(it.sigma, C_k, rho) - it.sigma
-    return _line_search(it, direction, S, c, rho, max_halvings, h_k)
+    return _line_search(it, direction, S, c, rho, max_halvings)
 
 
 def _hessian(
@@ -413,7 +415,7 @@ def mm_step(
         raise ValueError(f"rho must be positive, got {rho}")
     Sigma_k, S = _check_inputs((Sigma_k, S), c, rho)
     it = _Iterate(Sigma_k, S, c)
-    nxt, halvings, _ = _step(it, S, c, rho, max_halvings, it.objective(rho))
+    nxt, halvings = _step(it, S, c, rho, max_halvings)
     return nxt.sigma, halvings
 
 
@@ -491,7 +493,8 @@ def fit(
     converged = False
     h_prev: float | None = None
 
-    def record(sigma, rho, h_before, h, halvings, accepted):
+    def record(prev, nxt, rho, halvings, accepted):
+        h = nxt.objective(rho)
         objective_trace.append(h)
         rho_trace.append(rho)
         if callback is not None:
@@ -499,23 +502,22 @@ def fit(
                 {
                     "iteration": len(objective_trace),
                     "rho": rho,
-                    "sigma": sigma,
-                    "objective_before": h_before,
+                    "sigma": nxt.sigma,
+                    "objective_before": prev.objective(rho),
                     "objective": h,
                     "halvings": halvings,
                     "accepted": accepted,
                 }
             )
+        return h
 
     for _ in range(cfg.max_outer):
-        h_before = it.objective(rho)
         try:
-            it_next, halvings, h = _step(it, S, c, rho, cfg.max_halvings, h_before)
+            it_next, halvings = _step(it, S, c, rho, cfg.max_halvings)
             accepted = True
         except BacktrackExhaustedError:
-            it_next, halvings, h = it, 0, h_before
-            accepted = False
-        record(it_next.sigma, rho, h_before, h, halvings, accepted)
+            it_next, halvings, accepted = it, 0, False
+        h = record(it, it_next, rho, halvings, accepted)
         it = it_next
         total_halvings += halvings
         if h_prev is not None:
@@ -531,23 +533,17 @@ def fit(
     # anchored majorizer slows the coordinates the penalty never touches
     # by a factor of rho.  Newton steps see the true curvature instead.
     rho = rho_trace[-1]
-    h = objective_trace[-1]
     for _ in range(cfg.max_outer - len(objective_trace)):
-        A = it.inv
-        G = A - it.asa(S) + rho * (it.sigma - it.proj)
-        G = (G + G.T) / 2.0
-        if np.linalg.norm(G) <= STATIONARITY_RTOL * np.linalg.norm(A):
+        G = it.gradient(S, rho)
+        if np.linalg.norm(G) <= STATIONARITY_RTOL * np.linalg.norm(it.inv):
             break
         direction = _newton_direction(it, S, c, rho, G)
         try:
-            it_next, halvings, h_next = _line_search(
-                it, direction, S, c, rho, cfg.max_halvings, h
-            )
+            it_next, halvings = _line_search(it, direction, S, c, rho, cfg.max_halvings)
         except BacktrackExhaustedError:
             break
-        record(it_next.sigma, rho, h, h_next, halvings, True)
+        record(it, it_next, rho, halvings, True)
         it = it_next
-        h = h_next
         total_halvings += halvings
 
     return FitResult(

@@ -15,22 +15,13 @@ alone.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
-from typing import Sequence
+from dataclasses import dataclass, fields, replace
+from typing import ClassVar, Sequence
 
 import numpy as np
 
 from .baselines import ThresholdSpec, threshold
-from .evaluation import (
-    MetricReport,
-    _nnz_upper,
-    compute_report,
-    entropy_loss,
-    fp_fn_rates,
-    gaussian_nll,
-    info_criteria,
-    rmse,
-)
+from .evaluation import MetricReport, compute_report
 from .matcore import cholesky_pd, is_positive_definite, sample_covariance
 from .proxdist import FitConfig, fit
 from .sparsity import SparsityConstraint
@@ -188,31 +179,6 @@ def sample_mvn(Sigma: np.ndarray, n: int, rng: RngStream) -> np.ndarray:
     return Z @ L.T
 
 
-def _proxdist_report(
-    truth: np.ndarray, S: np.ndarray, n: int, k: int, cfg: FitConfig
-) -> MetricReport:
-    """Fit at sparsity level k and score: value metrics from the
-    positive definite iterate, support metrics from its projection."""
-    c = SparsityConstraint(k=k)
-    res = fit(S, c, cfg)
-    projected = c.project(res.sigma_hat)
-    nnz = _nnz_upper(projected)
-    fp, fn = fp_fn_rates(truth, projected, tol=0.0)
-    nll = gaussian_nll(res.sigma_hat, S, n)
-    aic, bic, ebic = info_criteria(res.sigma_hat, S, n, support_nnz=nnz)
-    return MetricReport(
-        entropy_loss=entropy_loss(truth, res.sigma_hat),
-        rmse=rmse(truth, res.sigma_hat),
-        fp_rate=fp,
-        fn_rate=fn,
-        nll=nll,
-        aic=aic,
-        bic=bic,
-        ebic=ebic,
-        nnz=nnz,
-    )
-
-
 @dataclass(frozen=True)
 class ReplicateTable:
     """Per-replicate metric reports and their aggregation."""
@@ -223,17 +189,7 @@ class ReplicateTable:
     methods: tuple[str, ...]
     reports: dict[str, list[MetricReport]]
     best_params: dict[str, list[float]]
-    metrics: tuple[str, ...] = (
-        "entropy_loss",
-        "rmse",
-        "fp_rate",
-        "fn_rate",
-        "nll",
-        "aic",
-        "bic",
-        "ebic",
-        "nnz",
-    )
+    metrics: ClassVar[tuple[str, ...]] = tuple(f.name for f in fields(MetricReport))
 
     def mean(self, method: str, metric: str) -> float:
         vals = self._values(method, metric)
@@ -342,7 +298,10 @@ def run_replicates(
                 )
             best, _ = cross_validate(data, method, spec, cfg)
             if method == "proxdist":
-                report = _proxdist_report(truth, S, n, int(best), cfg)
+                res = fit(S, SparsityConstraint(k=int(best)), cfg)
+                report = compute_report(
+                    truth, res.sigma_hat, S=S, n=n, support=res.support
+                )
             else:
                 est = threshold(S, ThresholdSpec(lam=float(best), kind=method))
                 report = compute_report(truth, est, S=S, n=n, tol=0.0)

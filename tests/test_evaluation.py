@@ -118,6 +118,21 @@ def test_compute_report_degrades_without_pd_or_data():
     assert pd_but_no_data.nll is None
 
 
+def test_compute_report_counts_nnz_and_aic_on_the_fp_fn_support():
+    truth = np.eye(3)
+    est = np.eye(3)
+    est[0, 1] = est[1, 0] = 1e-13  # below the default tolerance
+    report = sc.compute_report(truth, est, S=np.eye(3), n=10)
+    assert report.fp_rate == 0.0
+    assert report.nnz == 0
+    assert report.aic == pytest.approx(36.0)  # 2 * 15 + 2 * (3 + 0)
+    # a given support replaces the tolerance rule for all three
+    given = sc.compute_report(truth, est, S=np.eye(3), n=10, support=est != 0.0)
+    assert given.fp_rate == pytest.approx(1.0 / 3.0)
+    assert given.nnz == 1
+    assert given.aic == pytest.approx(38.0)
+
+
 def test_roc_sweep_soft_path():
     design = sc.SimDesign(kind="random_sparse", p=10, sparsity_frac=0.1, seed=3)
     truth = sc.make_design(design)
