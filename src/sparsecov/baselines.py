@@ -79,17 +79,15 @@ def threshold_path(
     if np.any(np.diff(grid) < 0):
         raise ValueError("grid must be ascending")
     S = as_symmetric(S)
-    upper = np.triu_indices(S.shape[0], k=1)
     path = []
     for lam in grid:
         est = threshold(S, ThresholdSpec(lam=float(lam), kind=kind))
-        nnz = int(np.count_nonzero(est[upper]))
         path.append(
             ThresholdPathEntry(
                 lam=float(lam),
                 estimate=est,
                 is_pd=is_positive_definite(est),
-                nnz=nnz,
+                nnz=int(np.count_nonzero(np.triu(est, 1))),
             )
         )
     return path

@@ -108,7 +108,7 @@ def _run_simulate(params: dict, out_dir: Path) -> None:
 
 def _load_covariance(params: dict) -> np.ndarray:
     """The working covariance: the given matrix, or the data's sample covariance."""
-    if params.get("cov"):
+    if params["cov"]:
         return load_symmetric_csv(params["cov"])
     return sample_covariance(load_data_csv(params["input"]))
 
@@ -125,7 +125,7 @@ def _run_estimate(params: dict, out_dir: Path) -> None:
     S = _load_covariance(params)
     cfg = _fit_config(params)
     k = params["k"]
-    if params.get("mode", "cov") == "corr":
+    if params["mode"] == "corr":
         d = np.sqrt(np.diag(S))
         R = S / np.outer(d, d)
         R[np.diag_indices_from(R)] = 1.0
@@ -153,15 +153,12 @@ def _run_cv(params: dict, out_dir: Path) -> None:
     S = sample_covariance(data)
     method = params["method"]
     cfg = _fit_config(params)
-    if params.get("grid_file"):
+    if params["grid_file"]:
         grid = np.loadtxt(params["grid_file"], ndmin=1)
     else:
-        grid = default_grid(method, S, params.get("grid_size", 40))
+        grid = default_grid(method, S, params["grid_size"])
     spec = CvSpec(
-        grid=grid,
-        folds=params.get("folds", 5),
-        loss=params.get("loss", "frobenius"),
-        seed=params.get("seed", 0),
+        grid=grid, folds=params["folds"], loss=params["loss"], seed=params["seed"]
     )
     best, table = cross_validate(data, method, spec, cfg)
     with open(out_dir / "cv_table.csv", "w") as fh:
@@ -177,7 +174,7 @@ def _run_cv(params: dict, out_dir: Path) -> None:
         {"method": method, "best_param": best, "boundary": boundary},
     )
     save_matrix_csv(out_dir / "sigma_hat.csv", _estimate(method, S, best, cfg))
-    _write_manifest(out_dir, "cv", params, params.get("seed", 0))
+    _write_manifest(out_dir, "cv", params, params["seed"])
 
 
 def _run_eval(params: dict, out_dir: Path) -> None:
@@ -185,7 +182,7 @@ def _run_eval(params: dict, out_dir: Path) -> None:
     estimate = load_symmetric_csv(params["estimate"])
     S = None
     n = None
-    if params.get("data"):
+    if params["data"]:
         data = load_data_csv(params["data"])
         S = sample_covariance(data)
         n = data.shape[0]
@@ -227,8 +224,8 @@ def _single_blas_thread():
 def _run_bench(params: dict, out_dir: Path) -> None:
     p_list = params["p_list"]
     n = params["n"]
-    reps = params.get("reps", 3)
-    seed = params.get("seed", 0)
+    reps = params["reps"]
+    seed = params["seed"]
     rows = []
     for p in p_list:
         # Banded truth: positive definite at every dimension, unlike
@@ -278,8 +275,12 @@ def _run_rerun(manifest_path: str, override_dir: str | None) -> None:
     if command not in COMMANDS:
         raise ValueError(f"manifest names unknown command {command!r}")
     params = manifest["parameters"]
-    out = override_dir or params.get("out_dir", ".")
+    out = override_dir or params["out_dir"]
     COMMANDS[command](params, _ensure_dir(out))
+
+
+def _int_list(text: str) -> list[int]:
+    return [int(tok) for tok in text.split(",")]
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -307,7 +308,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_est.add_argument("--rho-growth", type=float, default=FitConfig.rho_growth)
     p_est.add_argument("--tol", type=float, default=FitConfig.tol)
     p_est.add_argument("--ridge", default="auto", help='"auto" or a ridge value')
-    p_est.add_argument("--out", required=True, help="output directory")
+    p_est.add_argument("--out", dest="out_dir", required=True, help="output directory")
 
     p_cv = sub.add_parser("cv", help="cross-validate a tuning parameter")
     p_cv.add_argument("--input", required=True)
@@ -318,17 +319,20 @@ def build_parser() -> argparse.ArgumentParser:
     grid.add_argument("--grid-file")
     p_cv.add_argument("--loss", choices=LOSSES, default="frobenius")
     p_cv.add_argument("--seed", type=int, default=0)
-    p_cv.add_argument("--out", required=True, help="output directory")
+    p_cv.add_argument("--out", dest="out_dir", required=True, help="output directory")
 
     p_eval = sub.add_parser("eval", help="score an estimate against a truth")
     p_eval.add_argument("--truth", required=True)
     p_eval.add_argument("--estimate", required=True)
     p_eval.add_argument("--data", help="optional data CSV for likelihood criteria")
-    p_eval.add_argument("--out", required=True, help="output directory")
+    p_eval.add_argument("--out", dest="out_dir", required=True, help="output directory")
 
     p_bench = sub.add_parser("bench", help="time fits across dimensions")
     p_bench.add_argument(
-        "--p-list", required=True, help="comma-separated dimensions, e.g. 50,100,200"
+        "--p-list",
+        type=_int_list,
+        required=True,
+        help="comma-separated dimensions, e.g. 50,100,200",
     )
     p_bench.add_argument("--n", type=int, required=True)
     p_bench.add_argument("--seed", type=int, default=0)
@@ -342,26 +346,6 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _params_from_args(args: argparse.Namespace) -> tuple[dict, str]:
-    """Split the parsed namespace into (parameters, out_dir).
-
-    The output directory is kept inside the parameters too, so the
-    manifest alone suffices to replay the command.
-    """
-    params = vars(args).copy()
-    command = params.pop("command")
-    out = params.pop("out_dir", None)
-    if out is None:
-        out = params.pop("out", None)
-    else:
-        params.pop("out", None)
-    if command == "bench":
-        params["p_list"] = [int(tok) for tok in str(params["p_list"]).split(",")]
-    out = out or "."
-    params["out_dir"] = str(out)
-    return params, str(out)
-
-
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
@@ -369,8 +353,11 @@ def main(argv: list[str] | None = None) -> int:
         if args.command == "rerun":
             _run_rerun(args.manifest, args.out_dir)
         else:
-            params, out = _params_from_args(args)
-            COMMANDS[args.command](params, _ensure_dir(out))
+            # The output directory stays among the parameters, so the
+            # manifest alone suffices to replay the command.
+            params = vars(args)
+            command = params.pop("command")
+            COMMANDS[command](params, _ensure_dir(params["out_dir"]))
     except (NotPositiveDefiniteError, np.linalg.LinAlgError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3

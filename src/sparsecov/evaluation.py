@@ -143,8 +143,19 @@ def gaussian_nll(Sigma_hat: np.ndarray, S: np.ndarray, n: int) -> float:
 
 def _nnz_upper(M: np.ndarray) -> int:
     """Number of nonzero strict upper-triangular entries of M."""
-    iu = np.triu_indices(M.shape[0], k=1)
-    return int(np.count_nonzero(M[iu]))
+    return int(np.count_nonzero(np.triu(M, 1)))
+
+
+def _criteria(
+    nll: float, p: int, nnz: int, n: int, gamma: float
+) -> tuple[float, float, float]:
+    """AIC, BIC and EBIC of a p-variate estimate with ``nnz`` strict-upper
+    nonzeros from its negative log-likelihood ``nll`` on ``n`` samples."""
+    q = p + nnz
+    aic = 2.0 * nll + 2.0 * q
+    bic = 2.0 * nll + q * math.log(n)
+    ebic = bic + 2.0 * gamma * q * math.log(p * (p + 1) / 2)
+    return aic, bic, ebic
 
 
 def info_criteria(
@@ -167,13 +178,8 @@ def info_criteria(
     sparsity pattern lives in a separate support mask.
     """
     Sigma_hat = as_symmetric(Sigma_hat)
-    p = Sigma_hat.shape[0]
-    nll = gaussian_nll(Sigma_hat, S, n)
-    q = p + (_nnz_upper(Sigma_hat) if support_nnz is None else support_nnz)
-    aic = 2.0 * nll + 2.0 * q
-    bic = 2.0 * nll + q * math.log(n)
-    ebic = bic + 2.0 * gamma * q * math.log(p * (p + 1) / 2)
-    return aic, bic, ebic
+    nnz = _nnz_upper(Sigma_hat) if support_nnz is None else support_nnz
+    return _criteria(gaussian_nll(Sigma_hat, S, n), Sigma_hat.shape[0], nnz, n, gamma)
 
 
 def compute_report(
@@ -211,7 +217,7 @@ def compute_report(
     if S is not None and n is not None:
         try:
             nll = gaussian_nll(Sigma_hat, S, n)
-            aic, bic, ebic = info_criteria(Sigma_hat, S, n, gamma=gamma, support_nnz=nnz)
+            aic, bic, ebic = _criteria(nll, Sigma_hat.shape[0], nnz, n, gamma)
         except NotPositiveDefiniteError:
             nll = aic = bic = ebic = None
     return MetricReport(

@@ -390,7 +390,7 @@ def mm_step(
     S: np.ndarray,
     c: SparsityConstraint,
     rho: float,
-    max_halvings: int = 32,
+    max_halvings: int = FitConfig.max_halvings,
 ) -> tuple[np.ndarray, int]:
     """One MM update with positive-definiteness-preserving backtracking.
 

@@ -52,42 +52,26 @@ class SparsityConstraint:
         return squared_distance(M, self)
 
 
-def _top_k_upper(M: np.ndarray, k: int):
-    """Indices of the k largest-magnitude strict-upper entries of M.
-
-    Ties are broken toward the smaller (row, col) lexicographic position so
-    the projection is deterministic even on the measure-zero tie set.
-    Exactly-zero entries are never selected.  A partition finds the k-th
-    magnitude in linear time; every entry above it is kept, then the tied
-    entries in index order, which is the set a stable descending sort
-    would select.
-    """
-    rows, cols = np.triu_indices(M.shape[0], 1)
-    vals = np.abs(M[rows, cols])
-    if k == 0:
-        keep = np.zeros(vals.size, dtype=bool)
-    elif k < vals.size:
-        kth = np.partition(vals, vals.size - k)[vals.size - k]
-        keep = vals > kth
-        ties = np.flatnonzero(vals == kth)[: k - np.count_nonzero(keep)]
-        keep[ties] = True
-        keep &= vals > 0.0
-    else:
-        keep = vals > 0.0
-    return rows[keep], cols[keep]
-
-
 def _project(M: np.ndarray, c: SparsityConstraint) -> np.ndarray:
     """:func:`project` without validation: ``M`` must be exactly symmetric
-    and ``c`` must fit its dimension."""
-    out = np.zeros_like(M)
-    if c.mode == "correlation":
-        np.fill_diagonal(out, 1.0)
-    else:
-        np.fill_diagonal(out, np.diag(M))
-    rows, cols = _top_k_upper(M, c.k)
-    out[rows, cols] = M[rows, cols]
-    out[cols, rows] = M[rows, cols]
+    and ``c`` must fit its dimension.
+
+    Selects on ``triu(M, 1)`` itself.  A partition of its magnitudes finds
+    the k-th largest; entries above it are kept, then the tied entries in
+    row-major order, which breaks ties toward the smaller (row, col) so
+    the projection is deterministic even on the measure-zero tie set.
+    Exactly-zero entries are never kept.
+    """
+    upper = np.triu(M, 1)
+    mags = np.abs(upper).ravel()
+    kth = np.partition(mags, mags.size - c.k)[mags.size - c.k] if c.k else np.inf
+    keep = mags > kth
+    if kth > 0.0:
+        ties = np.flatnonzero(mags == kth)[: c.k - np.count_nonzero(keep)]
+        keep[ties] = True
+    upper[~keep.reshape(upper.shape)] = 0.0
+    out = upper + upper.T
+    np.fill_diagonal(out, 1.0 if c.mode == "correlation" else np.diag(M))
     return out
 
 

@@ -106,6 +106,28 @@ def test_compute_report_full():
     assert set(d) >= {"entropy_loss", "rmse", "fp_rate", "fn_rate", "nnz"}
 
 
+def test_compute_report_reads_each_gaussian_loss_once(monkeypatch):
+    # one loss for the entropy loss, one for the NLL that AIC, BIC and
+    # EBIC all read
+    calls = []
+    loss = sc.evaluation.negative_loglik_loss
+
+    def counting(*args):
+        calls.append(args)
+        return loss(*args)
+
+    monkeypatch.setattr(sc.evaluation, "negative_loglik_loss", counting)
+    rng = np.random.default_rng(2)
+    B = rng.standard_normal((5, 5))
+    truth = B @ B.T + 5 * np.eye(5)
+    S = sc.sample_covariance(sc.sample_mvn(truth, 40, sc.RngStream(seed=2, stream_id=1)))
+    est = S + np.eye(5)
+    report = sc.compute_report(truth, est, S=S, n=40)
+    assert len(calls) == 2
+    assert (report.aic, report.bic, report.ebic) == sc.info_criteria(
+        est, S, 40, support_nnz=report.nnz
+    )
+
 def test_compute_report_degrades_without_pd_or_data():
     truth = np.eye(3)
     flat = np.diag([1.0, 1.0, 0.0])  # singular estimate

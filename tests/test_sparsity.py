@@ -3,7 +3,6 @@ import pytest
 from numpy.testing import assert_allclose
 
 import sparsecov as sc
-from sparsecov.sparsity import _top_k_upper
 
 
 def test_constraint_validation():
@@ -90,34 +89,38 @@ def test_constraint_method_sugar():
     assert c.squared_distance(M) == pytest.approx(2 * 0.49)
 
 
-def _reference_top_k(M, k):
+def _reference_project(M, c):
     # the full stable argsort on descending magnitude that project replaced
     rows, cols = np.triu_indices(M.shape[0], 1)
     vals = np.abs(M[rows, cols])
-    order = np.argsort(-vals, kind="stable")[:k]
+    order = np.argsort(-vals, kind="stable")[: c.k]
     keep = order[vals[order] > 0.0]
-    return rows[keep], cols[keep]
-
-
-def _reference_project(M, c):
+    rows, cols = rows[keep], cols[keep]
     out = np.eye(M.shape[0]) if c.mode == "correlation" else np.diag(np.diag(M))
-    rows, cols = _reference_top_k(M, c.k)
     out[rows, cols] = M[rows, cols]
     out[cols, rows] = M[rows, cols]
     return out
 
 
+def _tied_symmetric(B):
+    return np.triu(B) + np.triu(B, 1).T
+
+
 def test_project_matches_stable_argsort_on_ties_and_zeros():
     # integer entries in [-3, 3]: most magnitudes tie and many are exactly 0
     rng = np.random.default_rng(4)
+    cases = []
     for _ in range(200):
         p = int(rng.integers(1, 9))
-        B = rng.integers(-3, 4, size=(p, p)).astype(float)
-        M = np.triu(B) + np.triu(B, 1).T
-        for k in range(p * (p - 1) // 2 + 1):
-            # the selected pairs too: exact zeros are never among them
-            got = set(zip(*(idx.tolist() for idx in _top_k_upper(M, k))))
-            assert got == set(zip(*(idx.tolist() for idx in _reference_top_k(M, k))))
+        M = _tied_symmetric(rng.integers(-3, 4, size=(p, p)).astype(float))
+        cases.append((M, range(p * (p - 1) // 2 + 1)))
+    # the sizes the fits run at, rounded to one decimal so ties and zeros occur
+    for p in (20, 60):
+        M = _tied_symmetric(np.round(rng.standard_normal((p, p)), 1))
+        m = p * (p - 1) // 2
+        cases.append((M, (0, 1, m // 2, m - 1, m)))
+    for M, ks in cases:
+        for k in ks:
             for mode in ("covariance", "correlation"):
                 c = sc.SparsityConstraint(k, mode=mode)
                 assert np.array_equal(sc.project(M, c), _reference_project(M, c))
