@@ -133,6 +133,7 @@ def _run_estimate(params: dict, out_dir: Path) -> None:
     else:
         result = fit(S, SparsityConstraint(k=k), cfg)
     save_matrix_csv(out_dir / "sigma_hat.csv", result.sigma_hat)
+    np.savetxt(out_dir / "support.csv", result.support, fmt="%d", delimiter=",")
     _write_json(
         out_dir / "fit.json",
         {
@@ -177,6 +178,14 @@ def _run_cv(params: dict, out_dir: Path) -> None:
     _write_manifest(out_dir, "cv", params, params["seed"])
 
 
+def _load_support(path) -> np.ndarray:
+    """A support mask written by ``estimate``: headerless CSV of 0 and 1."""
+    M = np.loadtxt(path, delimiter=",", ndmin=2)
+    if not np.all((M == 0) | (M == 1)):
+        raise ValueError(f"{path}: a support mask holds only 0 and 1")
+    return M == 1
+
+
 def _run_eval(params: dict, out_dir: Path) -> None:
     truth = load_symmetric_csv(params["truth"])
     estimate = load_symmetric_csv(params["estimate"])
@@ -186,7 +195,10 @@ def _run_eval(params: dict, out_dir: Path) -> None:
         data = load_data_csv(params["data"])
         S = sample_covariance(data)
         n = data.shape[0]
-    report = compute_report(truth, estimate, S=S, n=n)
+    support = None
+    if params.get("support"):  # absent from manifests written before the flag
+        support = _load_support(params["support"])
+    report = compute_report(truth, estimate, S=S, n=n, support=support)
     _write_json(out_dir / "metrics.json", report.to_dict())
     _write_manifest(out_dir, "eval", params, 0)
 
@@ -325,6 +337,11 @@ def build_parser() -> argparse.ArgumentParser:
     p_eval.add_argument("--truth", required=True)
     p_eval.add_argument("--estimate", required=True)
     p_eval.add_argument("--data", help="optional data CSV for likelihood criteria")
+    p_eval.add_argument(
+        "--support",
+        help="support.csv written by estimate; without it the support is "
+        "the estimate's entries above 1e-8 * max|entry|",
+    )
     p_eval.add_argument("--out", dest="out_dir", required=True, help="output directory")
 
     p_bench = sub.add_parser("bench", help="time fits across dimensions")

@@ -198,6 +198,22 @@ def test_eval_outputs(sim_dir, tmp_path):
         assert key in metrics
     assert metrics["rmse"] >= 0.0
 
+    # the fit's own support: its k pairs, not the iterate's small off-support
+    # entries, which the default tolerance counts as nonzeros
+    support = np.loadtxt(est_dir / "support.csv", delimiter=",")
+    assert set(np.unique(support)) <= {0.0, 1.0}
+    assert np.count_nonzero(np.triu(support, 1)) == 3
+    scored = tmp_path / "ev_support"
+    args = ["eval", "--truth", str(sim_dir / "truth.csv"),
+            "--estimate", str(est_dir / "sigma_hat.csv"), "--out", str(scored)]
+    assert main(args + ["--support", str(est_dir / "support.csv")]) == 0
+    assert _read_json(scored / "metrics.json")["nnz"] == 3
+    assert metrics["nnz"] > 3
+
+    bad = tmp_path / "bad_support.csv"
+    np.savetxt(bad, np.full((12, 12), 0.5), delimiter=",")
+    assert main(args + ["--support", str(bad)]) == 2
+
 
 def test_bench_outputs(tmp_path, monkeypatch):
     fit_sizes = []

@@ -176,7 +176,13 @@ def test_fit_callback_contract():
             "objective",
             "halvings",
             "accepted",
+            "cg_products",
         }
+    # the schedule raises rho at every step and the refinement repeats it;
+    # only refinement steps make Hessian products
+    refining = [False] + [b == a for a, b in zip(rhos, rhos[1:])]
+    for ev, refine in zip(events, refining):
+        assert (ev["cg_products"] >= 1) if refine else (ev["cg_products"] == 0)
 
 
 def test_objective_trace_ends_at_estimate():
@@ -295,6 +301,129 @@ def test_newton_operator_matches_fd_of_gradient():
                 V = (V + V.T) / 2.0
                 fd = (grad(Sigma + h * V) - grad(Sigma - h * V)) / (2 * h)
                 assert np.max(np.abs(hess(V) - fd)) <= 1e-5
+
+
+def _random_iterate(rng, p, mode):
+    B = rng.standard_normal((p, p))
+    Sigma = B @ B.T + p * np.eye(p)
+    Sigma = (Sigma + Sigma.T) / 2.0
+    B = rng.standard_normal((p, p))
+    S = B @ B.T + p * np.eye(p)
+    S = (S + S.T) / 2.0
+    c = sc.SparsityConstraint(int(rng.integers(0, p * (p - 1) // 2 + 1)), mode)
+    return proxdist._Iterate(Sigma, S, c), S, c
+
+
+@pytest.mark.parametrize("mode", ["covariance", "correlation"])
+def test_hessian_diagonal_is_the_product_on_unit_matrices(mode):
+    # the Jacobi preconditioner: <E_ij, H[E_ij]> / <E_ij, E_ij> for the
+    # symmetric unit matrices, read through the product itself
+    rng = np.random.default_rng(5)
+    p = 5
+    for _ in range(5):
+        it, S, c = _random_iterate(rng, p, mode)
+        hess = proxdist._hessian(it, S, c, float(rng.uniform(0.5, 5.0)))
+        diag = hess.diagonal()
+        assert np.array_equal(diag, diag.T)
+        for i in range(p):
+            for j in range(i, p):
+                E = np.zeros((p, p))
+                E[i, j] = E[j, i] = 1.0
+                expected = np.vdot(E, hess(E)) / np.vdot(E, E)
+                assert diag[i, j] == pytest.approx(expected, rel=1e-12)
+
+
+def test_newton_direction_without_a_positive_diagonal():
+    # at Sigma = I, S = I/2 the loss has zero curvature along the free
+    # diagonal, so the Jacobi diagonal has zeros: CG runs unpreconditioned
+    # and stops on the nonpositive curvature with the steepest descent
+    # direction rather than dividing by zero
+    c = sc.SparsityConstraint(0)
+    S = 0.5 * np.eye(3)
+    it = proxdist._Iterate(np.eye(3), S, c)
+    assert not np.all(proxdist._hessian(it, S, c, 1.0).diagonal() > 0.0)
+    G = it.gradient(S, 1.0)
+    D, products = proxdist._newton_direction(it, S, c, 1.0, G)
+    assert np.array_equal(D, -G)
+    assert products == 1
+
+
+@pytest.mark.parametrize("mode", ["covariance", "correlation"])
+def test_refinement_directions_are_symmetric_descent_directions(monkeypatch, mode):
+    # every preconditioned CG direction meets the forcing tolerance of
+    # truncated Newton and descends, and directions and iterates stay
+    # exactly symmetric, so no asymmetry builds up at large rho
+    S = _sample_problem(20, 100, 11)
+    if mode == "correlation":
+        d = np.sqrt(np.diag(S))
+        S = S / np.outer(d, d)
+        np.fill_diagonal(S, 1.0)
+    c = sc.SparsityConstraint(12, mode)
+    directions = []
+    newton = proxdist._newton_direction
+
+    def recorded(it, S_used, c, rho, G):
+        D, products = newton(it, S_used, c, rho, G)
+        directions.append((it, S_used, rho, G, D, products))
+        return D, products
+
+    monkeypatch.setattr(proxdist, "_newton_direction", recorded)
+    events = []
+    sc.fit(S, c, callback=events.append)
+    assert len(directions) >= 3
+    for it, S_used, rho, G, D, products in directions:
+        assert np.array_equal(D, D.T)
+        assert np.vdot(D, G) < 0.0
+        g = np.linalg.norm(G)
+        residual = proxdist._hessian(it, S_used, c, rho)(D) + G
+        assert np.linalg.norm(residual) <= 1.001 * min(0.5, math.sqrt(g)) * g
+        assert 1 <= products <= 20 * 21 // 2
+    for ev in events:
+        assert np.array_equal(ev["sigma"], ev["sigma"].T)
+    # a direction the round-off stop or an exhausted backtrack ends the
+    # refinement on is the one not recorded
+    refinement = [ev["cg_products"] for ev in events if ev["cg_products"]]
+    assert len(directions) - 1 <= len(refinement) <= len(directions)
+    assert refinement == [d[-1] for d in directions[: len(refinement)]]
+
+
+@pytest.mark.parametrize("factor", [0.5, 4.0])
+def test_refinement_stops_on_a_roundoff_model_decrease(monkeypatch, factor):
+    # directions scaled so that the model decrease -<D, G> is `factor` times
+    # the round-off bound: below the bound the refinement ends before any
+    # line search, above it the line search runs, but halves the step only
+    # while the halved decrease stays above the bound
+    S = _sample_problem(20, 100, 11)
+    c = sc.SparsityConstraint(12)
+    newton = proxdist._newton_direction
+
+    def scaled(it, S_used, c, rho, G):
+        D, products = newton(it, S_used, c, rho, G)
+        bound = proxdist.DECREASE_RTOL * abs(it.objective(rho))
+        return D * (factor * bound / -np.vdot(D, G)), products
+
+    factorizations = []
+    cholesky = proxdist.cholesky_pd
+
+    def counted_cholesky(M):
+        factorizations.append(M.shape)
+        return cholesky(M)
+
+    monkeypatch.setattr(proxdist, "_newton_direction", scaled)
+    monkeypatch.setattr(proxdist, "cholesky_pd", counted_cholesky)
+    events = []
+    sc.fit(S, c, callback=events.append)
+    candidates = sum(
+        ev["halvings"] + 1 if ev["accepted"] else sc.FitConfig().max_halvings + 1
+        for ev in events
+    )
+    searched = len(factorizations) - 1 - candidates  # by unrecorded line searches
+    if factor < 1.0:
+        assert searched == 0
+        assert all(ev["cg_products"] == 0 for ev in events)
+    else:
+        assert 0 < searched <= 3
+        assert all(ev["halvings"] <= 2 for ev in events if ev["cg_products"])
 
 
 def test_fit_rho_max_caps_schedule():
