@@ -237,6 +237,8 @@ def _run_bench(params: dict, out_dir: Path) -> None:
     p_list = params["p_list"]
     n = params["n"]
     reps = params["reps"]
+    if reps < 1:
+        raise ValueError(f"--reps must be at least 1, got {reps}")
     seed = params["seed"]
     rows = []
     for p in p_list:

@@ -84,9 +84,8 @@ def entropy_loss(Sigma_true: np.ndarray, Sigma_hat: np.ndarray) -> float:
     """
     # tr(M) - ln det M = [ln det Sigma_true + tr(Sigma_true^{-1} Sigma_hat)]
     #                    - ln det Sigma_hat
-    Sigma_hat = as_symmetric(Sigma_hat)
     loss = negative_loglik_loss(Sigma_true, Sigma_hat)
-    return loss - log_det_pd(Sigma_hat) - Sigma_hat.shape[0]
+    return loss - log_det_pd(Sigma_hat) - len(Sigma_hat)
 
 
 def rmse(Sigma_true: np.ndarray, Sigma_hat: np.ndarray) -> float:
@@ -248,6 +247,8 @@ def roc_sweep(
     thresholded estimate's exact nonzeros, against the true support;
     points are returned sorted by fpr.
     """
+    if method not in ("proxdist", "soft", "hard"):
+        raise ValueError(f"unknown method {method!r}")
     S = as_symmetric(S)
     Sigma_true = as_symmetric(Sigma_true)
     _check_same_shape(S, Sigma_true)
@@ -255,11 +256,9 @@ def roc_sweep(
     for g in np.asarray(grid).ravel():
         if method == "proxdist":
             support = fit(S, SparsityConstraint(k=int(round(float(g)))), cfg).support
-        elif method in ("soft", "hard"):
+        else:
             est = threshold(S, ThresholdSpec(lam=float(g), kind=method))
             support = support_mask(est, tol=0.0)
-        else:
-            raise ValueError(f"unknown method {method!r}")
         fp, fn = _support_rates(Sigma_true, support)
         points.append((fp, 1.0 - fn))
     return sorted(points)

@@ -63,15 +63,15 @@ class SpectralDecomposition(NamedTuple):
     eigenvectors: np.ndarray
 
 
-def as_symmetric(M, rtol: float = SYMMETRY_RTOL) -> np.ndarray:
+def as_symmetric(M) -> np.ndarray:
     """Validate and canonicalize a symmetric matrix.
 
     Parameters
     ----------
     M : array-like, shape (p, p)
-        Square matrix. Asymmetry up to ``rtol`` (relative to the largest
-        absolute entry) is treated as round-off and symmetrized away via
-        ``(M + M^T) / 2``; anything larger is rejected.
+        Square matrix. Asymmetry up to ``SYMMETRY_RTOL`` (relative to the
+        largest absolute entry) is treated as round-off and symmetrized
+        away via ``(M + M^T) / 2``; anything larger is rejected.
 
     Returns
     -------
@@ -91,7 +91,7 @@ def as_symmetric(M, rtol: float = SYMMETRY_RTOL) -> np.ndarray:
         raise ValueError("matrix contains non-finite entries")
     scale = max(1.0, float(np.abs(M).max())) if M.size else 1.0
     asym = float(np.abs(M - M.T).max()) if M.size else 0.0
-    if asym > rtol * scale:
+    if asym > SYMMETRY_RTOL * scale:
         raise ValueError(
             f"matrix is asymmetric beyond tolerance: max |M - M^T| = {asym:.3e}"
         )
@@ -134,7 +134,9 @@ def cholesky_pd(M: np.ndarray) -> np.ndarray:
     """Lower Cholesky factor of a positive definite symmetric matrix.
 
     Succeeds iff all pivots are strictly positive; this is the positive
-    definiteness test used throughout the package.
+    definiteness test used throughout the package.  ``M`` is not
+    validated: LAPACK reads only its lower triangle, so it must be an
+    exactly symmetric float64 matrix, such as :func:`as_symmetric` returns.
 
     Returns
     -------
@@ -158,9 +160,12 @@ def cholesky_pd(M: np.ndarray) -> np.ndarray:
 
 
 def is_positive_definite(M: np.ndarray) -> bool:
-    """True iff Cholesky factorization of ``M`` succeeds."""
+    """True iff Cholesky factorization of ``M`` succeeds.
+
+    Raises ValueError if ``M`` is not a finite symmetric matrix.
+    """
     try:
-        cholesky_pd(M)
+        cholesky_pd(as_symmetric(M))
     except NotPositiveDefiniteError:
         return False
     return True
@@ -168,7 +173,7 @@ def is_positive_definite(M: np.ndarray) -> bool:
 
 def log_det_pd(M: np.ndarray) -> float:
     """Log-determinant ``2 sum_i ln L_ii`` of a positive definite matrix."""
-    L = cholesky_pd(M)
+    L = cholesky_pd(as_symmetric(M))
     return float(2.0 * np.sum(np.log(np.diag(L))))
 
 
@@ -178,7 +183,7 @@ def inverse_pd(M: np.ndarray) -> np.ndarray:
     The result is exactly symmetric, so round-off cannot break
     downstream symmetry checks.
     """
-    return _inverse_from_cholesky(cholesky_pd(M))
+    return _inverse_from_cholesky(cholesky_pd(as_symmetric(M)))
 
 
 def _inverse_from_cholesky(L: np.ndarray) -> np.ndarray:
@@ -203,6 +208,9 @@ def spectral_decompose(M: np.ndarray) -> SpectralDecomposition:
 
     For symmetric matrices this coincides with the (real) Schur form, so it
     doubles as the orthogonal reduction used by the equation solvers.
+    ``M`` is not validated: LAPACK reads only one triangle, so it must be
+    an exactly symmetric float64 matrix, such as :func:`as_symmetric`
+    returns.
 
     Raises
     ------

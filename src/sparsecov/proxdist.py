@@ -76,8 +76,9 @@ class BacktrackExhaustedError(RuntimeError):
 
     Raised by :func:`mm_step` when every candidate
     ``Sigma_k + 2^{-s} (Sigma_hat - Sigma_k)`` for ``s = 0..max_halvings``
-    fails positive definiteness or strict objective decrease.  The fit
-    driver treats this as stationarity at the current penalty weight.
+    fails positive definiteness or strict objective decrease.  :func:`fit`
+    raises nothing there: it records the step as rejected and keeps the
+    iterate, or ends its refinement.
     """
 
     def __init__(self, message: str, halvings: int):
@@ -294,9 +295,10 @@ def _line_search(
     c: SparsityConstraint,
     rho: float,
     max_halvings: int,
-) -> tuple[_Iterate, int]:
+) -> tuple[_Iterate | None, int]:
     """Accept ``it.sigma + 2^{-s} direction`` for the smallest ``s`` that is
-    PD and lowers ``h_rho`` below ``it``'s; returns (next iterate, s).
+    PD and lowers ``h_rho`` below ``it``'s; returns (next iterate, s), or
+    ``(None, max_halvings)`` if no ``s <= max_halvings`` is accepted.
 
     ``direction`` must be exactly symmetric, as every MM and Newton
     direction is, so that each candidate is.
@@ -309,11 +311,7 @@ def _line_search(
             continue
         if nxt.objective(rho) < h:
             return nxt, s
-    raise BacktrackExhaustedError(
-        f"no accepted step within {max_halvings} halvings at rho={rho:.3e}; "
-        "iterate is stationary or the update is numerically degenerate",
-        halvings=max_halvings,
-    )
+    return None, max_halvings
 
 
 def _step(
@@ -322,8 +320,8 @@ def _step(
     c: SparsityConstraint,
     rho: float,
     max_halvings: int,
-) -> tuple[_Iterate, int]:
-    """One accepted MM step from ``it``; returns (next iterate, halvings)."""
+) -> tuple[_Iterate | None, int]:
+    """One MM step from ``it``, with :func:`_line_search`'s return value."""
     C_k = rho * it.proj + it.asa(S)
     C_k = (C_k + C_k.T) / 2.0  # the triple product drifts by O(eps)
     direction = _solve(it.sigma, C_k, rho) - it.sigma
@@ -333,22 +331,36 @@ def _step(
 class _Hessian:
     """Hessian of ``h_rho`` at an iterate with the support held fixed.
 
+    ``H[V] = -A V A + A V M + M V A + rho * V`` on the penalized entries,
+    with ``A = Sigma^{-1}`` and ``M = A S A``: the first three terms are
+    the second derivatives of ``ln det Sigma`` and ``tr(Sigma^{-1} S)``,
+    and they equal ``A V N + N V A`` with ``N = M - A/2``.  The penalized
+    entries are those the projection sets to zero, plus the diagonal in
+    correlation mode, where the projection pins it to one.
+
     Applied matrix-free as ``H[V] = Y + Y^T + rho * (penalized o V)`` with
-    ``Y = (A V) N``, ``A = Sigma^{-1}`` and ``N = sym(A S A) - A/2``, so a
-    product costs two GEMMs; ``Y + Y^T`` and the mask keep it exactly
-    symmetric.  A product is written to one of two buffers kept between
-    products, so it is valid only until the next product.
+    ``Y = (A V) N`` and ``N`` symmetrized, so a product costs two GEMMs;
+    ``Y + Y^T`` and the mask keep it exactly symmetric.  A product is
+    written to one of two buffers kept between products, so it is valid
+    only until the next product.
     """
 
     __slots__ = ("A", "N", "penalized", "rho", "_out", "_tmp")
 
-    def __init__(self, A: np.ndarray, N: np.ndarray, penalized: np.ndarray, rho: float):
-        self.A = A
+    def __init__(self, it: _Iterate, S: np.ndarray, c: SparsityConstraint, rho: float):
+        M = it.asa(S)
+        N = M + M.T  # the triple product drifts by O(eps)
+        N -= it.inv
+        N /= 2.0
+        penalized = it.proj == 0.0
+        if c.mode == "correlation":
+            np.fill_diagonal(penalized, True)
+        self.A = it.inv
         self.N = N
         self.penalized = penalized
         self.rho = rho
-        self._out = np.empty_like(A)
-        self._tmp = np.empty_like(A)
+        self._out = np.empty_like(N)
+        self._tmp = np.empty_like(N)
 
     def __call__(self, V: np.ndarray) -> np.ndarray:
         """``H[V]`` for an exactly symmetric ``V``, in the output buffer."""
@@ -380,26 +392,6 @@ class _Hessian:
         return diag
 
 
-def _hessian(it: _Iterate, S: np.ndarray, c: SparsityConstraint, rho: float) -> _Hessian:
-    """Hessian of ``h_rho`` at ``it`` with the support held fixed.
-
-    ``H[V] = -A V A + A V M + M V A + rho * V`` on the penalized entries,
-    with ``A = Sigma^{-1}`` and ``M = A S A``: the first three terms are
-    the second derivatives of ``ln det Sigma`` and ``tr(Sigma^{-1} S)``,
-    and they equal ``A V N + N V A`` with ``N = M - A/2``.  The penalized
-    entries are those the projection sets to zero, plus the diagonal in
-    correlation mode, where the projection pins it to one.
-    """
-    M = it.asa(S)
-    N = M + M.T  # the triple product drifts by O(eps)
-    N -= it.inv
-    N /= 2.0
-    penalized = it.proj == 0.0
-    if c.mode == "correlation":
-        np.fill_diagonal(penalized, True)
-    return _Hessian(it.inv, N, penalized, rho)
-
-
 def _newton_direction(
     it: _Iterate, S: np.ndarray, c: SparsityConstraint, rho: float, G: np.ndarray
 ) -> tuple[np.ndarray, int]:
@@ -417,7 +409,7 @@ def _newton_direction(
     caps the iterations.  Every buffer is updated elementwise from
     exactly symmetric operands, so the direction is exactly symmetric.
     """
-    hess = _hessian(it, S, c, rho)
+    hess = _Hessian(it, S, c, rho)
     scale = hess.diagonal()  # the preconditioner, inverted in place
     if not np.all(scale > 0.0):
         scale.fill(1.0)
@@ -454,15 +446,14 @@ def mm_step(
     S: np.ndarray,
     c: SparsityConstraint,
     rho: float,
-    max_halvings: int = FitConfig.max_halvings,
 ) -> tuple[np.ndarray, int]:
     """One MM update with positive-definiteness-preserving backtracking.
 
     Forms ``C_k = rho * P(Sigma_k) + Sigma_k^{-1} S Sigma_k^{-1}``, solves
     the stationarity equation for the unconstrained surrogate minimizer
     ``Sigma_hat``, then returns ``Sigma_k + 2^{-s} (Sigma_hat - Sigma_k)``
-    for the smallest ``s`` whose candidate is positive definite and
-    strictly decreases the penalized objective.
+    for the smallest ``s <= FitConfig.max_halvings`` whose candidate is
+    positive definite and strictly decreases the penalized objective.
 
     Returns
     -------
@@ -479,7 +470,13 @@ def mm_step(
         raise ValueError(f"rho must be positive, got {rho}")
     Sigma_k, S = _check_inputs((Sigma_k, S), c, rho)
     it = _Iterate(Sigma_k, S, c)
-    nxt, halvings = _step(it, S, c, rho, max_halvings)
+    nxt, halvings = _step(it, S, c, rho, FitConfig.max_halvings)
+    if nxt is None:
+        raise BacktrackExhaustedError(
+            f"no accepted step within {halvings} halvings at rho={rho:.3e}; "
+            "iterate is stationary or the update is numerically degenerate",
+            halvings=halvings,
+        )
     return nxt.sigma, halvings
 
 
@@ -542,9 +539,7 @@ def fit(
         If S still has a nonpositive diagonal entry after ridging, so
         the diagonal start is singular.
     """
-    S = as_symmetric(S)
-    p = S.shape[0]
-    c.check_dimension(p)
+    (S,) = _check_inputs((S,), c)
     S, ridge_delta = _resolve_ridge(S, cfg)
     if np.any(np.diag(S) <= 0):
         raise NotPositiveDefiniteError(
@@ -580,11 +575,10 @@ def fit(
         return h
 
     for _ in range(cfg.max_outer):
-        try:
-            it_next, halvings = _step(it, S, c, rho, cfg.max_halvings)
-            accepted = True
-        except BacktrackExhaustedError:
-            it_next, halvings, accepted = it, 0, False
+        it_next, halvings = _step(it, S, c, rho, cfg.max_halvings)
+        accepted = it_next is not None
+        if not accepted:
+            it_next, halvings = it, 0
         h = record(it, it_next, rho, halvings, accepted)
         it = it_next
         total_halvings += halvings
@@ -617,9 +611,8 @@ def fit(
         max_halvings = cfg.max_halvings
         if floor > 0.0:
             max_halvings = min(max_halvings, int(math.log2(decrease / floor)))
-        try:
-            it_next, halvings = _line_search(it, direction, S, c, rho, max_halvings)
-        except BacktrackExhaustedError:
+        it_next, halvings = _line_search(it, direction, S, c, rho, max_halvings)
+        if it_next is None:
             break
         record(it, it_next, rho, halvings, True, products)
         it = it_next

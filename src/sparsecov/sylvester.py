@@ -37,6 +37,10 @@ __all__ = [
 ]
 
 KRONECKER_MAX_DIM = 64
+# solve_fixed_point stops at this relative equation residual, or fails
+# after this many iterations.
+FIXED_POINT_TOL = 1e-10
+FIXED_POINT_MAX_ITER = 1000
 
 
 class NoConvergenceError(RuntimeError):
@@ -145,21 +149,14 @@ def solve_kronecker(sys: SurrogateSystem) -> np.ndarray:
     return (X + X.T) / 2.0
 
 
-def solve_fixed_point(
-    sys: SurrogateSystem, tol: float = 1e-10, max_iter: int = 1000
-) -> np.ndarray:
+def solve_fixed_point(sys: SurrogateSystem) -> np.ndarray:
     """Solve the equation by the iteration ``X <- (c_k - A X A) / rho``.
 
     The map contracts with factor ``||sigma_k^{-1}||_2^2 / rho``, so the
     iteration converges whenever ``||sigma_k^{-1}||_2^2 < rho``.  The
-    right-hand side is the same ``c_k`` as in the direct solvers.
-
-    Parameters
-    ----------
-    tol : float
-        Stop when the relative equation residual drops to ``tol``.
-    max_iter : int
-        Iteration budget.
+    right-hand side is the same ``c_k`` as in the direct solvers.  It
+    stops once the relative equation residual is at most
+    ``FIXED_POINT_TOL``, within ``FIXED_POINT_MAX_ITER`` iterations.
 
     Raises
     ------
@@ -173,10 +170,10 @@ def solve_fixed_point(
     X = C / sys.rho
     norm0 = max(1.0, float(np.linalg.norm(X)))
     residual = np.inf
-    for it in range(1, max_iter + 1):
+    for it in range(1, FIXED_POINT_MAX_ITER + 1):
         AXA = A @ X @ A
         residual = float(np.linalg.norm(sys.rho * X + AXA - C)) / cnorm
-        if residual <= tol:
+        if residual <= FIXED_POINT_TOL:
             return (X + X.T) / 2.0
         X = (C - AXA) / sys.rho
         if np.linalg.norm(X) > 1e6 * norm0:
@@ -187,8 +184,8 @@ def solve_fixed_point(
                 iterations=it,
             )
     raise NoConvergenceError(
-        f"fixed-point iteration did not reach tol={tol:.1e} in {max_iter} "
-        f"iterations (residual {residual:.3e})",
+        f"fixed-point iteration did not reach tol={FIXED_POINT_TOL:.1e} in "
+        f"{FIXED_POINT_MAX_ITER} iterations (residual {residual:.3e})",
         residual=residual,
-        iterations=max_iter,
+        iterations=FIXED_POINT_MAX_ITER,
     )

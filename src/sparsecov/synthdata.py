@@ -1,10 +1,11 @@
 """Ground-truth covariance designs, normal sampling, and replicate studies.
 
-Four designs: independent (identity), moving_average (unit diagonal,
-one off-diagonal band), cliques (block diagonal), and random_sparse (a
-fixed count of random strict-upper entries).  Deterministic designs are
-repaired to positive definiteness by a diagonal shift; random_sparse
-keeps its unit diagonal and redraws instead.
+Four designs, all with unit diagonal: independent (identity),
+moving_average (one off-diagonal band of BAND_VALUE), cliques (diagonal
+blocks of BLOCK_SIZE at BLOCK_VALUE), and random_sparse (a fixed count of
+random strict-upper entries, magnitudes uniform in MAGNITUDE_RANGE with
+random signs).  The deterministic designs are positive definite by
+construction; random_sparse redraws until it is.
 
 Randomness comes from PCG64 seeded through SeedSequence with the stream
 id as spawn key, with normal draws from the generator's standard
@@ -22,7 +23,7 @@ import numpy as np
 
 from .baselines import ThresholdSpec, threshold
 from .evaluation import MetricReport, compute_report
-from .matcore import cholesky_pd, is_positive_definite, sample_covariance
+from .matcore import as_symmetric, cholesky_pd, sample_covariance
 from .proxdist import FitConfig, fit
 from .sparsity import SparsityConstraint
 from .tuning import CvSpec, cross_validate, default_grid
@@ -38,6 +39,14 @@ __all__ = [
 
 KINDS = ("independent", "moving_average", "cliques", "random_sparse")
 MAX_REDRAWS = 1000
+# moving_average's band and cliques' blocks.  With the unit diagonal,
+# moving_average's smallest eigenvalue is 1 - 0.8 cos(pi/(p+1)) > 0.2 and
+# cliques' is 0.6 at every p >= 2, so both designs are positive definite.
+BAND_VALUE = 0.4
+BLOCK_SIZE = 5
+BLOCK_VALUE = 0.4
+# Range of random_sparse's entry magnitudes; signs are drawn separately.
+MAGNITUDE_RANGE = (0.3, 0.6)
 
 
 @dataclass(frozen=True)
@@ -76,11 +85,6 @@ class SimDesign:
     kind: str
     p: int
     sparsity_frac: float = 0.02
-    band_value: float = 0.4
-    block_size: int = 5
-    block_value: float = 0.4
-    magnitude_range: tuple[float, float] = (0.3, 0.6)
-    pd_shift_margin: float = 0.1
     seed: int = 0
 
     def __post_init__(self):
@@ -92,15 +96,6 @@ class SimDesign:
             raise ValueError(
                 f"sparsity_frac must lie in (0, 1], got {self.sparsity_frac}"
             )
-        if self.block_size < 1:
-            raise ValueError(f"block_size must be at least 1, got {self.block_size}")
-        lo, hi = self.magnitude_range
-        if not 0 < lo <= hi:
-            raise ValueError(f"magnitude_range must satisfy 0 < lo <= hi, got {lo, hi}")
-        if self.pd_shift_margin < 0:
-            raise ValueError(
-                f"pd_shift_margin must be nonnegative, got {self.pd_shift_margin}"
-            )
         if not 0 <= self.seed < 2**64:
             raise ValueError(f"seed must be a 64-bit unsigned integer, got {self.seed}")
 
@@ -110,7 +105,7 @@ def _random_sparse(d: SimDesign) -> np.ndarray:
     n_upper = d.p * (d.p - 1) // 2
     m = math.ceil(d.sparsity_frac * n_upper)
     iu = np.triu_indices(d.p, k=1)
-    lo, hi = d.magnitude_range
+    lo, hi = MAGNITUDE_RANGE
     for _ in range(MAX_REDRAWS):
         M = np.eye(d.p)
         sel = rng.choice(n_upper, size=m, replace=False)
@@ -121,46 +116,33 @@ def _random_sparse(d: SimDesign) -> np.ndarray:
             return M
     raise ValueError(
         f"no positive definite draw in {MAX_REDRAWS} attempts; "
-        "reduce sparsity_frac or magnitude_range"
+        "reduce sparsity_frac"
     )
 
 
 def make_design(d: SimDesign) -> np.ndarray:
     """Construct the ground-truth covariance matrix for a design.
 
-    Deterministic kinds are shifted on the diagonal by
-    ``pd_shift_margin - lambda_min`` if their smallest eigenvalue is not
-    positive; random_sparse redraws until positive definite, keeping the
-    unit diagonal exact.
+    Every design has unit diagonal and is positive definite: the
+    deterministic kinds by construction, random_sparse by redrawing.
 
     Raises
     ------
     ValueError
-        If no positive definite matrix can be produced.
+        If random_sparse finds no positive definite draw.
     """
     if d.kind == "random_sparse":
         return _random_sparse(d)
-    if d.kind == "independent":
-        M = np.eye(d.p)
-    elif d.kind == "moving_average":
-        M = np.eye(d.p)
+    M = np.eye(d.p)
+    if d.kind == "moving_average":
         band = np.arange(d.p - 1)
-        M[band, band + 1] = d.band_value
-        M[band + 1, band] = d.band_value
-    else:
-        M = np.eye(d.p)
-        for start in range(0, d.p, d.block_size):
-            stop = min(start + d.block_size, d.p)
-            M[start:stop, start:stop] = d.block_value
+        M[band, band + 1] = BAND_VALUE
+        M[band + 1, band] = BAND_VALUE
+    elif d.kind == "cliques":
+        for start in range(0, d.p, BLOCK_SIZE):
+            stop = min(start + BLOCK_SIZE, d.p)
+            M[start:stop, start:stop] = BLOCK_VALUE
         M[np.diag_indices(d.p)] = 1.0
-    lam_min = float(np.linalg.eigvalsh(M)[0])
-    if lam_min <= 0:
-        M = M + (d.pd_shift_margin - lam_min) * np.eye(d.p)
-    if not is_positive_definite(M):
-        raise ValueError(
-            f"design {d.kind!r} is not positive definite even after the "
-            "diagonal shift; adjust its parameters"
-        )
     return M
 
 
@@ -169,12 +151,14 @@ def sample_mvn(Sigma: np.ndarray, n: int, rng: RngStream) -> np.ndarray:
 
     Raises
     ------
+    ValueError
+        If Sigma is not a finite symmetric matrix.
     NotPositiveDefiniteError
         If Sigma is not positive definite.
     """
     if n < 1:
         raise ValueError(f"n must be at least 1, got {n}")
-    L = cholesky_pd(Sigma)
+    L = cholesky_pd(as_symmetric(Sigma))
     Z = rng.generator().standard_normal((n, Sigma.shape[0]))
     return Z @ L.T
 
@@ -249,7 +233,6 @@ def run_replicates(
     n: int,
     reps: int,
     methods: Sequence[str] = ("proxdist", "soft", "hard"),
-    tuner: CvSpec | None = None,
     cfg: FitConfig = FitConfig(),
     grid_size: int = 40,
 ) -> ReplicateTable:
@@ -260,15 +243,9 @@ def run_replicates(
     each method's parameter by cross-validation, refits on the full
     sample covariance, and scores against the truth.  Replicates use
     disjoint streams derived from the design seed and the replicate
-    index, so results do not depend on execution order.
-
-    Parameters
-    ----------
-    tuner : CvSpec, optional
-        Protocol override applied verbatim to every method and
-        replicate.  Default: 5-fold Frobenius CV on each method's
-        standard grid of ``grid_size`` values, folds reseeded per
-        replicate.
+    index, so results do not depend on execution order.  Each method is
+    tuned by 5-fold Frobenius CV on its standard grid of ``grid_size``
+    values, with the folds reseeded per replicate.
     """
     if reps < 1:
         raise ValueError(f"reps must be at least 1, got {reps}")
@@ -291,11 +268,7 @@ def run_replicates(
         cv_seed = _derive_seed(design.seed, (r, 2))
         out = {}
         for method in methods:
-            spec = tuner
-            if spec is None:
-                spec = CvSpec(
-                    grid=default_grid(method, S, grid_size), seed=cv_seed
-                )
+            spec = CvSpec(grid=default_grid(method, S, grid_size), seed=cv_seed)
             best, _ = cross_validate(data, method, spec, cfg)
             if method == "proxdist":
                 res = fit(S, SparsityConstraint(k=int(best)), cfg)

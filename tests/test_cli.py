@@ -248,6 +248,16 @@ def test_bench_outputs(tmp_path, monkeypatch):
     assert fit_sizes == [10, 10, 20, 20]
 
 
+def test_bench_rejects_zero_reps(tmp_path, monkeypatch):
+    fits = []
+    monkeypatch.setattr(cli, "fit", lambda *args, **kwargs: fits.append(args))
+    out = tmp_path / "bench"
+    code = main(["bench", "--p-list", "10", "--n", "80", "--reps", "0", "--out-dir", str(out)])
+    assert code == 2
+    assert fits == []
+    assert not (out / "bench.csv").exists()
+
+
 def test_missing_input_is_usage_error(tmp_path):
     code = main(
         ["estimate", "--input", str(tmp_path / "nope.csv"), "--k", "1", "--out", str(tmp_path)]

@@ -178,3 +178,8 @@ def test_roc_sweep_proxdist_small():
     assert len(points) == 3
     # zero capacity keeps nothing: the first point is the origin
     assert points[0] == (0.0, 0.0)
+
+
+def test_roc_sweep_rejects_unknown_method_before_the_grid():
+    with pytest.raises(ValueError, match="unknown method"):
+        sc.roc_sweep(np.eye(3), np.eye(3), "lasso", [])

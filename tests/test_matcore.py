@@ -64,6 +64,28 @@ def test_log_det_and_inverse():
     assert_allclose(sc.inverse_pd(M), np.diag([0.5, 1.0 / 3.0]))
 
 
+@pytest.mark.parametrize(
+    "M",
+    [
+        # its lower triangle is the identity's, its symmetric part indefinite
+        np.array([[1.0, 5.0], [0.0, 1.0]]),
+        np.array([[1.0, np.nan], [np.nan, 1.0]]),
+        np.ones((2, 3)),
+    ],
+)
+def test_pd_helpers_validate_the_whole_matrix(M):
+    # LAPACK's Cholesky reads one triangle, so without validation these
+    # would factor the identity or fail inside LAPACK
+    for helper in (
+        sc.is_positive_definite,
+        sc.inverse_pd,
+        sc.log_det_pd,
+        lambda M: sc.sample_mvn(M, 5, sc.RngStream(seed=0)),
+    ):
+        with pytest.raises(ValueError):
+            helper(M)
+
+
 def test_inverse_pd_random_roundtrip():
     rng = np.random.default_rng(1)
     B = rng.standard_normal((5, 5))

@@ -91,6 +91,25 @@ def test_mm_step_exhausts_at_stationary_point():
     assert info.value.halvings == 32
 
 
+def test_fit_records_a_rejected_schedule_step():
+    # the same stationary diagonal: after one accepted step no candidate
+    # lowers the objective, so the schedule records a rejected step that
+    # keeps the iterate and still grows rho
+    cfg = sc.FitConfig()
+    events = []
+    result = sc.fit(np.diag([2.0, 5.0, 1.0]), sc.SparsityConstraint(0), cfg, events.append)
+    rejected = [i for i, ev in enumerate(events) if not ev["accepted"]]
+    assert rejected and rejected[0] > 0
+    for i in rejected:
+        ev, prev = events[i], events[i - 1]
+        assert ev["halvings"] == 0
+        assert np.array_equal(ev["sigma"], prev["sigma"])
+        assert ev["objective"] == ev["objective_before"]
+        assert ev["rho"] == prev["rho"] * cfg.rho_growth
+    assert result.total_halvings == sum(ev["halvings"] for ev in events)
+    assert result.converged
+
+
 def test_mm_step_validates_inputs():
     c = sc.SparsityConstraint(1)
     with pytest.raises(ValueError, match="rho"):
@@ -295,7 +314,7 @@ def test_newton_operator_matches_fd_of_gradient():
                 return A - A @ S @ A + rho * np.where(penalized, X - P, 0.0)
 
             it = proxdist._Iterate(Sigma, S, c)
-            hess = proxdist._hessian(it, S, c, rho)
+            hess = proxdist._Hessian(it, S, c, rho)
             for _ in range(3):
                 V = rng.standard_normal((p, p))
                 V = (V + V.T) / 2.0
@@ -322,7 +341,7 @@ def test_hessian_diagonal_is_the_product_on_unit_matrices(mode):
     p = 5
     for _ in range(5):
         it, S, c = _random_iterate(rng, p, mode)
-        hess = proxdist._hessian(it, S, c, float(rng.uniform(0.5, 5.0)))
+        hess = proxdist._Hessian(it, S, c, float(rng.uniform(0.5, 5.0)))
         diag = hess.diagonal()
         assert np.array_equal(diag, diag.T)
         for i in range(p):
@@ -341,7 +360,7 @@ def test_newton_direction_without_a_positive_diagonal():
     c = sc.SparsityConstraint(0)
     S = 0.5 * np.eye(3)
     it = proxdist._Iterate(np.eye(3), S, c)
-    assert not np.all(proxdist._hessian(it, S, c, 1.0).diagonal() > 0.0)
+    assert not np.all(proxdist._Hessian(it, S, c, 1.0).diagonal() > 0.0)
     G = it.gradient(S, 1.0)
     D, products = proxdist._newton_direction(it, S, c, 1.0, G)
     assert np.array_equal(D, -G)
@@ -375,7 +394,7 @@ def test_refinement_directions_are_symmetric_descent_directions(monkeypatch, mod
         assert np.array_equal(D, D.T)
         assert np.vdot(D, G) < 0.0
         g = np.linalg.norm(G)
-        residual = proxdist._hessian(it, S_used, c, rho)(D) + G
+        residual = proxdist._Hessian(it, S_used, c, rho)(D) + G
         assert np.linalg.norm(residual) <= 1.001 * min(0.5, math.sqrt(g)) * g
         assert 1 <= products <= 20 * 21 // 2
     for ev in events:

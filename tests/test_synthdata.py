@@ -48,11 +48,21 @@ def test_moving_average_design_band():
 
 
 def test_cliques_design_blocks():
-    M = sc.make_design(sc.SimDesign(kind="cliques", p=10, block_size=5))
+    M = sc.make_design(sc.SimDesign(kind="cliques", p=10))
     assert_allclose(np.diag(M), np.ones(10))
     assert M[0, 4] == pytest.approx(0.4)
     assert M[0, 5] == 0.0
     assert sc.is_positive_definite(M)
+
+
+def test_deterministic_designs_are_positive_definite_without_repair():
+    # moving_average's smallest eigenvalue is 1 - 0.8 cos(pi / (p + 1)),
+    # cliques' is 1 - 0.4 once a block has two members
+    for p in range(2, 61):
+        for kind, floor in (("moving_average", 0.2), ("cliques", 0.6 - 1e-12)):
+            M = sc.make_design(sc.SimDesign(kind=kind, p=p))
+            assert np.array_equal(np.diag(M), np.ones(p))
+            assert np.linalg.eigvalsh(M)[0] >= floor
 
 
 def test_random_sparse_exact_count_and_range():
