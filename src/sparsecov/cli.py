@@ -87,12 +87,14 @@ def _write_manifest(out_dir: Path, command: str, params: dict, seed: int) -> Non
 
 
 def _ensure_dir(path: str) -> Path:
+    """Create the output directory; each command calls it once its
+    parameters are checked, so a rejected command leaves none behind."""
     out = Path(path)
     out.mkdir(parents=True, exist_ok=True)
     return out
 
 
-def _run_simulate(params: dict, out_dir: Path) -> None:
+def _run_simulate(params: dict, out: str) -> None:
     design = SimDesign(
         kind=DESIGN_ALIASES[params["design"]],
         p=params["p"],
@@ -101,6 +103,7 @@ def _run_simulate(params: dict, out_dir: Path) -> None:
     )
     truth = make_design(design)
     data = sample_mvn(truth, params["n"], RngStream(seed=design.seed, stream_id=1))
+    out_dir = _ensure_dir(out)
     save_matrix_csv(out_dir / "truth.csv", truth)
     save_matrix_csv(out_dir / "data.csv", data)
     _write_manifest(out_dir, "simulate", params, params["seed"])
@@ -121,7 +124,7 @@ def _fit_config(params: dict) -> FitConfig:
     return FitConfig(ridge_delta=0.0 if ridge == "auto" else float(ridge), **schedule)
 
 
-def _run_estimate(params: dict, out_dir: Path) -> None:
+def _run_estimate(params: dict, out: str) -> None:
     S = _load_covariance(params)
     cfg = _fit_config(params)
     k = params["k"]
@@ -132,6 +135,7 @@ def _run_estimate(params: dict, out_dir: Path) -> None:
         result = fit_correlation(R, k, cfg)
     else:
         result = fit(S, SparsityConstraint(k=k), cfg)
+    out_dir = _ensure_dir(out)
     save_matrix_csv(out_dir / "sigma_hat.csv", result.sigma_hat)
     np.savetxt(out_dir / "support.csv", result.support, fmt="%d", delimiter=",")
     _write_json(
@@ -149,7 +153,7 @@ def _run_estimate(params: dict, out_dir: Path) -> None:
     _write_manifest(out_dir, "estimate", params, 0)
 
 
-def _run_cv(params: dict, out_dir: Path) -> None:
+def _run_cv(params: dict, out: str) -> None:
     data = load_data_csv(params["input"])
     S = sample_covariance(data)
     method = params["method"]
@@ -162,6 +166,8 @@ def _run_cv(params: dict, out_dir: Path) -> None:
         grid=grid, folds=params["folds"], loss=params["loss"], seed=params["seed"]
     )
     best, table = cross_validate(data, method, spec, cfg)
+    sigma_hat = _estimate(method, S, best, cfg)
+    out_dir = _ensure_dir(out)
     with open(out_dir / "cv_table.csv", "w") as fh:
         fh.write("param,mean_loss,stderr,n_folds,boundary_flag\n")
         for row in table:
@@ -174,7 +180,7 @@ def _run_cv(params: dict, out_dir: Path) -> None:
         out_dir / "best_param.json",
         {"method": method, "best_param": best, "boundary": boundary},
     )
-    save_matrix_csv(out_dir / "sigma_hat.csv", _estimate(method, S, best, cfg))
+    save_matrix_csv(out_dir / "sigma_hat.csv", sigma_hat)
     _write_manifest(out_dir, "cv", params, params["seed"])
 
 
@@ -186,7 +192,7 @@ def _load_support(path) -> np.ndarray:
     return M == 1
 
 
-def _run_eval(params: dict, out_dir: Path) -> None:
+def _run_eval(params: dict, out: str) -> None:
     truth = load_symmetric_csv(params["truth"])
     estimate = load_symmetric_csv(params["estimate"])
     S = None
@@ -199,6 +205,7 @@ def _run_eval(params: dict, out_dir: Path) -> None:
     if params.get("support"):  # absent from manifests written before the flag
         support = _load_support(params["support"])
     report = compute_report(truth, estimate, S=S, n=n, support=support)
+    out_dir = _ensure_dir(out)
     _write_json(out_dir / "metrics.json", report.to_dict())
     _write_manifest(out_dir, "eval", params, 0)
 
@@ -233,7 +240,7 @@ def _single_blas_thread():
             set_(threads)
 
 
-def _run_bench(params: dict, out_dir: Path) -> None:
+def _run_bench(params: dict, out: str) -> None:
     p_list = params["p_list"]
     n = params["n"]
     reps = params["reps"]
@@ -241,17 +248,20 @@ def _run_bench(params: dict, out_dir: Path) -> None:
         raise ValueError(f"--reps must be at least 1, got {reps}")
     seed = params["seed"]
     rows = []
-    for p in p_list:
-        # Banded truth: positive definite at every dimension, unlike
-        # random sparse draws whose rejection step stalls for large p.
-        design = SimDesign(kind="moving_average", p=p, seed=seed)
-        truth = make_design(design)
-        data = sample_mvn(truth, n, RngStream(seed=seed, stream_id=p))
-        S = sample_covariance(data)
-        k = max(1, round(0.02 * p * (p - 1) / 2))
-        times = []
-        iterations = 0
-        with _single_blas_thread():
+    # One BLAS thread for the whole loop, data generation included: an idle
+    # OpenBLAS worker left spinning by a threaded call slows the fits
+    # beside it, the small ones most.
+    with _single_blas_thread():
+        for p in p_list:
+            # Banded truth: positive definite at every dimension, unlike
+            # random sparse draws whose rejection step stalls for large p.
+            design = SimDesign(kind="moving_average", p=p, seed=seed)
+            truth = make_design(design)
+            data = sample_mvn(truth, n, RngStream(seed=seed, stream_id=p))
+            S = sample_covariance(data)
+            k = max(1, round(0.02 * p * (p - 1) / 2))
+            times = []
+            iterations = 0
             # The first fit of a size runs slower than the ones after it
             # and would flatten the scaling curve at its small end, so an
             # untimed fit goes first.
@@ -261,7 +271,8 @@ def _run_bench(params: dict, out_dir: Path) -> None:
                 result = fit(S, SparsityConstraint(k=k))
                 times.append(time.perf_counter() - start)
                 iterations = result.iterations
-        rows.append((p, float(np.median(times)), iterations))
+            rows.append((p, float(np.median(times)), iterations))
+    out_dir = _ensure_dir(out)
     with open(out_dir / "bench.csv", "w") as fh:
         fh.write("p,median_seconds,iterations\n")
         for p, secs, iters in rows:
@@ -289,8 +300,7 @@ def _run_rerun(manifest_path: str, override_dir: str | None) -> None:
     if command not in COMMANDS:
         raise ValueError(f"manifest names unknown command {command!r}")
     params = manifest["parameters"]
-    out = override_dir or params["out_dir"]
-    COMMANDS[command](params, _ensure_dir(out))
+    COMMANDS[command](params, override_dir or params["out_dir"])
 
 
 def _int_list(text: str) -> list[int]:
@@ -376,7 +386,7 @@ def main(argv: list[str] | None = None) -> int:
             # manifest alone suffices to replay the command.
             params = vars(args)
             command = params.pop("command")
-            COMMANDS[command](params, _ensure_dir(params["out_dir"]))
+            COMMANDS[command](params, params["out_dir"])
     except (NotPositiveDefiniteError, np.linalg.LinAlgError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3

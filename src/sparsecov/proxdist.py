@@ -1,6 +1,6 @@
-"""Penalized maximum likelihood covariance estimation by proximal distance.
+"""Sparse maximum likelihood covariance estimation by proximal distance.
 
-The estimator minimizes
+The estimator is the limit as rho -> inf of the minimizers of
 
     h_rho(Sigma) = ln det Sigma + tr(Sigma^{-1} S) + (rho/2) * dist(Sigma, C)^2
 
@@ -12,8 +12,13 @@ equation in closed form (see :mod:`sparsecov.sylvester`), and
 backtracks by step halving until the trial point is positive definite
 and strictly decreases the objective.  The penalty weight rho follows a
 geometric schedule so that iterates are pushed onto the sparse set as
-rho grows.  At the final rho, truncated Newton steps with the same
-backtracking drive the penalized gradient to zero.
+rho grows.  Once the support of the projection P(Sigma) stops changing,
+the limit is the Gaussian maximum likelihood estimate over the
+covariance matrices with that zero pattern (Chaudhuri, Drton &
+Richardson, Biometrika 2007), so the fit finishes there: truncated Newton
+steps with the same backtracking on the loss over the support, from a
+start on the sparse set.  With a finite cap on rho the Newton steps
+instead drive the penalized gradient at the final rho to zero.
 """
 
 from __future__ import annotations
@@ -54,21 +59,27 @@ RIDGE_SCALE = 1e-4
 # Absolute ceiling on rho, below float overflow.
 RHO_CEIL = 1e300
 
-# Terminal refinement: the single-step schedule leaves an O(1/rho) lag in
-# the coordinates the anchored majorizer pins to the previous iterate, so
-# after the schedule exits, Newton steps at the final rho run until the
-# penalized gradient G satisfies ||G||_F <= STATIONARITY_RTOL * ||A||_F,
-# A = Sigma^{-1}.  Newton converges quadratically near the optimum, so a
-# tight tolerance costs a step or two: on criterion 9's k = 0 fit, 1e-3
-# leaves a diagonal error of 2.6e-4 and 1e-8 one of 4.6e-8.
+# After the schedule exits, Newton steps run until the gradient G over the
+# entries they move satisfies ||G||_F <= STATIONARITY_RTOL * ||A||_F,
+# A = Sigma^{-1}: the loss's over the support at rho = inf, or, with a
+# finite rho_max, the penalized one at the final rho, where the single-step
+# schedule leaves an O(1/rho) lag in the coordinates the anchored
+# majorizer pins to the previous iterate.  Newton converges quadratically
+# near the optimum, so a tight tolerance costs a step or two: on criterion
+# 9's k = 0 fit, 1e-3 left a diagonal error of 2.6e-4 and 1e-8 one of
+# 4.6e-8.
 STATIONARITY_RTOL = 1e-8
-# The refinement also ends once the Newton model's decrease -<D, G> is at
+# The Newton steps also end once the Newton model's decrease -<D, G> is at
 # most the unit round-off times |h_rho|, or once step halving has brought
 # it there: a line search cannot certify so small a decrease.  On the
 # benchmark's fits, each direction below it that was tried anyway needed
 # halvings or exhausted the 32-halving backtrack, and at most halved the
 # residual.
 DECREASE_RTOL = np.finfo(float).eps / 2.0
+# With an infinite rho_max the schedule stops once the support of P(Sigma)
+# has held for this many consecutive steps, and the fit finishes at
+# rho = inf on that support.
+LOCK_STEPS = 5
 
 
 class BacktrackExhaustedError(RuntimeError):
@@ -78,7 +89,7 @@ class BacktrackExhaustedError(RuntimeError):
     ``Sigma_k + 2^{-s} (Sigma_hat - Sigma_k)`` for ``s = 0..max_halvings``
     fails positive definiteness or strict objective decrease.  :func:`fit`
     raises nothing there: it records the step as rejected and keeps the
-    iterate, or ends its refinement.
+    iterate, or ends its Newton steps.
     """
 
     def __init__(self, message: str, halvings: int):
@@ -97,18 +108,24 @@ class FitConfig:
     rho_growth : float
         Geometric growth factor applied after every outer iteration.
     rho_max : float
-        Cap on the penalty weight, infinite by default.  An uncapped
-        schedule is what drives badly conditioned fits (p > n with a
-        tiny ridge) onto the constraint set; capping freezes them mid
-        descent.  Finite caps remain useful for studying feasibility in
-        the growing-rho limit.  The schedule always stops at 1e300 to
-        keep the arithmetic finite.
+        Cap on the penalty weight, infinite by default.  Uncapped, the
+        schedule also stops once the support of the projection has held
+        for ``LOCK_STEPS`` consecutive steps, and the fit finishes at
+        rho = inf: exactly on the sparse set, at the maximum likelihood
+        estimate with the schedule's last support.  Any finite cap, 1e300
+        included, keeps the schedule climbing to it, then refines at the
+        capped rho, which leaves the estimate a distance of order 1/rho
+        from the set; such caps remain useful for studying feasibility in
+        the growing-rho limit.  Either way the schedule stops at 1e300 to
+        keep the arithmetic finite, so ``rho_max=1e300`` runs the default
+        schedule without its support lock and returns the penalized
+        refinement, not the sparse estimate.
     tol : float
-        Relative objective-change threshold for convergence.
+        Relative objective-change threshold that stops the schedule;
+        with a finite ``rho_max`` it is also what ``converged`` reports.
     max_outer : int
-        Iteration budget, shared by the rho schedule and the terminal
-        refinement: the refinement takes only the steps the schedule
-        leaves unused.
+        Iteration budget, shared by the rho schedule and the Newton steps
+        after it: those take only the steps the schedule leaves unused.
     max_halvings : int
         Largest step-halving exponent tried per iteration.
     ridge_delta : float
@@ -152,11 +169,16 @@ class FitResult:
 
     ``sigma_hat`` is the final iterate, positive definite by
     construction.  ``support`` marks the exact nonzero pattern of its
-    projection onto the constraint set, which is the sparsity pattern
-    the penalty drove the iterate toward; ``final_penalty`` is the
-    squared distance between the two at exit.  ``objective_trace`` holds
-    one penalized objective per iteration, at ``rho_trace``'s weight;
-    its last entry is the objective at ``sigma_hat``.
+    projection onto the constraint set; ``final_penalty`` is the squared
+    distance between the two at exit.  After the default finish at
+    rho = inf, ``sigma_hat`` lies on the set: ``support`` is its own
+    nonzero pattern and ``final_penalty`` is 0.  ``objective_trace``
+    holds one penalized objective per iteration, at ``rho_trace``'s
+    weight; its last entry is the objective at ``sigma_hat``.  The
+    Newton steps after the schedule repeat its last rho.  ``converged``
+    means those steps stopped on their gradient test or their round-off
+    stop under the default infinite ``rho_max``, and that the schedule
+    stopped on ``tol`` under a finite one.
     """
 
     sigma_hat: np.ndarray
@@ -343,22 +365,36 @@ class _Hessian:
     ``Y + Y^T`` and the mask keep it exactly symmetric.  A product is
     written to one of two buffers kept between products, so it is valid
     only until the next product.
+
+    With a boolean ``free`` mask (and ``rho = 0``) it is the Hessian of the
+    loss restricted to the free entries, ``H[V] = free o (Y + Y^T)`` for
+    ``V`` zero off them; :meth:`diagonal` then reads one off them, where
+    the preconditioner meets only zeros.
     """
 
-    __slots__ = ("A", "N", "penalized", "rho", "_out", "_tmp")
+    __slots__ = ("A", "N", "penalized", "rho", "free", "_out", "_tmp")
 
-    def __init__(self, it: _Iterate, S: np.ndarray, c: SparsityConstraint, rho: float):
+    def __init__(
+        self,
+        it: _Iterate,
+        S: np.ndarray,
+        c: SparsityConstraint,
+        rho: float,
+        free: np.ndarray | None = None,
+    ):
         M = it.asa(S)
         N = M + M.T  # the triple product drifts by O(eps)
         N -= it.inv
         N /= 2.0
-        penalized = it.proj == 0.0
-        if c.mode == "correlation":
-            np.fill_diagonal(penalized, True)
+        self.penalized = None
+        if rho:
+            self.penalized = it.proj == 0.0
+            if c.mode == "correlation":
+                np.fill_diagonal(self.penalized, True)
         self.A = it.inv
         self.N = N
-        self.penalized = penalized
         self.rho = rho
+        self.free = free
         self._out = np.empty_like(N)
         self._tmp = np.empty_like(N)
 
@@ -368,9 +404,12 @@ class _Hessian:
         np.matmul(self.A, V, out=out)
         np.matmul(out, self.N, out=tmp)  # Y
         np.add(tmp, tmp.T, out=out)
-        np.multiply(self.penalized, V, out=tmp)
-        tmp *= self.rho
-        out += tmp
+        if self.free is not None:
+            out *= self.free
+        if self.rho:
+            np.multiply(self.penalized, V, out=tmp)
+            tmp *= self.rho
+            out += tmp
         return out
 
     def diagonal(self) -> np.ndarray:
@@ -388,34 +427,46 @@ class _Hessian:
         T *= 2.0
         diag += T
         np.fill_diagonal(diag, diag.diagonal() / 2.0)
-        np.add(diag, self.rho, out=diag, where=self.penalized)
+        if self.rho:
+            np.add(diag, self.rho, out=diag, where=self.penalized)
+        if self.free is not None:
+            diag[~self.free] = 1.0
         return diag
 
 
 def _newton_direction(
-    it: _Iterate, S: np.ndarray, c: SparsityConstraint, rho: float, G: np.ndarray
+    it: _Iterate,
+    S: np.ndarray,
+    c: SparsityConstraint,
+    rho: float,
+    G: np.ndarray,
+    free: np.ndarray | None = None,
 ) -> tuple[np.ndarray, int]:
     """Truncated Newton direction for ``h_rho`` at ``it``, ``G`` its gradient;
     returns (direction, Hessian products).
 
+    With a ``free`` mask, ``rho`` must be 0 and ``G`` zero off the mask: the
+    direction is then one for the loss over the free entries, zero off them.
+
     Preconditioned conjugate gradients on ``H[D] = -G`` in the Frobenius
     inner product (Nocedal & Wright, Algorithms 5.3 and 7.1), stopped
-    once the residual falls to ``min(0.5, sqrt(||G||)) ||G||``.  The
+    once the residual falls to ``min(0.5, sqrt(||G|| / ||A||)) ||G||``,
+    unit-free like the stationarity test, ``A = Sigma^{-1}``.  The
     preconditioner is the Jacobi diagonal of ``H`` (:meth:`_Hessian.diagonal`),
     or the identity if that diagonal is not all positive.  Negative
     curvature ends the solve: on the first iteration the direction is
     ``-G``, later it is the current iterate.  In exact arithmetic CG ends
     within the dimension ``p(p+1)/2`` of the symmetric matrices, which
-    caps the iterations.  Every buffer is updated elementwise from
-    exactly symmetric operands, so the direction is exactly symmetric.
+    caps the iterations.  Every buffer is updated elementwise from exactly
+    symmetric operands, so the direction is exactly symmetric.
     """
-    hess = _Hessian(it, S, c, rho)
+    hess = _Hessian(it, S, c, rho, free)
     scale = hess.diagonal()  # the preconditioner, inverted in place
     if not np.all(scale > 0.0):
         scale.fill(1.0)
     np.reciprocal(scale, out=scale)
     g_norm = float(np.linalg.norm(G))
-    tol = min(0.5, math.sqrt(g_norm)) * g_norm
+    tol = min(0.5, math.sqrt(g_norm / float(np.linalg.norm(it.inv)))) * g_norm
     D = np.zeros_like(G)
     r = G.copy()  # residual H[D] + G
     y = r * scale  # preconditioned residual; scratch once d is updated
@@ -496,6 +547,16 @@ def _resolve_ridge(S: np.ndarray, cfg: FitConfig) -> tuple[np.ndarray, float]:
     return S_used, delta
 
 
+def _finish_start(it: _Iterate, S: np.ndarray, c: SparsityConstraint) -> _Iterate:
+    """Where the finish at rho = inf starts: ``P(Sigma)`` if it is PD, else
+    ``Diag(S)``, or ``I`` in correlation mode, which lie on every support."""
+    try:
+        return _Iterate(it.proj, S, c)
+    except NotPositiveDefiniteError:
+        diag = np.ones(S.shape[0]) if c.mode == "correlation" else np.diag(S)
+        return _Iterate(np.diag(diag), S, c)
+
+
 def fit(
     S: np.ndarray,
     c: SparsityConstraint,
@@ -506,13 +567,23 @@ def fit(
 
     Starts from ``Diag(S)`` (starting from S itself provokes heavy
     backtracking), runs MM steps while growing rho geometrically, and
-    stops when the relative objective change falls to ``cfg.tol`` or the
-    iteration budget runs out.  A step rejected by backtracking leaves
-    the iterate in place; the schedule still advances, so the run
-    terminates once rho saturates and the objective freezes.  Truncated
-    Newton steps at the final rho then take what is left of the budget
-    until the penalized gradient is small relative to ``Sigma^{-1}``, or
-    until a direction's model decrease is at the round-off level of the
+    stops the schedule when the relative objective change falls to
+    ``cfg.tol``, when the iteration budget runs out, or, with the default
+    infinite ``cfg.rho_max``, once the support of the projection
+    ``P(Sigma)`` has held for ``LOCK_STEPS`` consecutive steps.  A step
+    rejected by backtracking leaves the iterate in place; the schedule
+    still advances, so the run terminates once rho saturates and the
+    objective freezes.
+
+    Truncated Newton steps then take what is left of the budget.  By
+    default they finish at rho = inf: from ``P(Sigma)``, or from
+    ``Diag(S)`` (``I`` in correlation mode) when that is not positive
+    definite, they minimize the loss over the schedule's last support
+    and the covariance diagonal, so the estimate is exactly sparse.  With
+    a finite ``cfg.rho_max`` they minimize the penalized objective at the
+    final rho instead.  Either way they stop once the gradient over the
+    entries they move is small relative to ``Sigma^{-1}``, or once a
+    direction's model decrease is at the round-off level of the
     objective; step halving also stops at that level.
 
     Parameters
@@ -525,11 +596,14 @@ def fit(
     cfg : FitConfig
         Schedule and tolerance settings.
     callback : callable, optional
-        Called once per iteration, schedule and refinement alike, with a
+        Called once per iteration, schedule and Newton steps alike, with a
         dict of that iteration's state (iteration, rho, sigma,
         objective_before, objective, halvings, accepted, and cg_products,
-        the Hessian products behind a refinement step's direction, 0 on
-        schedule steps).  For tracing and tests.
+        the Hessian products behind a Newton step's direction, 0 on
+        schedule steps).  Newton steps repeat the schedule's last rho.  A
+        finish that takes no step from a start other than the schedule's
+        iterate records that start once, as not accepted.  For tracing
+        and tests.
 
     Raises
     ------
@@ -574,6 +648,9 @@ def fit(
             )
         return h
 
+    finish = math.isinf(cfg.rho_max)
+    support: np.ndarray | None = None
+    held = 0  # consecutive steps that kept the support of P(Sigma)
     for _ in range(cfg.max_outer):
         it_next, halvings = _step(it, S, c, rho, cfg.max_halvings)
         accepted = it_next is not None
@@ -582,41 +659,77 @@ def fit(
         h = record(it, it_next, rho, halvings, accepted)
         it = it_next
         total_halvings += halvings
+        if finish:
+            step_support = it.proj != 0.0
+            kept = support is not None and np.array_equal(step_support, support)
+            held = held + 1 if kept else 0
+            support = step_support
         if h_prev is not None:
             rel_change = abs(h - h_prev) / max(abs(h_prev), 1e-12)
             if rel_change <= cfg.tol:
                 converged = True
                 break
         h_prev = h
+        if held == LOCK_STEPS:
+            break
         rho = min(rho * cfg.rho_growth, cfg.rho_max, RHO_CEIL)
 
-    # Refine at the final rho with the budget the schedule left: one step
-    # per rho level leaves the iterate short of stationarity, and the
-    # anchored majorizer slows the coordinates the penalty never touches
-    # by a factor of rho.  Newton steps see the true curvature instead.
+    # Newton steps with the budget the schedule left.  With a finite
+    # rho_max they refine at the final rho: one step per rho level leaves
+    # the iterate short of stationarity, and the anchored majorizer slows
+    # the coordinates the penalty never touches by a factor of rho.  With
+    # the default infinite rho_max they finish at rho = inf instead: the
+    # loss over the free entries, the support of P(Sigma) plus the
+    # covariance diagonal, from a start on the sparsity set.  Either way
+    # the trace repeats the schedule's last rho, at which a point on the
+    # set scores its loss.
     rho = rho_trace[-1]
-    for _ in range(cfg.max_outer - len(objective_trace)):
-        G = it.gradient(S, rho)
+    newton_rho, free = rho, None
+    schedule_steps = len(objective_trace)
+    moved = False
+    if finish:
+        converged = False
+        newton_rho = 0.0
+        free = support  # of the schedule's last iterate
+        if c.mode == "correlation":
+            np.fill_diagonal(free, False)
+        moved = it.dist2 > 0.0 and schedule_steps < cfg.max_outer
+        if moved:
+            it_next = None  # the schedule's iterate goes with the switch
+            it = _finish_start(it, S, c)
+    stopped = False
+    for _ in range(cfg.max_outer - schedule_steps):
+        G = it.gradient(S, newton_rho)
+        if free is not None:
+            G *= free
         if np.linalg.norm(G) <= STATIONARITY_RTOL * np.linalg.norm(it.inv):
+            stopped = True
             break
-        direction, products = _newton_direction(it, S, c, rho, G)
+        direction, products = _newton_direction(it, S, c, newton_rho, G, free)
         # a model decrease at round-off level is one no line search can
         # certify, so the iterate is as stationary as the arithmetic allows;
         # each halving halves the decrease, so the search stops where it
         # reaches that level too
         decrease = -float(np.vdot(direction, G))
-        floor = DECREASE_RTOL * abs(it.objective(rho))
+        floor = DECREASE_RTOL * abs(it.objective(newton_rho))
         if decrease <= floor:
+            stopped = True
             break
         max_halvings = cfg.max_halvings
         if floor > 0.0:
             max_halvings = min(max_halvings, int(math.log2(decrease / floor)))
-        it_next, halvings = _line_search(it, direction, S, c, rho, max_halvings)
+        it_next, halvings = _line_search(it, direction, S, c, newton_rho, max_halvings)
         if it_next is None:
             break
         record(it, it_next, rho, halvings, True, products)
         it = it_next
         total_halvings += halvings
+    if finish:
+        converged = stopped
+        if moved and len(objective_trace) == schedule_steps:
+            # the finish took no step from its start: one entry records
+            # the start, so that the trace still ends at the estimate
+            record(it, it, rho, 0, False)
 
     return FitResult(
         sigma_hat=it.sigma,

@@ -198,8 +198,8 @@ def test_eval_outputs(sim_dir, tmp_path):
         assert key in metrics
     assert metrics["rmse"] >= 0.0
 
-    # the fit's own support: its k pairs, not the iterate's small off-support
-    # entries, which the default tolerance counts as nonzeros
+    # the fit's own support holds its k pairs; the estimate is exactly
+    # sparse on it, so the default tolerance counts the same k
     support = np.loadtxt(est_dir / "support.csv", delimiter=",")
     assert set(np.unique(support)) <= {0.0, 1.0}
     assert np.count_nonzero(np.triu(support, 1)) == 3
@@ -208,7 +208,7 @@ def test_eval_outputs(sim_dir, tmp_path):
             "--estimate", str(est_dir / "sigma_hat.csv"), "--out", str(scored)]
     assert main(args + ["--support", str(est_dir / "support.csv")]) == 0
     assert _read_json(scored / "metrics.json")["nnz"] == 3
-    assert metrics["nnz"] > 3
+    assert metrics["nnz"] == 3
 
     bad = tmp_path / "bad_support.csv"
     np.savetxt(bad, np.full((12, 12), 0.5), delimiter=",")
@@ -256,6 +256,14 @@ def test_bench_rejects_zero_reps(tmp_path, monkeypatch):
     assert code == 2
     assert fits == []
     assert not (out / "bench.csv").exists()
+
+
+def test_rejected_command_creates_no_output_directory(tmp_path):
+    out = tmp_path / "od" / "x"
+    assert main(["bench", "--p-list", "10", "--n", "50", "--reps", "0", "--out-dir", str(out)]) == 2
+    missing = str(tmp_path / "nope.csv")
+    assert main(["estimate", "--input", missing, "--k", "1", "--out", str(out)]) == 2
+    assert not (tmp_path / "od").exists()
 
 
 def test_missing_input_is_usage_error(tmp_path):

@@ -246,7 +246,9 @@ def test_fit_reports_exact_objectives_with_one_eigh_per_step(monkeypatch):
         ev["halvings"] + 1 if ev["accepted"] else sc.FitConfig().max_halvings + 1
         for ev in events
     )
-    assert len(factorizations) == candidates + 1
+    # one more each for the diagonal start and the finish's start, the
+    # projection of the schedule's last iterate
+    assert len(factorizations) == candidates + 2
     for ev in events:
         expected = sc.objective(ev["sigma"], S, c, ev["rho"])
         assert ev["objective"] == pytest.approx(expected, rel=1e-12)
@@ -273,20 +275,76 @@ def test_refinement_shares_the_iteration_budget():
     assert capped.objective_trace == full.objective_trace[:schedule]
 
 
-def test_fit_ends_stationary_on_bench_instance():
-    # the criterion-11 instance at p = 200: the refinement must reach a
-    # stationary point of the penalized objective, support pairs included
+def _bench_instance():
+    # the criterion-11 instance at p = 200
     p = 200
     truth = sc.make_design(sc.SimDesign(kind="moving_average", p=p, seed=0))
     data = sc.sample_mvn(truth, 500, sc.RngStream(seed=0, stream_id=p))
-    S = sc.sample_covariance(data)
-    c = sc.SparsityConstraint(398)
-    result = sc.fit(S, c)
+    return sc.sample_covariance(data), sc.SparsityConstraint(398)
+
+
+def test_fit_ends_stationary_on_bench_instance():
+    # with a finite rho_max the refinement must reach a stationary point of
+    # the penalized objective, support pairs included
+    S, c = _bench_instance()
+    result = sc.fit(S, c, sc.FitConfig(rho_max=RHO_CEIL))
     Sigma = result.sigma_hat
     A = np.linalg.inv(Sigma)
-    S_used = S + result.ridge_delta * np.eye(p)
+    S_used = S + result.ridge_delta * np.eye(S.shape[0])
     G = A - A @ S_used @ A + result.rho_trace[-1] * (Sigma - sc.project(Sigma, c))
     assert np.linalg.norm(G) / np.linalg.norm(A) <= STATIONARITY_RTOL
+
+
+def _assert_finished_on_support(result, S, k, mode="covariance"):
+    # exactly on the sparse set, and stationary for the loss over the
+    # support, the diagonal included in covariance mode
+    Sigma, mask = result.sigma_hat, result.support
+    assert result.converged
+    assert result.final_penalty == 0.0
+    assert np.all(Sigma[~mask] == 0.0)
+    assert np.count_nonzero(np.triu(Sigma, 1)) == np.count_nonzero(np.triu(mask, 1)) == k
+    A = np.linalg.inv(Sigma)
+    S_used = S + result.ridge_delta * np.eye(S.shape[0])
+    G = mask * (A - A @ S_used @ A)
+    if mode == "correlation":
+        np.fill_diagonal(G, 0.0)
+    assert np.linalg.norm(G) <= STATIONARITY_RTOL * np.linalg.norm(A)
+
+
+def test_fit_finishes_on_the_support_of_the_bench_instance():
+    # the default fit finishes at rho = inf: the maximum likelihood
+    # estimate with the schedule's last support, k pairs exactly
+    S, c = _bench_instance()
+    result = sc.fit(S, c)
+    _assert_finished_on_support(result, S, c.k)
+    rhos = result.rho_trace
+    schedule = next(i for i in range(1, len(rhos)) if rhos[i] == rhos[i - 1])
+    assert schedule <= 40
+    assert result.objective_trace[-1] == sc.negative_loglik_loss(result.sigma_hat, S)
+
+
+def test_finish_starts_from_the_diagonal_when_the_projection_is_not_pd(monkeypatch):
+    # p > n: the projection of the schedule's last iterate is not PD, so the
+    # finish starts from Diag(S) and still reaches the support's estimate
+    S = _sample_problem(20, 8, 1, frac=0.01)
+    starts = []
+    finish_start = proxdist._finish_start
+
+    def recorded(it, S_used, c):
+        start = finish_start(it, S_used, c)
+        starts.append((sc.is_positive_definite(it.proj), start.sigma, S_used))
+        return start
+
+    monkeypatch.setattr(proxdist, "_finish_start", recorded)
+    events = []
+    result = sc.fit(S, sc.SparsityConstraint(10), callback=events.append)
+    assert result.ridge_delta > 0.0
+    [(projection_pd, start, S_used)] = starts
+    assert not projection_pd
+    assert np.array_equal(start, np.diag(np.diag(S_used)))
+    first = next(ev for ev in events if ev["cg_products"])
+    assert first["objective_before"] == sc.negative_loglik_loss(start, S_used)
+    _assert_finished_on_support(result, S, 10)
 
 
 def test_newton_operator_matches_fd_of_gradient():
@@ -309,17 +367,23 @@ def test_newton_operator_matches_fd_of_gradient():
             if mode == "correlation":
                 np.fill_diagonal(penalized, True)
 
-            def grad(X):
+            def grad(X, weight=rho):
                 A = np.linalg.inv(X)
-                return A - A @ S @ A + rho * np.where(penalized, X - P, 0.0)
+                return A - A @ S @ A + weight * np.where(penalized, X - P, 0.0)
 
             it = proxdist._Iterate(Sigma, S, c)
             hess = proxdist._Hessian(it, S, c, rho)
+            # the finish's operator: the loss alone, on the entries P keeps
+            free = ~penalized
+            restricted = proxdist._Hessian(it, S, c, 0.0, free)
             for _ in range(3):
                 V = rng.standard_normal((p, p))
                 V = (V + V.T) / 2.0
                 fd = (grad(Sigma + h * V) - grad(Sigma - h * V)) / (2 * h)
                 assert np.max(np.abs(hess(V) - fd)) <= 1e-5
+                V *= free
+                fd = (grad(Sigma + h * V, 0.0) - grad(Sigma - h * V, 0.0)) / (2 * h)
+                assert np.max(np.abs(restricted(V) - free * fd)) <= 1e-5
 
 
 def _random_iterate(rng, p, mode):
@@ -336,20 +400,28 @@ def _random_iterate(rng, p, mode):
 @pytest.mark.parametrize("mode", ["covariance", "correlation"])
 def test_hessian_diagonal_is_the_product_on_unit_matrices(mode):
     # the Jacobi preconditioner: <E_ij, H[E_ij]> / <E_ij, E_ij> for the
-    # symmetric unit matrices, read through the product itself
+    # symmetric unit matrices, read through the product itself; with a
+    # free mask (rho = 0) the same on the free entries and one off them
     rng = np.random.default_rng(5)
     p = 5
     for _ in range(5):
         it, S, c = _random_iterate(rng, p, mode)
-        hess = proxdist._Hessian(it, S, c, float(rng.uniform(0.5, 5.0)))
-        diag = hess.diagonal()
-        assert np.array_equal(diag, diag.T)
-        for i in range(p):
-            for j in range(i, p):
-                E = np.zeros((p, p))
-                E[i, j] = E[j, i] = 1.0
-                expected = np.vdot(E, hess(E)) / np.vdot(E, E)
-                assert diag[i, j] == pytest.approx(expected, rel=1e-12)
+        free = rng.random((p, p)) < 0.5
+        free = free | free.T
+        for hess in (
+            proxdist._Hessian(it, S, c, float(rng.uniform(0.5, 5.0))),
+            proxdist._Hessian(it, S, c, 0.0, free),
+        ):
+            diag = hess.diagonal()
+            assert np.array_equal(diag, diag.T)
+            for i in range(p):
+                for j in range(i, p):
+                    E = np.zeros((p, p))
+                    E[i, j] = E[j, i] = 1.0
+                    expected = np.vdot(E, hess(E)) / np.vdot(E, E)
+                    if hess.free is not None and not free[i, j]:
+                        expected = 1.0
+                    assert diag[i, j] == pytest.approx(expected, rel=1e-12)
 
 
 def test_newton_direction_without_a_positive_diagonal():
@@ -369,9 +441,9 @@ def test_newton_direction_without_a_positive_diagonal():
 
 @pytest.mark.parametrize("mode", ["covariance", "correlation"])
 def test_refinement_directions_are_symmetric_descent_directions(monkeypatch, mode):
-    # every preconditioned CG direction meets the forcing tolerance of
-    # truncated Newton and descends, and directions and iterates stay
-    # exactly symmetric, so no asymmetry builds up at large rho
+    # every preconditioned CG direction meets the unit-free forcing
+    # tolerance of truncated Newton and descends, and directions and
+    # iterates stay exactly symmetric, so no asymmetry builds up at large rho
     S = _sample_problem(20, 100, 11)
     if mode == "correlation":
         d = np.sqrt(np.diag(S))
@@ -381,21 +453,22 @@ def test_refinement_directions_are_symmetric_descent_directions(monkeypatch, mod
     directions = []
     newton = proxdist._newton_direction
 
-    def recorded(it, S_used, c, rho, G):
-        D, products = newton(it, S_used, c, rho, G)
+    def recorded(it, S_used, c, rho, G, free):
+        D, products = newton(it, S_used, c, rho, G, free)
         directions.append((it, S_used, rho, G, D, products))
         return D, products
 
     monkeypatch.setattr(proxdist, "_newton_direction", recorded)
     events = []
-    sc.fit(S, c, callback=events.append)
+    sc.fit(S, c, sc.FitConfig(rho_max=RHO_CEIL), callback=events.append)
     assert len(directions) >= 3
     for it, S_used, rho, G, D, products in directions:
         assert np.array_equal(D, D.T)
         assert np.vdot(D, G) < 0.0
         g = np.linalg.norm(G)
         residual = proxdist._Hessian(it, S_used, c, rho)(D) + G
-        assert np.linalg.norm(residual) <= 1.001 * min(0.5, math.sqrt(g)) * g
+        forcing = min(0.5, math.sqrt(g / np.linalg.norm(it.inv))) * g
+        assert np.linalg.norm(residual) <= 1.001 * forcing
         assert 1 <= products <= 20 * 21 // 2
     for ev in events:
         assert np.array_equal(ev["sigma"], ev["sigma"].T)
@@ -404,6 +477,70 @@ def test_refinement_directions_are_symmetric_descent_directions(monkeypatch, mod
     refinement = [ev["cg_products"] for ev in events if ev["cg_products"]]
     assert len(directions) - 1 <= len(refinement) <= len(directions)
     assert refinement == [d[-1] for d in directions[: len(refinement)]]
+
+
+@pytest.mark.parametrize("mode", ["covariance", "correlation"])
+def test_finish_directions_stay_on_the_support(monkeypatch, mode):
+    # the default finish: each direction is zero off the free entries,
+    # exactly symmetric and a descent direction, and meets the unit-free
+    # forcing tolerance on the free entries
+    S = _sample_problem(20, 100, 11)
+    if mode == "correlation":
+        d = np.sqrt(np.diag(S))
+        S = S / np.outer(d, d)
+        np.fill_diagonal(S, 1.0)
+    c = sc.SparsityConstraint(12, mode)
+    directions = []
+    newton = proxdist._newton_direction
+
+    def recorded(it, S_used, c, rho, G, free):
+        D, products = newton(it, S_used, c, rho, G, free)
+        directions.append((it, S_used, rho, G, free.copy(), D))
+        return D, products
+
+    monkeypatch.setattr(proxdist, "_newton_direction", recorded)
+    result = sc.fit(S, c)
+    assert len(directions) >= 2
+    for it, S_used, rho, G, free, D in directions:
+        assert rho == 0.0
+        assert np.array_equal(free, free.T)
+        assert np.all(D[~free] == 0.0) and np.all(G[~free] == 0.0)
+        assert np.array_equal(D, D.T)
+        assert np.vdot(D, G) < 0.0
+        g = np.linalg.norm(G)
+        residual = free * proxdist._Hessian(it, S_used, c, 0.0, free)(D) + G
+        forcing = min(0.5, math.sqrt(g / np.linalg.norm(it.inv))) * g
+        assert np.linalg.norm(residual) <= 1.001 * forcing
+    if mode == "correlation":
+        assert np.all(np.diag(result.sigma_hat) == 1.0)
+    _assert_finished_on_support(result, S, 12, mode)
+
+
+def test_finish_that_takes_no_step_records_its_start(monkeypatch):
+    # directions whose model decrease is below the round-off bound end the
+    # finish before any line search; the trace then records the start, so
+    # that it still ends at the returned, exactly sparse estimate
+    S = _sample_problem(20, 100, 11)
+    c = sc.SparsityConstraint(12)
+    newton = proxdist._newton_direction
+
+    def scaled(it, S_used, c, rho, G, free):
+        D, products = newton(it, S_used, c, rho, G, free)
+        bound = proxdist.DECREASE_RTOL * abs(it.objective(rho))
+        return D * (0.5 * bound / -np.vdot(D, G)), products
+
+    monkeypatch.setattr(proxdist, "_newton_direction", scaled)
+    events = []
+    result = sc.fit(S, c, callback=events.append)
+    assert all(ev["cg_products"] == 0 for ev in events)
+    last, schedule_last = events[-1], events[-2]
+    assert last["rho"] == schedule_last["rho"]
+    assert not last["accepted"] and last["halvings"] == 0
+    assert last["objective"] == last["objective_before"] == result.objective_trace[-1]
+    assert np.array_equal(last["sigma"], result.sigma_hat)
+    assert result.converged
+    assert result.final_penalty == 0.0
+    assert np.count_nonzero(np.triu(result.sigma_hat, 1)) == 12
 
 
 @pytest.mark.parametrize("factor", [0.5, 4.0])
@@ -416,8 +553,8 @@ def test_refinement_stops_on_a_roundoff_model_decrease(monkeypatch, factor):
     c = sc.SparsityConstraint(12)
     newton = proxdist._newton_direction
 
-    def scaled(it, S_used, c, rho, G):
-        D, products = newton(it, S_used, c, rho, G)
+    def scaled(it, S_used, c, rho, G, free):
+        D, products = newton(it, S_used, c, rho, G, free)
         bound = proxdist.DECREASE_RTOL * abs(it.objective(rho))
         return D * (factor * bound / -np.vdot(D, G)), products
 
@@ -431,7 +568,7 @@ def test_refinement_stops_on_a_roundoff_model_decrease(monkeypatch, factor):
     monkeypatch.setattr(proxdist, "_newton_direction", scaled)
     monkeypatch.setattr(proxdist, "cholesky_pd", counted_cholesky)
     events = []
-    sc.fit(S, c, callback=events.append)
+    sc.fit(S, c, sc.FitConfig(rho_max=RHO_CEIL), callback=events.append)
     candidates = sum(
         ev["halvings"] + 1 if ev["accepted"] else sc.FitConfig().max_halvings + 1
         for ev in events
