@@ -15,15 +15,15 @@ geometric schedule so that iterates are pushed onto the sparse set as
 rho grows.  Once the support of the projection P(Sigma) stops changing,
 the limit is the Gaussian maximum likelihood estimate over the
 covariance matrices with that zero pattern (Chaudhuri, Drton &
-Richardson, Biometrika 2007), so the fit finishes there: truncated Newton
-steps with the same backtracking on the loss over the support, from a
-start on the sparse set.  With a finite cap on rho the Newton steps
-instead drive the penalized gradient at the final rho to zero.
+Richardson, Biometrika 2007), so every fit finishes there: truncated
+Newton steps with the same backtracking on the loss over the support,
+from a start on the sparse set, which return an exactly sparse estimate.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from typing import Callable
 
@@ -56,29 +56,25 @@ RIDGE_EIG_RTOL = 1e-10
 # large enough that iterates near the ridged spectrum stay numerically PD
 # under the growing penalty; smaller values let rank-deficient fits stall.
 RIDGE_SCALE = 1e-4
-# Absolute ceiling on rho, below float overflow.
+# Absolute ceiling on rho, below float overflow, for a large rho_growth.
 RHO_CEIL = 1e300
 
-# After the schedule exits, Newton steps run until the gradient G over the
-# entries they move satisfies ||G||_F <= STATIONARITY_RTOL * ||A||_F,
-# A = Sigma^{-1}: the loss's over the support at rho = inf, or, with a
-# finite rho_max, the penalized one at the final rho, where the single-step
-# schedule leaves an O(1/rho) lag in the coordinates the anchored
-# majorizer pins to the previous iterate.  Newton converges quadratically
-# near the optimum, so a tight tolerance costs a step or two: on criterion
-# 9's k = 0 fit, 1e-3 left a diagonal error of 2.6e-4 and 1e-8 one of
-# 4.6e-8.
+# After the schedule exits, Newton steps on the loss over the support run
+# until its gradient G over the entries they move satisfies
+# ||G||_F <= STATIONARITY_RTOL * ||A||_F, A = Sigma^{-1}.  Newton converges
+# quadratically near the optimum, so a tight tolerance costs a step or
+# two: on criterion 9's k = 0 fit, 1e-3 left a diagonal error of 9.8e-6
+# and 1e-8 one of 2.0e-10, one step later.
 STATIONARITY_RTOL = 1e-8
 # The Newton steps also end once the Newton model's decrease -<D, G> is at
-# most the unit round-off times |h_rho|, or once step halving has brought
+# most the unit round-off times |loss|, or once step halving has brought
 # it there: a line search cannot certify so small a decrease.  On the
 # benchmark's fits, each direction below it that was tried anyway needed
 # halvings or exhausted the 32-halving backtrack, and at most halved the
 # residual.
 DECREASE_RTOL = np.finfo(float).eps / 2.0
-# With an infinite rho_max the schedule stops once the support of P(Sigma)
-# has held for this many consecutive steps, and the fit finishes at
-# rho = inf on that support.
+# The schedule stops once the support of P(Sigma) has held for this many
+# consecutive steps, and the fit finishes at rho = inf on that support.
 LOCK_STEPS = 5
 
 
@@ -106,23 +102,10 @@ class FitConfig:
     rho0 : float
         Initial penalty weight.
     rho_growth : float
-        Geometric growth factor applied after every outer iteration.
-    rho_max : float
-        Cap on the penalty weight, infinite by default.  Uncapped, the
-        schedule also stops once the support of the projection has held
-        for ``LOCK_STEPS`` consecutive steps, and the fit finishes at
-        rho = inf: exactly on the sparse set, at the maximum likelihood
-        estimate with the schedule's last support.  Any finite cap, 1e300
-        included, keeps the schedule climbing to it, then refines at the
-        capped rho, which leaves the estimate a distance of order 1/rho
-        from the set; such caps remain useful for studying feasibility in
-        the growing-rho limit.  Either way the schedule stops at 1e300 to
-        keep the arithmetic finite, so ``rho_max=1e300`` runs the default
-        schedule without its support lock and returns the penalized
-        refinement, not the sparse estimate.
+        Geometric growth factor applied after every outer iteration.  The
+        schedule stops growing rho at 1e300 to keep the arithmetic finite.
     tol : float
-        Relative objective-change threshold that stops the schedule;
-        with a finite ``rho_max`` it is also what ``converged`` reports.
+        Relative objective-change threshold that stops the schedule.
     max_outer : int
         Iteration budget, shared by the rho schedule and the Newton steps
         after it: those take only the steps the schedule leaves unused.
@@ -136,19 +119,26 @@ class FitConfig:
 
     rho0: float = 0.1
     rho_growth: float = 1.2
-    rho_max: float = math.inf
     tol: float = 1e-6
     max_outer: int = 500
     max_halvings: int = 32
     ridge_delta: float = 0.0
 
     def __post_init__(self):
+        for name in ("rho0", "rho_growth", "tol", "ridge_delta"):
+            value = getattr(self, name)
+            if not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value}")
+        for name in ("max_outer", "max_halvings"):
+            value = getattr(self, name)
+            try:
+                operator.index(value)
+            except TypeError:
+                raise ValueError(f"{name} must be an integer, got {value!r}") from None
         if not self.rho0 > 0:
             raise ValueError(f"rho0 must be positive, got {self.rho0}")
         if not self.rho_growth > 1:
             raise ValueError(f"rho_growth must exceed 1, got {self.rho_growth}")
-        if not self.rho_max > 0:
-            raise ValueError(f"rho_max must be positive, got {self.rho_max}")
         if not self.tol > 0:
             raise ValueError(f"tol must be positive, got {self.tol}")
         if self.max_outer < 1:
@@ -170,15 +160,14 @@ class FitResult:
     ``sigma_hat`` is the final iterate, positive definite by
     construction.  ``support`` marks the exact nonzero pattern of its
     projection onto the constraint set; ``final_penalty`` is the squared
-    distance between the two at exit.  After the default finish at
-    rho = inf, ``sigma_hat`` lies on the set: ``support`` is its own
-    nonzero pattern and ``final_penalty`` is 0.  ``objective_trace``
-    holds one penalized objective per iteration, at ``rho_trace``'s
-    weight; its last entry is the objective at ``sigma_hat``.  The
-    Newton steps after the schedule repeat its last rho.  ``converged``
-    means those steps stopped on their gradient test or their round-off
-    stop under the default infinite ``rho_max``, and that the schedule
-    stopped on ``tol`` under a finite one.
+    distance between the two at exit.  Unless the schedule takes the
+    whole ``max_outer`` budget, ``sigma_hat`` lies on the set: ``support``
+    is its own nonzero pattern and ``final_penalty`` is 0.
+    ``objective_trace`` holds one penalized objective per iteration, at
+    ``rho_trace``'s weight; its last entry is the objective at
+    ``sigma_hat``.  The Newton steps after the schedule repeat its last
+    rho.  ``converged`` means those steps stopped on their gradient test
+    or their round-off stop.
     """
 
     sigma_hat: np.ndarray
@@ -351,49 +340,30 @@ def _step(
 
 
 class _Hessian:
-    """Hessian of ``h_rho`` at an iterate with the support held fixed.
+    """Hessian of the loss over the free entries at an iterate.
 
-    ``H[V] = -A V A + A V M + M V A + rho * V`` on the penalized entries,
-    with ``A = Sigma^{-1}`` and ``M = A S A``: the first three terms are
-    the second derivatives of ``ln det Sigma`` and ``tr(Sigma^{-1} S)``,
-    and they equal ``A V N + N V A`` with ``N = M - A/2``.  The penalized
-    entries are those the projection sets to zero, plus the diagonal in
-    correlation mode, where the projection pins it to one.
+    ``H[V] = free o (-A V A + A V M + M V A)`` for ``V`` zero off the
+    ``free`` mask, with ``A = Sigma^{-1}`` and ``M = A S A``: the three
+    terms are the second derivatives of ``ln det Sigma`` and
+    ``tr(Sigma^{-1} S)``, and they equal ``A V N + N V A`` with
+    ``N = M - A/2``.
 
-    Applied matrix-free as ``H[V] = Y + Y^T + rho * (penalized o V)`` with
-    ``Y = (A V) N`` and ``N`` symmetrized, so a product costs two GEMMs;
-    ``Y + Y^T`` and the mask keep it exactly symmetric.  A product is
-    written to one of two buffers kept between products, so it is valid
-    only until the next product.
-
-    With a boolean ``free`` mask (and ``rho = 0``) it is the Hessian of the
-    loss restricted to the free entries, ``H[V] = free o (Y + Y^T)`` for
-    ``V`` zero off them; :meth:`diagonal` then reads one off them, where
-    the preconditioner meets only zeros.
+    Applied matrix-free as ``H[V] = free o (Y + Y^T)`` with ``Y = (A V) N``
+    and ``N`` symmetrized, so a product costs two GEMMs; ``Y + Y^T`` and
+    the mask keep it exactly symmetric.  A product is written to one of
+    two buffers kept between products, so it is valid only until the next
+    product.
     """
 
-    __slots__ = ("A", "N", "penalized", "rho", "free", "_out", "_tmp")
+    __slots__ = ("A", "N", "free", "_out", "_tmp")
 
-    def __init__(
-        self,
-        it: _Iterate,
-        S: np.ndarray,
-        c: SparsityConstraint,
-        rho: float,
-        free: np.ndarray | None = None,
-    ):
+    def __init__(self, it: _Iterate, S: np.ndarray, free: np.ndarray):
         M = it.asa(S)
         N = M + M.T  # the triple product drifts by O(eps)
         N -= it.inv
         N /= 2.0
-        self.penalized = None
-        if rho:
-            self.penalized = it.proj == 0.0
-            if c.mode == "correlation":
-                np.fill_diagonal(self.penalized, True)
         self.A = it.inv
         self.N = N
-        self.rho = rho
         self.free = free
         self._out = np.empty_like(N)
         self._tmp = np.empty_like(N)
@@ -404,21 +374,17 @@ class _Hessian:
         np.matmul(self.A, V, out=out)
         np.matmul(out, self.N, out=tmp)  # Y
         np.add(tmp, tmp.T, out=out)
-        if self.free is not None:
-            out *= self.free
-        if self.rho:
-            np.multiply(self.penalized, V, out=tmp)
-            tmp *= self.rho
-            out += tmp
+        out *= self.free
         return out
 
     def diagonal(self) -> np.ndarray:
         """``<E_ij, H[E_ij]> / <E_ij, E_ij>`` for the symmetric unit matrices
-        ``E_ij = e_i e_j^T + e_j e_i^T``, as a symmetric matrix.
+        ``E_ij = e_i e_j^T + e_j e_i^T``, as a symmetric matrix, and one off
+        the free entries, where the preconditioner meets only zeros.
 
-        Off the diagonal that is ``A_ii N_jj + A_jj N_ii + 2 A_ij N_ij``,
-        on it half that, plus ``rho`` where the entry is penalized.  The
-        outer products are summed as ``T + T^T`` so that the result is
+        On a free entry off the diagonal that is
+        ``A_ii N_jj + A_jj N_ii + 2 A_ij N_ij``, on the diagonal half that.
+        The outer products are summed as ``T + T^T`` so that the result is
         exactly symmetric.
         """
         T = np.outer(np.diag(self.A), np.diag(self.N))
@@ -427,26 +393,16 @@ class _Hessian:
         T *= 2.0
         diag += T
         np.fill_diagonal(diag, diag.diagonal() / 2.0)
-        if self.rho:
-            np.add(diag, self.rho, out=diag, where=self.penalized)
-        if self.free is not None:
-            diag[~self.free] = 1.0
+        diag[~self.free] = 1.0
         return diag
 
 
 def _newton_direction(
-    it: _Iterate,
-    S: np.ndarray,
-    c: SparsityConstraint,
-    rho: float,
-    G: np.ndarray,
-    free: np.ndarray | None = None,
+    it: _Iterate, S: np.ndarray, G: np.ndarray, free: np.ndarray
 ) -> tuple[np.ndarray, int]:
-    """Truncated Newton direction for ``h_rho`` at ``it``, ``G`` its gradient;
-    returns (direction, Hessian products).
-
-    With a ``free`` mask, ``rho`` must be 0 and ``G`` zero off the mask: the
-    direction is then one for the loss over the free entries, zero off them.
+    """Truncated Newton direction for the loss over the ``free`` entries at
+    ``it``, ``G`` its gradient there and zero off them; returns (direction,
+    Hessian products).  The direction is zero off the free entries.
 
     Preconditioned conjugate gradients on ``H[D] = -G`` in the Frobenius
     inner product (Nocedal & Wright, Algorithms 5.3 and 7.1), stopped
@@ -460,7 +416,7 @@ def _newton_direction(
     caps the iterations.  Every buffer is updated elementwise from exactly
     symmetric operands, so the direction is exactly symmetric.
     """
-    hess = _Hessian(it, S, c, rho, free)
+    hess = _Hessian(it, S, free)
     scale = hess.diagonal()  # the preconditioner, inverted in place
     if not np.all(scale > 0.0):
         scale.fill(1.0)
@@ -568,23 +524,20 @@ def fit(
     Starts from ``Diag(S)`` (starting from S itself provokes heavy
     backtracking), runs MM steps while growing rho geometrically, and
     stops the schedule when the relative objective change falls to
-    ``cfg.tol``, when the iteration budget runs out, or, with the default
-    infinite ``cfg.rho_max``, once the support of the projection
-    ``P(Sigma)`` has held for ``LOCK_STEPS`` consecutive steps.  A step
-    rejected by backtracking leaves the iterate in place; the schedule
-    still advances, so the run terminates once rho saturates and the
-    objective freezes.
+    ``cfg.tol``, when the iteration budget runs out, or once the support
+    of the projection ``P(Sigma)`` has held for ``LOCK_STEPS``
+    consecutive steps.  A step rejected by backtracking leaves the
+    iterate in place; the schedule still advances, so the run terminates
+    once rho saturates and the objective freezes.
 
-    Truncated Newton steps then take what is left of the budget.  By
-    default they finish at rho = inf: from ``P(Sigma)``, or from
-    ``Diag(S)`` (``I`` in correlation mode) when that is not positive
-    definite, they minimize the loss over the schedule's last support
-    and the covariance diagonal, so the estimate is exactly sparse.  With
-    a finite ``cfg.rho_max`` they minimize the penalized objective at the
-    final rho instead.  Either way they stop once the gradient over the
-    entries they move is small relative to ``Sigma^{-1}``, or once a
-    direction's model decrease is at the round-off level of the
-    objective; step halving also stops at that level.
+    Truncated Newton steps then take what is left of the budget and
+    finish at rho = inf: from ``P(Sigma)``, or from ``Diag(S)`` (``I`` in
+    correlation mode) when that is not positive definite, they minimize
+    the loss over the schedule's last support and the covariance
+    diagonal, so the estimate is exactly sparse.  They stop once the
+    gradient over the entries they move is small relative to
+    ``Sigma^{-1}``, or once a direction's model decrease is at the
+    round-off level of the loss; step halving also stops at that level.
 
     Parameters
     ----------
@@ -626,7 +579,6 @@ def fit(
     objective_trace: list[float] = []
     rho_trace: list[float] = []
     total_halvings = 0
-    converged = False
     h_prev: float | None = None
 
     def record(prev, nxt, rho, halvings, accepted, cg_products=0):
@@ -648,7 +600,6 @@ def fit(
             )
         return h
 
-    finish = math.isinf(cfg.rho_max)
     support: np.ndarray | None = None
     held = 0  # consecutive steps that kept the support of P(Sigma)
     for _ in range(cfg.max_outer):
@@ -659,77 +610,63 @@ def fit(
         h = record(it, it_next, rho, halvings, accepted)
         it = it_next
         total_halvings += halvings
-        if finish:
-            step_support = it.proj != 0.0
-            kept = support is not None and np.array_equal(step_support, support)
-            held = held + 1 if kept else 0
-            support = step_support
+        step_support = it.proj != 0.0
+        kept = support is not None and np.array_equal(step_support, support)
+        held = held + 1 if kept else 0
+        support = step_support
         if h_prev is not None:
             rel_change = abs(h - h_prev) / max(abs(h_prev), 1e-12)
             if rel_change <= cfg.tol:
-                converged = True
                 break
         h_prev = h
         if held == LOCK_STEPS:
             break
-        rho = min(rho * cfg.rho_growth, cfg.rho_max, RHO_CEIL)
+        rho = min(rho * cfg.rho_growth, RHO_CEIL)
 
-    # Newton steps with the budget the schedule left.  With a finite
-    # rho_max they refine at the final rho: one step per rho level leaves
-    # the iterate short of stationarity, and the anchored majorizer slows
-    # the coordinates the penalty never touches by a factor of rho.  With
-    # the default infinite rho_max they finish at rho = inf instead: the
-    # loss over the free entries, the support of P(Sigma) plus the
-    # covariance diagonal, from a start on the sparsity set.  Either way
-    # the trace repeats the schedule's last rho, at which a point on the
-    # set scores its loss.
+    # The finish at rho = inf, with the budget the schedule left: Newton
+    # steps on the loss over the free entries, the support of P(Sigma) plus
+    # the covariance diagonal, from a start on the sparsity set.  The trace
+    # repeats the schedule's last rho, at which a point on the set scores
+    # its loss.
     rho = rho_trace[-1]
-    newton_rho, free = rho, None
+    free = support  # of the schedule's last iterate
+    if c.mode == "correlation":
+        np.fill_diagonal(free, False)
     schedule_steps = len(objective_trace)
-    moved = False
-    if finish:
-        converged = False
-        newton_rho = 0.0
-        free = support  # of the schedule's last iterate
-        if c.mode == "correlation":
-            np.fill_diagonal(free, False)
-        moved = it.dist2 > 0.0 and schedule_steps < cfg.max_outer
-        if moved:
-            it_next = None  # the schedule's iterate goes with the switch
-            it = _finish_start(it, S, c)
-    stopped = False
+    moved = it.dist2 > 0.0 and schedule_steps < cfg.max_outer
+    if moved:
+        it_next = None  # the schedule's iterate goes with the switch
+        it = _finish_start(it, S, c)
+    converged = False
     for _ in range(cfg.max_outer - schedule_steps):
-        G = it.gradient(S, newton_rho)
-        if free is not None:
-            G *= free
+        G = it.gradient(S, 0.0)
+        G *= free
         if np.linalg.norm(G) <= STATIONARITY_RTOL * np.linalg.norm(it.inv):
-            stopped = True
+            converged = True
             break
-        direction, products = _newton_direction(it, S, c, newton_rho, G, free)
+        direction, products = _newton_direction(it, S, G, free)
         # a model decrease at round-off level is one no line search can
         # certify, so the iterate is as stationary as the arithmetic allows;
         # each halving halves the decrease, so the search stops where it
         # reaches that level too
         decrease = -float(np.vdot(direction, G))
-        floor = DECREASE_RTOL * abs(it.objective(newton_rho))
+        floor = DECREASE_RTOL * abs(it.loss)
         if decrease <= floor:
-            stopped = True
+            converged = True
             break
         max_halvings = cfg.max_halvings
         if floor > 0.0:
             max_halvings = min(max_halvings, int(math.log2(decrease / floor)))
-        it_next, halvings = _line_search(it, direction, S, c, newton_rho, max_halvings)
+        it_next, halvings = _line_search(it, direction, S, c, 0.0, max_halvings)
         if it_next is None:
             break
         record(it, it_next, rho, halvings, True, products)
         it = it_next
         total_halvings += halvings
-    if finish:
-        converged = stopped
-        if moved and len(objective_trace) == schedule_steps:
-            # the finish took no step from its start: one entry records
-            # the start, so that the trace still ends at the estimate
-            record(it, it, rho, 0, False)
+    if moved and len(objective_trace) == schedule_steps:
+        # the finish took no step from its start: one entry records the
+        # start, so that the trace still ends at the estimate
+        record(it, it, rho, 0, False)
 
     return FitResult(
         sigma_hat=it.sigma,

@@ -258,11 +258,15 @@ def test_bench_rejects_zero_reps(tmp_path, monkeypatch):
     assert not (out / "bench.csv").exists()
 
 
-def test_rejected_command_creates_no_output_directory(tmp_path):
+def test_rejected_command_creates_no_output_directory(sim_dir, tmp_path):
     out = tmp_path / "od" / "x"
     assert main(["bench", "--p-list", "10", "--n", "50", "--reps", "0", "--out-dir", str(out)]) == 2
     missing = str(tmp_path / "nope.csv")
     assert main(["estimate", "--input", missing, "--k", "1", "--out", str(out)]) == 2
+    data = str(sim_dir / "data.csv")
+    for flag, value in (("--ridge", "nan"), ("--rho0", "inf")):
+        argv = ["estimate", "--input", data, "--k", "1", flag, value, "--out", str(out)]
+        assert main(argv) == 2
     assert not (tmp_path / "od").exists()
 
 

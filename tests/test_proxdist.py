@@ -20,11 +20,18 @@ def test_config_validation():
     for kwargs in (
         {"rho0": 0.0},
         {"rho_growth": 1.0},
-        {"rho_max": 0.0},
+        {"rho0": math.inf},
+        {"rho0": math.nan},
+        {"rho_growth": math.inf},
         {"tol": 0.0},
+        {"tol": math.nan},
         {"max_outer": 0},
+        {"max_outer": 2.5},
         {"max_halvings": -1},
+        {"max_halvings": 1.0},
         {"ridge_delta": -1e-3},
+        {"ridge_delta": math.inf},
+        {"ridge_delta": math.nan},
     ):
         with pytest.raises(ValueError):
             sc.FitConfig(**kwargs)
@@ -283,18 +290,6 @@ def _bench_instance():
     return sc.sample_covariance(data), sc.SparsityConstraint(398)
 
 
-def test_fit_ends_stationary_on_bench_instance():
-    # with a finite rho_max the refinement must reach a stationary point of
-    # the penalized objective, support pairs included
-    S, c = _bench_instance()
-    result = sc.fit(S, c, sc.FitConfig(rho_max=RHO_CEIL))
-    Sigma = result.sigma_hat
-    A = np.linalg.inv(Sigma)
-    S_used = S + result.ridge_delta * np.eye(S.shape[0])
-    G = A - A @ S_used @ A + result.rho_trace[-1] * (Sigma - sc.project(Sigma, c))
-    assert np.linalg.norm(G) / np.linalg.norm(A) <= STATIONARITY_RTOL
-
-
 def _assert_finished_on_support(result, S, k, mode="covariance"):
     # exactly on the sparse set, and stationary for the loss over the
     # support, the diagonal included in covariance mode
@@ -348,8 +343,8 @@ def test_finish_starts_from_the_diagonal_when_the_projection_is_not_pd(monkeypat
 
 
 def test_newton_operator_matches_fd_of_gradient():
-    # the refinement's Hessian product against central differences of the
-    # penalized gradient with the support held at the base point's
+    # the finish's Hessian product, the loss alone on the entries P keeps,
+    # against central differences of the loss gradient on those entries
     rng = np.random.default_rng(3)
     h = 1e-6
     p = 4
@@ -361,29 +356,22 @@ def test_newton_operator_matches_fd_of_gradient():
             B = rng.standard_normal((p, p))
             S = B @ B.T + p * np.eye(p)
             c = sc.SparsityConstraint(int(rng.integers(0, p * (p - 1) // 2 + 1)), mode)
-            rho = float(rng.uniform(0.5, 5.0))
-            P = sc.project(Sigma, c)
-            penalized = P == 0.0
+            free = sc.project(Sigma, c) != 0.0
             if mode == "correlation":
-                np.fill_diagonal(penalized, True)
+                np.fill_diagonal(free, False)
 
-            def grad(X, weight=rho):
+            def grad(X):
                 A = np.linalg.inv(X)
-                return A - A @ S @ A + weight * np.where(penalized, X - P, 0.0)
+                return A - A @ S @ A
 
             it = proxdist._Iterate(Sigma, S, c)
-            hess = proxdist._Hessian(it, S, c, rho)
-            # the finish's operator: the loss alone, on the entries P keeps
-            free = ~penalized
-            restricted = proxdist._Hessian(it, S, c, 0.0, free)
+            hess = proxdist._Hessian(it, S, free)
             for _ in range(3):
                 V = rng.standard_normal((p, p))
                 V = (V + V.T) / 2.0
-                fd = (grad(Sigma + h * V) - grad(Sigma - h * V)) / (2 * h)
-                assert np.max(np.abs(hess(V) - fd)) <= 1e-5
                 V *= free
-                fd = (grad(Sigma + h * V, 0.0) - grad(Sigma - h * V, 0.0)) / (2 * h)
-                assert np.max(np.abs(restricted(V) - free * fd)) <= 1e-5
+                fd = (grad(Sigma + h * V) - grad(Sigma - h * V)) / (2 * h)
+                assert np.max(np.abs(hess(V) - free * fd)) <= 1e-5
 
 
 def _random_iterate(rng, p, mode):
@@ -400,28 +388,23 @@ def _random_iterate(rng, p, mode):
 @pytest.mark.parametrize("mode", ["covariance", "correlation"])
 def test_hessian_diagonal_is_the_product_on_unit_matrices(mode):
     # the Jacobi preconditioner: <E_ij, H[E_ij]> / <E_ij, E_ij> for the
-    # symmetric unit matrices, read through the product itself; with a
-    # free mask (rho = 0) the same on the free entries and one off them
+    # symmetric unit matrices on the free entries, read through the product
+    # itself, and one off them
     rng = np.random.default_rng(5)
     p = 5
     for _ in range(5):
         it, S, c = _random_iterate(rng, p, mode)
         free = rng.random((p, p)) < 0.5
         free = free | free.T
-        for hess in (
-            proxdist._Hessian(it, S, c, float(rng.uniform(0.5, 5.0))),
-            proxdist._Hessian(it, S, c, 0.0, free),
-        ):
-            diag = hess.diagonal()
-            assert np.array_equal(diag, diag.T)
-            for i in range(p):
-                for j in range(i, p):
-                    E = np.zeros((p, p))
-                    E[i, j] = E[j, i] = 1.0
-                    expected = np.vdot(E, hess(E)) / np.vdot(E, E)
-                    if hess.free is not None and not free[i, j]:
-                        expected = 1.0
-                    assert diag[i, j] == pytest.approx(expected, rel=1e-12)
+        hess = proxdist._Hessian(it, S, free)
+        diag = hess.diagonal()
+        assert np.array_equal(diag, diag.T)
+        for i in range(p):
+            for j in range(i, p):
+                E = np.zeros((p, p))
+                E[i, j] = E[j, i] = 1.0
+                expected = np.vdot(E, hess(E)) / np.vdot(E, E) if free[i, j] else 1.0
+                assert diag[i, j] == pytest.approx(expected, rel=1e-12)
 
 
 def test_newton_direction_without_a_positive_diagonal():
@@ -431,19 +414,21 @@ def test_newton_direction_without_a_positive_diagonal():
     # direction rather than dividing by zero
     c = sc.SparsityConstraint(0)
     S = 0.5 * np.eye(3)
+    free = np.eye(3, dtype=bool)
     it = proxdist._Iterate(np.eye(3), S, c)
-    assert not np.all(proxdist._Hessian(it, S, c, 1.0).diagonal() > 0.0)
-    G = it.gradient(S, 1.0)
-    D, products = proxdist._newton_direction(it, S, c, 1.0, G)
+    assert not np.all(proxdist._Hessian(it, S, free).diagonal() > 0.0)
+    G = it.gradient(S, 0.0) * free
+    D, products = proxdist._newton_direction(it, S, G, free)
     assert np.array_equal(D, -G)
     assert products == 1
 
 
 @pytest.mark.parametrize("mode", ["covariance", "correlation"])
-def test_refinement_directions_are_symmetric_descent_directions(monkeypatch, mode):
-    # every preconditioned CG direction meets the unit-free forcing
-    # tolerance of truncated Newton and descends, and directions and
-    # iterates stay exactly symmetric, so no asymmetry builds up at large rho
+def test_finish_directions_stay_on_the_support(monkeypatch, mode):
+    # each finish direction is zero off the free entries, exactly symmetric
+    # and a descent direction, meets the unit-free forcing tolerance of
+    # truncated Newton on the free entries within CG's iteration cap, and
+    # the iterates stay exactly symmetric
     S = _sample_problem(20, 100, 11)
     if mode == "correlation":
         d = np.sqrt(np.diag(S))
@@ -453,64 +438,32 @@ def test_refinement_directions_are_symmetric_descent_directions(monkeypatch, mod
     directions = []
     newton = proxdist._newton_direction
 
-    def recorded(it, S_used, c, rho, G, free):
-        D, products = newton(it, S_used, c, rho, G, free)
-        directions.append((it, S_used, rho, G, D, products))
+    def recorded(it, S_used, G, free):
+        D, products = newton(it, S_used, G, free)
+        directions.append((it, S_used, G, free.copy(), D, products))
         return D, products
 
     monkeypatch.setattr(proxdist, "_newton_direction", recorded)
     events = []
-    sc.fit(S, c, sc.FitConfig(rho_max=RHO_CEIL), callback=events.append)
-    assert len(directions) >= 3
-    for it, S_used, rho, G, D, products in directions:
+    result = sc.fit(S, c, callback=events.append)
+    assert len(directions) >= 2
+    for it, S_used, G, free, D, products in directions:
+        assert np.array_equal(free, free.T)
+        assert np.all(D[~free] == 0.0) and np.all(G[~free] == 0.0)
         assert np.array_equal(D, D.T)
         assert np.vdot(D, G) < 0.0
         g = np.linalg.norm(G)
-        residual = proxdist._Hessian(it, S_used, c, rho)(D) + G
+        residual = proxdist._Hessian(it, S_used, free)(D) + G
         forcing = min(0.5, math.sqrt(g / np.linalg.norm(it.inv))) * g
         assert np.linalg.norm(residual) <= 1.001 * forcing
         assert 1 <= products <= 20 * 21 // 2
     for ev in events:
         assert np.array_equal(ev["sigma"], ev["sigma"].T)
     # a direction the round-off stop or an exhausted backtrack ends the
-    # refinement on is the one not recorded
-    refinement = [ev["cg_products"] for ev in events if ev["cg_products"]]
-    assert len(directions) - 1 <= len(refinement) <= len(directions)
-    assert refinement == [d[-1] for d in directions[: len(refinement)]]
-
-
-@pytest.mark.parametrize("mode", ["covariance", "correlation"])
-def test_finish_directions_stay_on_the_support(monkeypatch, mode):
-    # the default finish: each direction is zero off the free entries,
-    # exactly symmetric and a descent direction, and meets the unit-free
-    # forcing tolerance on the free entries
-    S = _sample_problem(20, 100, 11)
-    if mode == "correlation":
-        d = np.sqrt(np.diag(S))
-        S = S / np.outer(d, d)
-        np.fill_diagonal(S, 1.0)
-    c = sc.SparsityConstraint(12, mode)
-    directions = []
-    newton = proxdist._newton_direction
-
-    def recorded(it, S_used, c, rho, G, free):
-        D, products = newton(it, S_used, c, rho, G, free)
-        directions.append((it, S_used, rho, G, free.copy(), D))
-        return D, products
-
-    monkeypatch.setattr(proxdist, "_newton_direction", recorded)
-    result = sc.fit(S, c)
-    assert len(directions) >= 2
-    for it, S_used, rho, G, free, D in directions:
-        assert rho == 0.0
-        assert np.array_equal(free, free.T)
-        assert np.all(D[~free] == 0.0) and np.all(G[~free] == 0.0)
-        assert np.array_equal(D, D.T)
-        assert np.vdot(D, G) < 0.0
-        g = np.linalg.norm(G)
-        residual = free * proxdist._Hessian(it, S_used, c, 0.0, free)(D) + G
-        forcing = min(0.5, math.sqrt(g / np.linalg.norm(it.inv))) * g
-        assert np.linalg.norm(residual) <= 1.001 * forcing
+    # finish on is the one not recorded
+    finish = [ev["cg_products"] for ev in events if ev["cg_products"]]
+    assert len(directions) - 1 <= len(finish) <= len(directions)
+    assert finish == [d[-1] for d in directions[: len(finish)]]
     if mode == "correlation":
         assert np.all(np.diag(result.sigma_hat) == 1.0)
     _assert_finished_on_support(result, S, 12, mode)
@@ -524,9 +477,9 @@ def test_finish_that_takes_no_step_records_its_start(monkeypatch):
     c = sc.SparsityConstraint(12)
     newton = proxdist._newton_direction
 
-    def scaled(it, S_used, c, rho, G, free):
-        D, products = newton(it, S_used, c, rho, G, free)
-        bound = proxdist.DECREASE_RTOL * abs(it.objective(rho))
+    def scaled(it, S_used, G, free):
+        D, products = newton(it, S_used, G, free)
+        bound = proxdist.DECREASE_RTOL * abs(it.loss)
         return D * (0.5 * bound / -np.vdot(D, G)), products
 
     monkeypatch.setattr(proxdist, "_newton_direction", scaled)
@@ -546,16 +499,16 @@ def test_finish_that_takes_no_step_records_its_start(monkeypatch):
 @pytest.mark.parametrize("factor", [0.5, 4.0])
 def test_refinement_stops_on_a_roundoff_model_decrease(monkeypatch, factor):
     # directions scaled so that the model decrease -<D, G> is `factor` times
-    # the round-off bound: below the bound the refinement ends before any
+    # the round-off bound: below the bound the finish ends before any
     # line search, above it the line search runs, but halves the step only
     # while the halved decrease stays above the bound
     S = _sample_problem(20, 100, 11)
     c = sc.SparsityConstraint(12)
     newton = proxdist._newton_direction
 
-    def scaled(it, S_used, c, rho, G, free):
-        D, products = newton(it, S_used, c, rho, G, free)
-        bound = proxdist.DECREASE_RTOL * abs(it.objective(rho))
+    def scaled(it, S_used, G, free):
+        D, products = newton(it, S_used, G, free)
+        bound = proxdist.DECREASE_RTOL * abs(it.loss)
         return D * (factor * bound / -np.vdot(D, G)), products
 
     factorizations = []
@@ -568,12 +521,17 @@ def test_refinement_stops_on_a_roundoff_model_decrease(monkeypatch, factor):
     monkeypatch.setattr(proxdist, "_newton_direction", scaled)
     monkeypatch.setattr(proxdist, "cholesky_pd", counted_cholesky)
     events = []
-    sc.fit(S, c, sc.FitConfig(rho_max=RHO_CEIL), callback=events.append)
+    sc.fit(S, c, callback=events.append)
+    rhos = [ev["rho"] for ev in events]
+    schedule = next(i for i in range(1, len(rhos)) if rhos[i] == rhos[i - 1])
     candidates = sum(
         ev["halvings"] + 1 if ev["accepted"] else sc.FitConfig().max_halvings + 1
-        for ev in events
+        for ev in events[:schedule]
     )
-    searched = len(factorizations) - 1 - candidates  # by unrecorded line searches
+    # a finish entry not accepted records its start and searched nothing
+    candidates += sum(ev["halvings"] + 1 for ev in events[schedule:] if ev["accepted"])
+    # one more each for the diagonal start and the finish's start
+    searched = len(factorizations) - 2 - candidates  # by unrecorded line searches
     if factor < 1.0:
         assert searched == 0
         assert all(ev["cg_products"] == 0 for ev in events)
@@ -582,15 +540,15 @@ def test_refinement_stops_on_a_roundoff_model_decrease(monkeypatch, factor):
         assert all(ev["halvings"] <= 2 for ev in events if ev["cg_products"])
 
 
-def test_fit_rho_max_caps_schedule():
+def test_fast_schedule_stops_at_the_overflow_guard():
+    # a growth factor that would overflow rho in two steps: the schedule
+    # holds rho at RHO_CEIL and the finish still lands on the sparse set
     S = _sample_problem(5, 50, 8)
-    result = sc.fit(S, sc.SparsityConstraint(2), sc.FitConfig(rho_max=10.0))
-    assert max(result.rho_trace) <= 10.0
-
-
-def test_default_schedule_unbounded_below_overflow_guard():
-    assert sc.FitConfig().rho_max == math.inf
-    assert RHO_CEIL < math.inf
+    result = sc.fit(S, sc.SparsityConstraint(2), sc.FitConfig(rho_growth=1e200))
+    assert max(result.rho_trace) == RHO_CEIL
+    assert all(math.isfinite(rho) for rho in result.rho_trace)
+    assert sc.is_positive_definite(result.sigma_hat)
+    assert result.final_penalty == 0.0
 
 
 def test_auto_ridge_fires_only_when_rank_deficient():
