@@ -424,11 +424,11 @@ def test_newton_direction_without_a_positive_diagonal():
 
 
 @pytest.mark.parametrize("mode", ["covariance", "correlation"])
-def test_finish_directions_stay_on_the_support(monkeypatch, mode):
-    # each finish direction is zero off the free entries, exactly symmetric
-    # and a descent direction, meets the unit-free forcing tolerance of
-    # truncated Newton on the free entries within CG's iteration cap, and
-    # the iterates stay exactly symmetric
+def test_refinement_directions_are_symmetric_descent_directions(monkeypatch, mode):
+    # every preconditioned CG direction of the finish meets the unit-free
+    # forcing tolerance of truncated Newton on the free entries within CG's
+    # iteration cap and descends, and directions and iterates stay exactly
+    # symmetric
     S = _sample_problem(20, 100, 11)
     if mode == "correlation":
         d = np.sqrt(np.diag(S))
@@ -445,11 +445,9 @@ def test_finish_directions_stay_on_the_support(monkeypatch, mode):
 
     monkeypatch.setattr(proxdist, "_newton_direction", recorded)
     events = []
-    result = sc.fit(S, c, callback=events.append)
+    sc.fit(S, c, callback=events.append)
     assert len(directions) >= 2
     for it, S_used, G, free, D, products in directions:
-        assert np.array_equal(free, free.T)
-        assert np.all(D[~free] == 0.0) and np.all(G[~free] == 0.0)
         assert np.array_equal(D, D.T)
         assert np.vdot(D, G) < 0.0
         g = np.linalg.norm(G)
@@ -464,6 +462,32 @@ def test_finish_directions_stay_on_the_support(monkeypatch, mode):
     finish = [ev["cg_products"] for ev in events if ev["cg_products"]]
     assert len(directions) - 1 <= len(finish) <= len(directions)
     assert finish == [d[-1] for d in directions[: len(finish)]]
+
+
+@pytest.mark.parametrize("mode", ["covariance", "correlation"])
+def test_finish_directions_stay_on_the_support(monkeypatch, mode):
+    # each finish direction and its gradient are zero off the free entries,
+    # whose mask is symmetric, and the fit ends exactly on the support
+    S = _sample_problem(20, 100, 11)
+    if mode == "correlation":
+        d = np.sqrt(np.diag(S))
+        S = S / np.outer(d, d)
+        np.fill_diagonal(S, 1.0)
+    c = sc.SparsityConstraint(12, mode)
+    directions = []
+    newton = proxdist._newton_direction
+
+    def recorded(it, S_used, G, free):
+        D, products = newton(it, S_used, G, free)
+        directions.append((G, free.copy(), D))
+        return D, products
+
+    monkeypatch.setattr(proxdist, "_newton_direction", recorded)
+    result = sc.fit(S, c)
+    assert len(directions) >= 2
+    for G, free, D in directions:
+        assert np.array_equal(free, free.T)
+        assert np.all(D[~free] == 0.0) and np.all(G[~free] == 0.0)
     if mode == "correlation":
         assert np.all(np.diag(result.sigma_hat) == 1.0)
     _assert_finished_on_support(result, S, 12, mode)
