@@ -33,7 +33,7 @@ from .matcore import (
     save_matrix_csv,
 )
 from .evaluation import compute_report
-from .proxdist import FitConfig, fit, fit_correlation
+from .proxdist import RHO0, RHO_GROWTH, FitConfig, fit, fit_correlation
 from .sparsity import SparsityConstraint
 from .synthdata import RngStream, SimDesign, make_design, sample_mvn
 from .tuning import LOSSES, METHODS, CvSpec, _estimate, cross_validate, default_grid
@@ -44,6 +44,11 @@ DESIGN_ALIASES = {
     "cliques": "cliques",
     "random": "random_sparse",
 }
+
+# Schedule settings that ``estimate`` manifests carried while the rho
+# schedule took flags, with the only values that the fixed schedule
+# replays.
+RETIRED_SETTINGS = {"rho0": RHO0, "rho_growth": RHO_GROWTH, "tol": 1e-6}
 
 
 def _utc_now() -> str:
@@ -117,11 +122,10 @@ def _load_covariance(params: dict) -> np.ndarray:
 
 
 def _fit_config(params: dict) -> FitConfig:
-    """The fit settings a command's parameters give; ``cv`` takes no schedule
-    flags, so absent ones keep FitConfig's defaults."""
+    """The fit settings a command's parameters give: ``estimate``'s ridge;
+    ``cv`` takes none."""
     ridge = params.get("ridge", "auto")
-    schedule = {key: params[key] for key in ("rho0", "rho_growth", "tol") if key in params}
-    return FitConfig(ridge_delta=0.0 if ridge == "auto" else float(ridge), **schedule)
+    return FitConfig(ridge_delta=0.0 if ridge == "auto" else float(ridge))
 
 
 def _run_estimate(params: dict, out: str) -> None:
@@ -300,6 +304,14 @@ def _run_rerun(manifest_path: str, override_dir: str | None) -> None:
     if command not in COMMANDS:
         raise ValueError(f"manifest names unknown command {command!r}")
     params = manifest["parameters"]
+    # a replay must not drop a setting that changed the fit
+    for key, value in RETIRED_SETTINGS.items():
+        recorded = params.pop(key, value)
+        if recorded != value:
+            raise ValueError(
+                f"manifest sets {key}={recorded!r}, but the rho schedule is "
+                f"fixed and replays only {key}={value!r}"
+            )
     COMMANDS[command](params, override_dir or params["out_dir"])
 
 
@@ -328,9 +340,6 @@ def build_parser() -> argparse.ArgumentParser:
     src.add_argument("--cov", help="sample covariance CSV")
     p_est.add_argument("--k", type=int, required=True)
     p_est.add_argument("--mode", choices=("cov", "corr"), default="cov")
-    p_est.add_argument("--rho0", type=float, default=FitConfig.rho0)
-    p_est.add_argument("--rho-growth", type=float, default=FitConfig.rho_growth)
-    p_est.add_argument("--tol", type=float, default=FitConfig.tol)
     p_est.add_argument("--ridge", default="auto", help='"auto" or a ridge value')
     p_est.add_argument("--out", dest="out_dir", required=True, help="output directory")
 

@@ -14,6 +14,7 @@ the grid triggers a warning rather than any automatic grid extension.
 
 from __future__ import annotations
 
+import operator
 import warnings
 from dataclasses import dataclass
 from typing import NamedTuple, Sequence
@@ -45,8 +46,14 @@ class CvSpec:
         grid = np.asarray(self.grid, dtype=float)
         if grid.ndim != 1 or grid.size == 0:
             raise ValueError("grid must be a nonempty 1-D sequence")
+        if not np.all(np.isfinite(grid)):
+            raise ValueError(f"grid values must be finite, got {grid}")
         if np.any(np.diff(grid) < 0):
             raise ValueError("grid must be ascending")
+        try:
+            operator.index(self.folds)
+        except TypeError:
+            raise ValueError(f"folds must be an integer, got {self.folds!r}") from None
         if self.folds < 2:
             raise ValueError(f"folds must be at least 2, got {self.folds}")
         if self.loss not in LOSSES:

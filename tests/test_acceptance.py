@@ -184,7 +184,7 @@ def test_criterion_09_unconstrained_and_diagonal_limits():
         assert rel <= 1e-3
         # with k = 0 the finish lands on the diagonal support, whose
         # likelihood maximizer is Diag(S) itself
-        diag = sc.fit(S, sc.SparsityConstraint(0), sc.FitConfig(tol=1e-9))
+        diag = sc.fit(S, sc.SparsityConstraint(0))
         assert np.max(np.abs(diag.sigma_hat - np.diag(np.diag(S)))) <= 1e-6
 
 

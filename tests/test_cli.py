@@ -258,15 +258,45 @@ def test_bench_rejects_zero_reps(tmp_path, monkeypatch):
     assert not (out / "bench.csv").exists()
 
 
+def test_rerun_replays_a_manifest_with_the_retired_schedule_settings(sim_dir, tmp_path):
+    # manifests written while the schedule took flags carry their defaults;
+    # a replay drops them and reproduces a fresh estimate byte for byte
+    fresh = tmp_path / "fresh"
+    argv = ["estimate", "--input", str(sim_dir / "data.csv"), "--k", "3", "--out", str(fresh)]
+    assert main(argv) == 0
+    manifest = _read_json(fresh / "manifest.json")
+    manifest["parameters"].update({"rho0": 0.1, "rho_growth": 1.2, "tol": 1e-06})
+    old = tmp_path / "old_manifest.json"
+    old.write_text(json.dumps(manifest, indent=2, sort_keys=True))
+    replay = tmp_path / "replay"
+    assert main(["rerun", str(old), "--out-dir", str(replay)]) == 0
+    names = sorted(path.name for path in fresh.iterdir())
+    assert names == sorted(path.name for path in replay.iterdir())
+    for name in names:
+        ours, theirs = ((d / name).read_bytes().splitlines() for d in (fresh, replay))
+        if name == "manifest.json":
+            ours, theirs = ([ln for ln in lines if b'"timestamp"' not in ln] for lines in (ours, theirs))
+        assert ours == theirs, name
+
+
 def test_rejected_command_creates_no_output_directory(sim_dir, tmp_path):
     out = tmp_path / "od" / "x"
     assert main(["bench", "--p-list", "10", "--n", "50", "--reps", "0", "--out-dir", str(out)]) == 2
     missing = str(tmp_path / "nope.csv")
     assert main(["estimate", "--input", missing, "--k", "1", "--out", str(out)]) == 2
     data = str(sim_dir / "data.csv")
-    for flag, value in (("--ridge", "nan"), ("--rho0", "inf")):
-        argv = ["estimate", "--input", data, "--k", "1", flag, value, "--out", str(out)]
-        assert main(argv) == 2
+    argv = ["estimate", "--input", data, "--k", "1", "--ridge", "nan", "--out", str(out)]
+    assert main(argv) == 2
+    grid = tmp_path / "grid.csv"
+    grid.write_text("0\nnan\n0.2\n")
+    argv = ["cv", "--input", data, "--method", "soft", "--grid-file", str(grid), "--out", str(out)]
+    assert main(argv) == 2
+    # a replay that would drop a schedule setting the fixed schedule lacks
+    manifest = tmp_path / "manifest.json"
+    params = {"input": data, "cov": None, "k": 1, "mode": "cov", "ridge": "auto"}
+    params.update({"out_dir": str(out), "rho0": 0.5, "rho_growth": 1.2, "tol": 1e-06})
+    manifest.write_text(json.dumps({"command": "estimate", "parameters": params}))
+    assert main(["rerun", str(manifest)]) == 2
     assert not (tmp_path / "od").exists()
 
 

@@ -6,7 +6,7 @@ from numpy.testing import assert_allclose
 
 import sparsecov as sc
 from sparsecov import proxdist, sylvester
-from sparsecov.proxdist import RHO_CEIL, STATIONARITY_RTOL
+from sparsecov.proxdist import LOCK_STEPS, RHO0, RHO_CEIL, RHO_GROWTH, STATIONARITY_RTOL
 
 
 def _sample_problem(p, n, seed, frac=0.05):
@@ -18,13 +18,6 @@ def _sample_problem(p, n, seed, frac=0.05):
 
 def test_config_validation():
     for kwargs in (
-        {"rho0": 0.0},
-        {"rho_growth": 1.0},
-        {"rho0": math.inf},
-        {"rho0": math.nan},
-        {"rho_growth": math.inf},
-        {"tol": 0.0},
-        {"tol": math.nan},
         {"max_outer": 0},
         {"max_outer": 2.5},
         {"max_halvings": -1},
@@ -102,9 +95,8 @@ def test_fit_records_a_rejected_schedule_step():
     # the same stationary diagonal: after one accepted step no candidate
     # lowers the objective, so the schedule records a rejected step that
     # keeps the iterate and still grows rho
-    cfg = sc.FitConfig()
     events = []
-    result = sc.fit(np.diag([2.0, 5.0, 1.0]), sc.SparsityConstraint(0), cfg, events.append)
+    result = sc.fit(np.diag([2.0, 5.0, 1.0]), sc.SparsityConstraint(0), callback=events.append)
     rejected = [i for i, ev in enumerate(events) if not ev["accepted"]]
     assert rejected and rejected[0] > 0
     for i in rejected:
@@ -112,7 +104,7 @@ def test_fit_records_a_rejected_schedule_step():
         assert ev["halvings"] == 0
         assert np.array_equal(ev["sigma"], prev["sigma"])
         assert ev["objective"] == ev["objective_before"]
-        assert ev["rho"] == prev["rho"] * cfg.rho_growth
+        assert ev["rho"] == prev["rho"] * RHO_GROWTH
     assert result.total_halvings == sum(ev["halvings"] for ev in events)
     assert result.converged
 
@@ -154,10 +146,10 @@ def test_loss_rejects_shape_mismatch():
 
 
 def test_fit_diagonal_limit():
-    # off-support entries settle at O(1/rho), so a tight tolerance is
-    # needed to let rho run high enough before the change test fires
+    # with k = 0 the finish lands on the diagonal support, whose
+    # likelihood maximizer is Diag(S) itself
     S = _sample_problem(5, 50, 3)
-    result = sc.fit(S, sc.SparsityConstraint(0), sc.FitConfig(tol=1e-9))
+    result = sc.fit(S, sc.SparsityConstraint(0))
     assert result.converged
     assert_allclose(result.sigma_hat, np.diag(np.diag(S)), atol=1e-6)
     assert result.support.sum() == 5
@@ -173,13 +165,12 @@ def test_fit_unconstrained_recovers_sample_covariance():
 
 def test_fit_result_traces_consistent():
     S = _sample_problem(6, 60, 5)
-    cfg = sc.FitConfig()
-    result = sc.fit(S, sc.SparsityConstraint(4), cfg)
+    result = sc.fit(S, sc.SparsityConstraint(4))
     assert result.iterations == len(result.objective_trace)
     assert result.iterations == len(result.rho_trace)
-    assert result.rho_trace[0] == cfg.rho0
+    assert result.rho_trace[0] == RHO0
     ratios = np.array(result.rho_trace[1:]) / np.array(result.rho_trace[:-1])
-    assert np.all(ratios <= cfg.rho_growth + 1e-12)
+    assert np.all(ratios <= RHO_GROWTH + 1e-12)
     assert result.total_halvings >= 0
     # support counts the projected pattern: k pairs at most, plus diagonal
     off = result.support.sum() - S.shape[0]
@@ -564,15 +555,50 @@ def test_refinement_stops_on_a_roundoff_model_decrease(monkeypatch, factor):
         assert all(ev["halvings"] <= 2 for ev in events if ev["cg_products"])
 
 
-def test_fast_schedule_stops_at_the_overflow_guard():
+def test_fast_schedule_stops_at_the_overflow_guard(monkeypatch):
     # a growth factor that would overflow rho in two steps: the schedule
     # holds rho at RHO_CEIL and the finish still lands on the sparse set
+    monkeypatch.setattr(proxdist, "RHO_GROWTH", 1e200)
     S = _sample_problem(5, 50, 8)
-    result = sc.fit(S, sc.SparsityConstraint(2), sc.FitConfig(rho_growth=1e200))
+    result = sc.fit(S, sc.SparsityConstraint(2))
     assert max(result.rho_trace) == RHO_CEIL
     assert all(math.isfinite(rho) for rho in result.rho_trace)
     assert sc.is_positive_definite(result.sigma_hat)
     assert result.final_penalty == 0.0
+
+
+@pytest.mark.parametrize("scale", [1e-3, 1e3])
+def test_schedule_stops_on_the_support_lock_whatever_the_units(scale):
+    # the schedule ends only on the lock or the budget: rescaled data must
+    # not stop it before the support of P(Sigma) has held for LOCK_STEPS
+    design = sc.SimDesign(kind="random_sparse", p=20, sparsity_frac=0.02, seed=2025)
+    data = sc.sample_mvn(sc.make_design(design), 100, sc.RngStream(seed=1, stream_id=1))
+    S = scale * sc.sample_covariance(data)
+    c = sc.SparsityConstraint(40)
+    events = []
+    sc.fit(S, c, callback=events.append)
+    rhos = [ev["rho"] for ev in events]
+    schedule = next((i for i in range(1, len(rhos)) if rhos[i] == rhos[i - 1]), len(rhos))
+    assert schedule >= LOCK_STEPS + 1
+    supports = [sc.project(ev["sigma"], c) != 0.0 for ev in events[:schedule]]
+    assert all(np.array_equal(m, supports[-1]) for m in supports[-(LOCK_STEPS + 1) :])
+
+
+@pytest.mark.parametrize(
+    "p, n, k", [(20, 100, 40), (12, 200, 8), (30, 15, 20), (15, 60, 0), (10, 100, 45)]
+)
+def test_fit_is_permutation_equivariant(p, n, k):
+    # relabelling the variables relabels the estimate and its support
+    seed = p + n + k
+    S = _sample_problem(p, n, seed)
+    perm = np.random.default_rng(seed).permutation(p)
+    back = np.ix_(np.argsort(perm), np.argsort(perm))
+    c = sc.SparsityConstraint(k)
+    result = sc.fit(S, c)
+    permuted = sc.fit(S[np.ix_(perm, perm)], c)
+    assert np.array_equal(permuted.support[back], result.support)
+    diff = np.linalg.norm(permuted.sigma_hat[back] - result.sigma_hat)
+    assert diff <= 1e-6 * np.linalg.norm(result.sigma_hat)
 
 
 def test_auto_ridge_fires_only_when_rank_deficient():

@@ -52,6 +52,11 @@ def test_cv_spec_validation():
         sc.CvSpec(grid=np.array([0.1, 0.3]), folds=1)
     with pytest.raises(ValueError):
         sc.CvSpec(grid=np.array([0.1, 0.3]), loss="mse")
+    for grid in ([0.0, np.nan, 0.2], [0.0, np.inf], [-np.inf, 0.0]):
+        with pytest.raises(ValueError, match="finite"):
+            sc.CvSpec(grid=grid)
+    with pytest.raises(ValueError, match="integer"):
+        sc.CvSpec(grid=np.array([0.1, 0.3]), folds=2.5)
 
 
 def test_cross_validate_proxdist_basic():
