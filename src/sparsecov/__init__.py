@@ -32,12 +32,10 @@ from .sylvester import (
     solve_spectral,
 )
 from .proxdist import (
-    BacktrackExhaustedError,
     FitConfig,
     FitResult,
     fit,
     fit_correlation,
-    mm_step,
     negative_loglik_loss,
     objective,
     surrogate_gradient,
@@ -89,12 +87,10 @@ __all__ = [
     "solve_fixed_point",
     "solve_kronecker",
     "solve_spectral",
-    "BacktrackExhaustedError",
     "FitConfig",
     "FitResult",
     "fit",
     "fit_correlation",
-    "mm_step",
     "negative_loglik_loss",
     "objective",
     "surrogate_gradient",

@@ -133,7 +133,14 @@ def _run_estimate(params: dict, out: str) -> None:
     cfg = _fit_config(params)
     k = params["k"]
     if params["mode"] == "corr":
-        d = np.sqrt(np.diag(S))
+        var = np.diag(S)
+        zero = np.flatnonzero(var <= 0)
+        if zero.size:
+            raise ValueError(
+                "correlation mode needs positive variances; zero-based "
+                f"column(s) {', '.join(map(str, zero))} have no positive variance"
+            )
+        d = np.sqrt(var)
         R = S / np.outer(d, d)
         R[np.diag_indices_from(R)] = 1.0
         result = fit_correlation(R, k, cfg)

@@ -13,8 +13,8 @@ Conventions, stated once here:
 * The Gaussian negative log-likelihood drops the (np/2) ln(2*pi)
   constant; model comparisons at fixed data are unaffected.
 * Information criteria count q = p + (strict-upper support entries) free
-  parameters; EBIC adds 2*gamma*q*ln(p(p+1)/2) with gamma = 0.5 by
-  default.
+  parameters; EBIC adds 2*gamma*q*ln(p(p+1)/2) with gamma = EBIC_GAMMA
+  = 0.5.
 """
 
 from __future__ import annotations
@@ -145,15 +145,13 @@ def _nnz_upper(M: np.ndarray) -> int:
     return int(np.count_nonzero(np.triu(M, 1)))
 
 
-def _criteria(
-    nll: float, p: int, nnz: int, n: int, gamma: float
-) -> tuple[float, float, float]:
+def _criteria(nll: float, p: int, nnz: int, n: int) -> tuple[float, float, float]:
     """AIC, BIC and EBIC of a p-variate estimate with ``nnz`` strict-upper
     nonzeros from its negative log-likelihood ``nll`` on ``n`` samples."""
     q = p + nnz
     aic = 2.0 * nll + 2.0 * q
     bic = 2.0 * nll + q * math.log(n)
-    ebic = bic + 2.0 * gamma * q * math.log(p * (p + 1) / 2)
+    ebic = bic + 2.0 * EBIC_GAMMA * q * math.log(p * (p + 1) / 2)
     return aic, bic, ebic
 
 
@@ -161,8 +159,6 @@ def info_criteria(
     Sigma_hat: np.ndarray,
     S: np.ndarray,
     n: int,
-    gamma: float = EBIC_GAMMA,
-    support_nnz: int | None = None,
 ) -> tuple[float, float, float]:
     """AIC, BIC, and EBIC for a sparse covariance estimate.
 
@@ -171,14 +167,14 @@ def info_criteria(
 
         AIC  = 2 nll + 2 q
         BIC  = 2 nll + q ln n
-        EBIC = BIC + 2 gamma q ln(p(p+1)/2)
+        EBIC = BIC + 2 gamma q ln(p(p+1)/2),  gamma = EBIC_GAMMA
 
-    ``support_nnz`` overrides the nonzero count, for estimates whose
-    sparsity pattern lives in a separate support mask.
+    To count a separate support mask, such as ``FitResult.support``, use
+    :func:`compute_report`.
     """
     Sigma_hat = as_symmetric(Sigma_hat)
-    nnz = _nnz_upper(Sigma_hat) if support_nnz is None else support_nnz
-    return _criteria(gaussian_nll(Sigma_hat, S, n), Sigma_hat.shape[0], nnz, n, gamma)
+    nll = gaussian_nll(Sigma_hat, S, n)
+    return _criteria(nll, Sigma_hat.shape[0], _nnz_upper(Sigma_hat), n)
 
 
 def compute_report(
@@ -187,7 +183,6 @@ def compute_report(
     S: np.ndarray | None = None,
     n: int | None = None,
     tol: float | None = None,
-    gamma: float = EBIC_GAMMA,
     support: np.ndarray | None = None,
 ) -> MetricReport:
     """Assemble the full metric record for one estimate.
@@ -216,7 +211,7 @@ def compute_report(
     if S is not None and n is not None:
         try:
             nll = gaussian_nll(Sigma_hat, S, n)
-            aic, bic, ebic = _criteria(nll, Sigma_hat.shape[0], nnz, n, gamma)
+            aic, bic, ebic = _criteria(nll, Sigma_hat.shape[0], nnz, n)
         except NotPositiveDefiniteError:
             nll = aic = bic = ebic = None
     return MetricReport(

@@ -38,18 +38,7 @@ SYMMETRY_RTOL = 1e-12
 
 
 class NotPositiveDefiniteError(ValueError):
-    """Raised when a matrix required to be positive definite is not.
-
-    Attributes
-    ----------
-    pivot : int or None
-        Zero-based index of the first non-positive Cholesky pivot, when
-        known.
-    """
-
-    def __init__(self, message: str, pivot: int | None = None):
-        super().__init__(message)
-        self.pivot = pivot
+    """Raised when a matrix required to be positive definite is not."""
 
 
 class SpectralDecomposition(NamedTuple):
@@ -98,19 +87,16 @@ def as_symmetric(M) -> np.ndarray:
     return (M + M.T) / 2.0
 
 
-def sample_covariance(data, center: bool = False) -> np.ndarray:
+def sample_covariance(data) -> np.ndarray:
     """Sample covariance ``(1/n) X^T X`` of an n-by-p data matrix.
 
     The divisor is ``n``, and columns are used as given (zero-mean
-    convention). With ``center=True`` the column means are removed first;
-    the divisor remains ``n``.
+    convention).
 
     Parameters
     ----------
     data : array-like, shape (n, p)
         Observations in rows.
-    center : bool
-        Subtract column means before forming the product.
 
     Returns
     -------
@@ -124,8 +110,6 @@ def sample_covariance(data, center: bool = False) -> np.ndarray:
         raise ValueError("data must be a nonempty n-by-p matrix")
     if not np.all(np.isfinite(X)):
         raise ValueError("data contains non-finite entries")
-    if center:
-        X = X - X.mean(axis=0)
     S = X.T @ X / X.shape[0]
     return (S + S.T) / 2.0
 
@@ -146,13 +130,12 @@ def cholesky_pd(M: np.ndarray) -> np.ndarray:
     Raises
     ------
     NotPositiveDefiniteError
-        With the index of the first failing pivot.
+        Naming the zero-based index of the first failing pivot.
     """
     L, info = dpotrf(M, lower=1, clean=1, overwrite_a=0)
     if info > 0:
         raise NotPositiveDefiniteError(
-            f"matrix is not positive definite (pivot {info - 1} failed)",
-            pivot=info - 1,
+            f"matrix is not positive definite (pivot {info - 1} failed)"
         )
     if info < 0:
         raise ValueError(f"invalid input to Cholesky factorization (arg {-info})")

@@ -20,14 +20,18 @@ the schedule stops there, or on the iteration budget, and every fit
 finishes at that limit: truncated Newton steps with the same
 backtracking on the loss over the support, from a start on the sparse
 set, which return an exactly sparse estimate.
+
+:func:`fit` runs that loop and is the only public way to take an MM
+step; :func:`objective`, :func:`surrogate_gradient` and
+:func:`negative_loglik_loss` evaluate what a step reads.  The only
+setting a caller gives is the ridge in :class:`FitConfig`.
 """
 
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, ClassVar
 
 import numpy as np
 
@@ -43,11 +47,9 @@ from .sylvester import _solve
 __all__ = [
     "FitConfig",
     "FitResult",
-    "BacktrackExhaustedError",
     "negative_loglik_loss",
     "objective",
     "surrogate_gradient",
-    "mm_step",
     "fit",
     "fit_correlation",
 ]
@@ -64,7 +66,8 @@ RIDGE_SCALE = 1e-4
 RHO0 = 0.1
 RHO_GROWTH = 1.2
 # Absolute ceiling on rho, below float overflow: RHO_GROWTH^t overflows a
-# float past about 3,900 steps, and a caller may set max_outer that high.
+# float past about 3,900 steps, so the ceiling keeps rho finite should the
+# budget FitConfig.max_outer or the growth ever be raised that far.
 RHO_CEIL = 1e300
 
 # After the schedule exits, Newton steps on the loss over the support run
@@ -86,60 +89,34 @@ DECREASE_RTOL = np.finfo(float).eps / 2.0
 LOCK_STEPS = 5
 
 
-class BacktrackExhaustedError(RuntimeError):
-    """No step size in the halving schedule was accepted.
-
-    Raised by :func:`mm_step` when every candidate
-    ``Sigma_k + 2^{-s} (Sigma_hat - Sigma_k)`` for ``s = 0..max_halvings``
-    fails positive definiteness or strict objective decrease.  :func:`fit`
-    raises nothing there: it records the step as rejected and keeps the
-    iterate, or ends its Newton steps.
-    """
-
-    def __init__(self, message: str, halvings: int):
-        super().__init__(message)
-        self.halvings = halvings
-
-
 @dataclass(frozen=True)
 class FitConfig:
-    """Budgets and ridge for a fit.
+    """The ridge for a fit, and the fit's fixed budgets.
 
     Parameters
     ----------
-    max_outer : int
-        Iteration budget, shared by the rho schedule and the Newton steps
-        after it: those take only the steps the schedule leaves unused.
-    max_halvings : int
-        Largest step-halving exponent tried per iteration.
     ridge_delta : float
         Explicit ridge added to S before fitting.  Zero means automatic:
         a ridge of ``1e-4 * trace(S)/p`` is applied only when
         ``lambda_min(S) < 1e-10 * lambda_max(S)``.
+
+    The budgets are class constants, not fields: ``max_outer`` is the
+    iteration budget, shared by the rho schedule and the Newton steps
+    after it, which take only the steps the schedule leaves unused, and
+    ``max_halvings`` is the largest step-halving exponent tried per
+    iteration.
     """
 
-    max_outer: int = 500
-    max_halvings: int = 32
+    # Constants, readable as cfg.max_outer and cfg.max_halvings because
+    # the benchmark's tracer and its fit_failed check read them there.
+    max_outer: ClassVar[int] = 500
+    max_halvings: ClassVar[int] = 32
     ridge_delta: float = 0.0
 
     def __post_init__(self):
-        if not math.isfinite(self.ridge_delta):
-            raise ValueError(f"ridge_delta must be finite, got {self.ridge_delta}")
-        for name in ("max_outer", "max_halvings"):
-            value = getattr(self, name)
-            try:
-                operator.index(value)
-            except TypeError:
-                raise ValueError(f"{name} must be an integer, got {value!r}") from None
-        if self.max_outer < 1:
-            raise ValueError(f"max_outer must be at least 1, got {self.max_outer}")
-        if self.max_halvings < 0:
+        if not (math.isfinite(self.ridge_delta) and self.ridge_delta >= 0):
             raise ValueError(
-                f"max_halvings must be nonnegative, got {self.max_halvings}"
-            )
-        if self.ridge_delta < 0:
-            raise ValueError(
-                f"ridge_delta must be nonnegative, got {self.ridge_delta}"
+                f"ridge_delta must be finite and nonnegative, got {self.ridge_delta}"
             )
 
 
@@ -438,56 +415,26 @@ def _newton_direction(
     return D, j + 1
 
 
-def mm_step(
-    Sigma_k: np.ndarray,
-    S: np.ndarray,
-    c: SparsityConstraint,
-    rho: float,
-) -> tuple[np.ndarray, int]:
-    """One MM update with positive-definiteness-preserving backtracking.
-
-    Forms ``C_k = rho * P(Sigma_k) + Sigma_k^{-1} S Sigma_k^{-1}``, solves
-    the stationarity equation for the unconstrained surrogate minimizer
-    ``Sigma_hat``, then returns ``Sigma_k + 2^{-s} (Sigma_hat - Sigma_k)``
-    for the smallest ``s <= FitConfig.max_halvings`` whose candidate is
-    positive definite and strictly decreases the penalized objective.
-
-    Returns
-    -------
-    (Sigma_next, halvings)
-        The accepted iterate and the halving exponent ``s`` used.
-
-    Raises
-    ------
-    BacktrackExhaustedError
-        If no candidate is accepted, which at a stationary point is the
-        expected outcome (the full step is a fixed point there).
-    """
-    if not rho > 0:
-        raise ValueError(f"rho must be positive, got {rho}")
-    Sigma_k, S = _check_inputs((Sigma_k, S), c, rho)
-    it = _Iterate(Sigma_k, S, c)
-    nxt, halvings = _step(it, S, c, rho, FitConfig.max_halvings)
-    if nxt is None:
-        raise BacktrackExhaustedError(
-            f"no accepted step within {halvings} halvings at rho={rho:.3e}; "
-            "iterate is stationary or the update is numerically degenerate",
-            halvings=halvings,
-        )
-    return nxt.sigma, halvings
-
-
 def _resolve_ridge(S: np.ndarray, cfg: FitConfig) -> tuple[np.ndarray, float]:
-    """Apply the explicit or automatic ridge; returns (S_used, delta)."""
+    """Apply the explicit or automatic ridge; returns (S_used, delta).
+
+    Raises ValueError, before any ridge is added, if S has an eigenvalue
+    below ``-RIDGE_EIG_RTOL * lambda_max(S)``: a ridge would hide that S
+    is no covariance matrix, and the fit's loss is unbounded below there.
+    """
+    eigvals = np.linalg.eigvalsh(S)
+    lam_min, lam_max = float(eigvals[0]), float(eigvals[-1])
+    if lam_min < -RIDGE_EIG_RTOL * lam_max:
+        raise ValueError(
+            f"S is not positive semidefinite: its eigenvalues span "
+            f"{lam_min:.3e} to {lam_max:.3e}"
+        )
     if cfg.ridge_delta > 0:
         delta = cfg.ridge_delta
+    elif lam_min < RIDGE_EIG_RTOL * lam_max:
+        delta = RIDGE_SCALE * float(np.trace(S)) / S.shape[0]
     else:
-        eigvals = np.linalg.eigvalsh(S)
-        lam_max = float(eigvals[-1])
-        if eigvals[0] < RIDGE_EIG_RTOL * max(lam_max, 0.0):
-            delta = RIDGE_SCALE * float(np.trace(S)) / S.shape[0]
-        else:
-            return S, 0.0
+        return S, 0.0
     S_used = S.copy()
     S_used[np.diag_indices_from(S_used)] += delta
     return S_used, delta
@@ -511,14 +458,14 @@ def fit(
 ) -> FitResult:
     """Fit a sparse covariance matrix to the sample covariance ``S``.
 
-    Starts from ``Diag(S)`` (starting from S itself provokes heavy
-    backtracking) and runs MM steps while rho grows from ``RHO0`` by the
-    factor ``RHO_GROWTH`` per step.  The schedule stops once the support
-    of the projection ``P(Sigma)`` has held for ``LOCK_STEPS``
-    consecutive steps, or when the iteration budget runs out.  A step
+    The package's one path to the MM step.  Starts from ``Diag(S)``
+    (starting from S itself provokes heavy backtracking) and runs MM
+    steps while rho grows from ``RHO0`` by the factor ``RHO_GROWTH`` per
+    step.  The schedule stops once the support of the projection
+    ``P(Sigma)`` has held for ``LOCK_STEPS`` consecutive steps, or when
+    the iteration budget ``FitConfig.max_outer`` runs out.  A step
     rejected by backtracking leaves the iterate in place, and so its
-    support; rho still grows, so a stalled schedule also ends on the
-    lock.
+    support; rho still grows, so a stalled schedule also ends on the lock.
 
     Truncated Newton steps then take what is left of the budget and
     finish at rho = inf: from ``P(Sigma)``, or from ``Diag(S)`` (``I`` in
@@ -537,7 +484,7 @@ def fit(
     c : SparsityConstraint
         Target sparsity level and mode.
     cfg : FitConfig
-        Iteration budgets and ridge.
+        The ridge; the budgets are FitConfig's class constants.
     callback : callable, optional
         Called once per iteration, schedule and Newton steps alike, with a
         dict of that iteration's state (iteration, rho, sigma,
@@ -551,7 +498,8 @@ def fit(
     Raises
     ------
     ValueError
-        If S has non-finite entries or shape problems.
+        If S has non-finite entries or shape problems, or is not positive
+        semidefinite to within round-off (see :func:`_resolve_ridge`).
     NotPositiveDefiniteError
         If S still has a nonpositive diagonal entry after ridging, so
         the diagonal start is singular.

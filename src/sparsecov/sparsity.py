@@ -45,12 +45,6 @@ class SparsityConstraint:
                 f"k={self.k} exceeds the {limit} strict-upper entries of a {p}x{p} matrix"
             )
 
-    def project(self, M: np.ndarray) -> np.ndarray:
-        return project(M, self)
-
-    def squared_distance(self, M: np.ndarray) -> float:
-        return squared_distance(M, self)
-
 
 def _project(M: np.ndarray, c: SparsityConstraint) -> np.ndarray:
     """:func:`project` without validation: ``M`` must be exactly symmetric

@@ -3,6 +3,7 @@ import os
 import re
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -279,7 +280,7 @@ def test_rerun_replays_a_manifest_with_the_retired_schedule_settings(sim_dir, tm
         assert ours == theirs, name
 
 
-def test_rejected_command_creates_no_output_directory(sim_dir, tmp_path):
+def test_rejected_command_creates_no_output_directory(sim_dir, tmp_path, capsys):
     out = tmp_path / "od" / "x"
     assert main(["bench", "--p-list", "10", "--n", "50", "--reps", "0", "--out-dir", str(out)]) == 2
     missing = str(tmp_path / "nope.csv")
@@ -297,6 +298,18 @@ def test_rejected_command_creates_no_output_directory(sim_dir, tmp_path):
     params.update({"out_dir": str(out), "rho0": 0.5, "rho_growth": 1.2, "tol": 1e-06})
     manifest.write_text(json.dumps({"command": "estimate", "parameters": params}))
     assert main(["rerun", str(manifest)]) == 2
+    # an indefinite covariance, eigenvalues -1 and 3
+    indefinite = tmp_path / "indefinite.csv"
+    sc.save_matrix_csv(indefinite, np.array([[1.0, 2.0], [2.0, 1.0]]))
+    assert main(["estimate", "--cov", str(indefinite), "--k", "1", "--out", str(out)]) == 2
+    # correlation mode on data with an all-zero column
+    zero_column = tmp_path / "zero_column.csv"
+    np.savetxt(zero_column, [[1.0, 0.0, 2.0], [2.0, 0.0, 1.0], [-1.0, 0.0, 3.0]], delimiter=",")
+    argv = ["estimate", "--input", str(zero_column), "--k", "1", "--mode", "corr", "--out", str(out)]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(argv) == 2
+    assert "column(s) 1 " in capsys.readouterr().err
     assert not (tmp_path / "od").exists()
 
 

@@ -71,22 +71,32 @@ def test_info_criteria_known_values():
     assert bic == pytest.approx(3.0 + math.log(3.0))
     # one candidate parameter: the extended term vanishes at p = 1
     assert ebic == pytest.approx(bic)
+    # p = 2: q = 2 of 3 candidate parameters, at gamma = 0.5
+    aic, bic, ebic = sc.info_criteria(np.eye(2), np.eye(2), n=3)
+    assert sc.evaluation.EBIC_GAMMA == 0.5
+    assert aic == pytest.approx(10.0)
+    assert bic == pytest.approx(6.0 + 2.0 * math.log(3.0))
+    assert ebic == pytest.approx(bic + 2.0 * math.log(3.0))
 
 
 def test_info_criteria_counts_support():
     Sigma = np.eye(3)
     Sigma[0, 1] = Sigma[1, 0] = 0.4
     aic, _, _ = sc.info_criteria(Sigma, np.eye(3), n=10)
-    aic_more, _, _ = sc.info_criteria(Sigma, np.eye(3), n=10, support_nnz=2)
+    support = Sigma != 0.0
+    support[0, 2] = support[2, 0] = True
+    report = sc.compute_report(Sigma, Sigma, S=np.eye(3), n=10, support=support)
     # q goes from 3 + 1 to 3 + 2, so AIC rises by exactly 2
-    assert aic_more - aic == pytest.approx(2.0)
+    assert report.aic - aic == pytest.approx(2.0)
 
 
-def test_ebic_grows_with_gamma():
+def test_ebic_grows_with_gamma(monkeypatch):
     Sigma = np.eye(4)
     Sigma[0, 1] = Sigma[1, 0] = 0.4
-    _, bic_lo, ebic_lo = sc.info_criteria(Sigma, np.eye(4), n=20, gamma=0.0)
-    _, _, ebic_hi = sc.info_criteria(Sigma, np.eye(4), n=20, gamma=1.0)
+    monkeypatch.setattr(sc.evaluation, "EBIC_GAMMA", 0.0)
+    _, bic_lo, ebic_lo = sc.info_criteria(Sigma, np.eye(4), n=20)
+    monkeypatch.setattr(sc.evaluation, "EBIC_GAMMA", 1.0)
+    _, _, ebic_hi = sc.info_criteria(Sigma, np.eye(4), n=20)
     assert ebic_hi > ebic_lo
     assert ebic_lo == pytest.approx(bic_lo)
 
@@ -124,9 +134,9 @@ def test_compute_report_reads_each_gaussian_loss_once(monkeypatch):
     est = S + np.eye(5)
     report = sc.compute_report(truth, est, S=S, n=40)
     assert len(calls) == 2
-    assert (report.aic, report.bic, report.ebic) == sc.info_criteria(
-        est, S, 40, support_nnz=report.nnz
-    )
+    # the estimate is dense, so its own nonzeros are the report's support
+    assert report.nnz == 10
+    assert (report.aic, report.bic, report.ebic) == sc.info_criteria(est, S, 40)
 
 def test_compute_report_degrades_without_pd_or_data():
     truth = np.eye(3)

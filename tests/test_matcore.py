@@ -15,9 +15,8 @@ def test_cholesky_known_factor():
 
 def test_cholesky_rejects_indefinite():
     M = np.array([[1.0, 2.0], [2.0, 1.0]])
-    with pytest.raises(sc.NotPositiveDefiniteError) as info:
+    with pytest.raises(sc.NotPositiveDefiniteError, match="pivot 1"):
         sc.cholesky_pd(M)
-    assert info.value.pivot is not None
 
 
 def test_as_symmetric_accepts_roundoff_drift():
@@ -42,7 +41,6 @@ def test_as_symmetric_rejects_nonsquare_and_nonfinite():
 def test_sample_covariance_divisor_n_uncentered():
     data = np.array([[1.0], [3.0]])
     assert_allclose(sc.sample_covariance(data), [[5.0]])
-    assert_allclose(sc.sample_covariance(data, center=True), [[1.0]])
 
 
 def test_sample_covariance_matches_outer_product_sum():

@@ -17,17 +17,21 @@ def _sample_problem(p, n, seed, frac=0.05):
 
 
 def test_config_validation():
-    for kwargs in (
-        {"max_outer": 0},
-        {"max_outer": 2.5},
-        {"max_halvings": -1},
-        {"max_halvings": 1.0},
-        {"ridge_delta": -1e-3},
-        {"ridge_delta": math.inf},
-        {"ridge_delta": math.nan},
-    ):
-        with pytest.raises(ValueError):
-            sc.FitConfig(**kwargs)
+    for delta in (-1e-3, math.inf, math.nan):
+        with pytest.raises(ValueError, match="ridge_delta"):
+            sc.FitConfig(ridge_delta=delta)
+
+
+def test_config_budgets_are_read_only_constants():
+    # the ridge is the one field; the benchmark reads the budgets off an
+    # instance
+    with pytest.raises(TypeError):
+        sc.FitConfig(max_outer=3)
+    with pytest.raises(TypeError):
+        sc.FitConfig(max_halvings=3)
+    cfg = sc.FitConfig()
+    assert cfg.max_outer == 500
+    assert cfg.max_halvings == 32
 
 
 def test_objective_known_value():
@@ -70,31 +74,10 @@ def test_gradient_known_value():
     assert_allclose(G, 0.25 * np.eye(2), atol=1e-14)
 
 
-def test_mm_step_descends():
-    S = _sample_problem(6, 60, 2)
-    c = sc.SparsityConstraint(3)
-    Sigma_k = np.diag(np.diag(S))
-    rho = 0.5
-    before = sc.objective(Sigma_k, S, c, rho)
-    Sigma_next, halvings = sc.mm_step(Sigma_k, S, c, rho)
-    assert sc.is_positive_definite(Sigma_next)
-    assert sc.objective(Sigma_next, S, c, rho) < before
-    assert halvings >= 0
-
-
-def test_mm_step_exhausts_at_stationary_point():
-    # diagonal S with k = 0: the diagonal itself is the global optimum,
-    # so the solver returns a zero direction and no strict decrease exists
-    S = np.diag([2.0, 5.0, 1.0])
-    with pytest.raises(sc.BacktrackExhaustedError) as info:
-        sc.mm_step(S, S, sc.SparsityConstraint(0), rho=1.0)
-    assert info.value.halvings == 32
-
-
 def test_fit_records_a_rejected_schedule_step():
-    # the same stationary diagonal: after one accepted step no candidate
-    # lowers the objective, so the schedule records a rejected step that
-    # keeps the iterate and still grows rho
+    # diagonal S with k = 0 is its own optimum: after one accepted step no
+    # candidate lowers the objective, so the schedule records a rejected
+    # step that keeps the iterate and still grows rho
     events = []
     result = sc.fit(np.diag([2.0, 5.0, 1.0]), sc.SparsityConstraint(0), callback=events.append)
     rejected = [i for i, ev in enumerate(events) if not ev["accepted"]]
@@ -109,22 +92,11 @@ def test_fit_records_a_rejected_schedule_step():
     assert result.converged
 
 
-def test_mm_step_validates_inputs():
-    c = sc.SparsityConstraint(1)
-    with pytest.raises(ValueError, match="rho"):
-        sc.mm_step(np.eye(3), np.eye(3), c, rho=0.0)
-    with pytest.raises(ValueError, match="shape"):
-        sc.mm_step(np.eye(3), np.eye(2), c, rho=1.0)
-    with pytest.raises(sc.NotPositiveDefiniteError):
-        sc.mm_step(np.diag([1.0, -1.0, 1.0]), np.eye(3), c, rho=1.0)
-
-
 ENTRY_POINTS = {
     "objective": lambda A, B, rho: sc.objective(A, B, sc.SparsityConstraint(1), rho),
     "surrogate_gradient": lambda A, B, rho: sc.surrogate_gradient(
         A, B, np.eye(B.shape[0]), sc.SparsityConstraint(1), rho
     ),
-    "mm_step": lambda A, B, rho: sc.mm_step(A, B, sc.SparsityConstraint(1), rho),
 }
 
 
@@ -253,14 +225,15 @@ def test_fit_reports_exact_objectives_with_one_eigh_per_step(monkeypatch):
     assert len(calls) <= len(events) + 1
 
 
-def test_fit_respects_max_outer():
+def test_fit_respects_max_outer(monkeypatch):
+    monkeypatch.setattr(sc.FitConfig, "max_outer", 3)
     S = _sample_problem(6, 60, 7)
-    result = sc.fit(S, sc.SparsityConstraint(3), sc.FitConfig(max_outer=3))
+    result = sc.fit(S, sc.SparsityConstraint(3))
     assert result.iterations == 3
     assert not result.converged
 
 
-def test_refinement_shares_the_iteration_budget():
+def test_refinement_shares_the_iteration_budget(monkeypatch):
     # with max_outer equal to the schedule's length the schedule runs in
     # full and leaves the refinement no steps
     S = _sample_problem(20, 100, 11)
@@ -268,7 +241,8 @@ def test_refinement_shares_the_iteration_budget():
     full = sc.fit(S, c)
     rhos = full.rho_trace
     schedule = next(i for i in range(1, len(rhos)) if rhos[i] == rhos[i - 1])
-    capped = sc.fit(S, c, sc.FitConfig(max_outer=schedule))
+    monkeypatch.setattr(sc.FitConfig, "max_outer", schedule)
+    capped = sc.fit(S, c)
     assert capped.iterations == schedule
     assert capped.objective_trace == full.objective_trace[:schedule]
 
@@ -622,6 +596,21 @@ def test_explicit_ridge_used_verbatim():
 def test_zero_matrix_rejected():
     with pytest.raises(sc.NotPositiveDefiniteError, match="ridge_delta"):
         sc.fit(np.zeros((3, 3)), sc.SparsityConstraint(0))
+
+
+def test_fit_rejects_an_indefinite_covariance():
+    # eigenvalues -1 and 3: the loss is unbounded below, and no ridge,
+    # automatic or explicit, may hide that
+    S = np.array([[1.0, 2.0], [2.0, 1.0]])
+    for cfg in (sc.FitConfig(), sc.FitConfig(ridge_delta=5.0)):
+        with pytest.raises(ValueError, match="not positive semidefinite") as info:
+            sc.fit(S, sc.SparsityConstraint(1), cfg)
+        assert not isinstance(info.value, sc.NotPositiveDefiniteError)
+    # a singular S whose eigenvalues fall below zero by round-off is ridged
+    v = np.array([1.0, -1.0, 2.0])
+    S = np.outer(v, v)
+    assert np.linalg.eigvalsh(S)[0] < 0.0
+    assert sc.fit(S, sc.SparsityConstraint(1)).ridge_delta > 0.0
 
 
 def test_fit_correlation_requires_unit_diagonal():

@@ -82,13 +82,6 @@ def test_support_mask_tolerance():
     assert sc.support_mask(M, tol=0.0).sum() == 4
 
 
-def test_constraint_method_sugar():
-    M = np.array([[1.0, 0.7], [0.7, 1.0]])
-    c = sc.SparsityConstraint(0)
-    assert_allclose(c.project(M), np.eye(2))
-    assert c.squared_distance(M) == pytest.approx(2 * 0.49)
-
-
 def _reference_project(M, c):
     # the full stable argsort on descending magnitude that project replaced
     rows, cols = np.triu_indices(M.shape[0], 1)
