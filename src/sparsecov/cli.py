@@ -275,19 +275,24 @@ def _run_bench(params: dict, out: str) -> None:
             iterations = 0
             # The first fit of a size runs slower than the ones after it
             # and would flatten the scaling curve at its small end, so an
-            # untimed fit goes first.
-            fit(S, SparsityConstraint(k=k))
+            # untimed fit goes first.  It alone reports its finish steps
+            # and Hessian products through the callback, so that the timed
+            # fits run without one.
+            events = []
+            fit(S, SparsityConstraint(k=k), callback=events.append)
+            products = [ev["cg_products"] for ev in events]
+            finish = sum(1 for n in products if n), sum(products)
             for _ in range(reps):
                 start = time.perf_counter()
                 result = fit(S, SparsityConstraint(k=k))
                 times.append(time.perf_counter() - start)
                 iterations = result.iterations
-            rows.append((p, float(np.median(times)), iterations))
+            rows.append((p, float(np.median(times)), iterations, *finish))
     out_dir = _ensure_dir(out)
     with open(out_dir / "bench.csv", "w") as fh:
-        fh.write("p,median_seconds,iterations\n")
-        for p, secs, iters in rows:
-            fh.write(f"{p},{secs:.17g},{iters}\n")
+        fh.write("p,median_seconds,iterations,finish_steps,cg_products\n")
+        for p, secs, iters, steps, products in rows:
+            fh.write(f"{p},{secs:.17g},{iters},{steps},{products}\n")
     if len(rows) >= 2:
         logs = np.log([r[0] for r in rows]), np.log([r[1] for r in rows])
         slope = float(np.polyfit(logs[0], logs[1], 1)[0])

@@ -19,7 +19,10 @@ that zero pattern (Chaudhuri, Drton & Richardson, Biometrika 2007), so
 the schedule stops there, or on the iteration budget, and every fit
 finishes at that limit: truncated Newton steps with the same
 backtracking on the loss over the support, from a start on the sparse
-set, which return an exactly sparse estimate.
+set, which return an exactly sparse estimate.  Their conjugate gradient
+solves run on vectors of the free entries, with Hessian products that
+cost O(p m) for m free entries when m is small against p^2, and two
+GEMMs otherwise.
 
 :func:`fit` runs that loop and is the only public way to take an MM
 step; :func:`objective`, :func:`surrogate_gradient` and
@@ -87,6 +90,17 @@ DECREASE_RTOL = np.finfo(float).eps / 2.0
 # The schedule stops once the support of P(Sigma) has held for this many
 # consecutive steps, and the fit finishes at rho = inf on that support.
 LOCK_STEPS = 5
+# The finish's Hessian products run on the free entries alone once there
+# are at most p^2 / SPARSE_PRODUCT_RATIO of them, and as two dense GEMMs
+# otherwise.  Measured per product, dense against sparse, on one BLAS
+# thread of a 2-CPU host: 7 against 22 us at p = 20, m = 24; 546 against
+# 395 us at p = 200, m = 598; 630 against 1608 us at p = 200, m = 2190;
+# 5.5 against 3.2 ms at p = 400, m = 1996.  At m = p^2 / 40 the two tie at
+# p = 300.
+SPARSE_PRODUCT_RATIO = 40
+# Floats per gathered block of the sparse Hessian product (256 KB): blocks
+# twice as large ran its dot products 3x slower at p = 200.
+PRODUCT_CHUNK = 32768
 
 
 @dataclass(frozen=True)
@@ -306,25 +320,85 @@ def _step(
     return _line_search(it, direction, S, c, rho, max_halvings)
 
 
+class _FreeEntries:
+    """The entries the finish moves, fixed for the whole finish: the
+    support plus, in covariance mode, the diagonal.
+
+    A symmetric p x p matrix zero off ``mask`` is held as the vector of its
+    m upper-triangle free entries, in row-major order; ``upper`` and
+    ``lower`` are their flat indices into the matrix and into its
+    transpose.  With ``weights`` 2 off the diagonal and 1 on it,
+    :meth:`inner` is the Frobenius inner product of the matrices.
+
+    ``sparse`` selects :class:`_Hessian`'s product kernel: the sparse one
+    once ``m <= p^2 / SPARSE_PRODUCT_RATIO``.  For it, ``csr`` holds such a
+    matrix in CSR form, both triangles, its index structure built here
+    once: each product writes the vector's entries ``csr_entry`` into
+    ``csr.data``.
+    """
+
+    __slots__ = ("mask", "upper", "lower", "weights", "sparse", "csr", "csr_entry")
+
+    def __init__(self, mask: np.ndarray):
+        p = mask.shape[0]
+        self.mask = mask
+        self.upper = np.flatnonzero(np.triu(mask))
+        rows, cols = np.divmod(self.upper, p)
+        self.lower = cols * p + rows
+        self.weights = np.where(rows == cols, 1.0, 2.0)
+        m = self.upper.size
+        self.sparse = SPARSE_PRODUCT_RATIO * m <= p * p
+        if self.sparse:
+            # imported here, since scipy.sparse adds about 11 ms to an import
+            from scipy.sparse import csr_array
+
+            entry = np.zeros(p * p, dtype=np.intp)
+            entry[self.upper] = entry[self.lower] = np.arange(m)
+            nz = np.flatnonzero(mask)  # row-major, as CSR stores them
+            self.csr_entry = entry[nz]
+            indptr = np.zeros(p + 1, dtype=np.intp)
+            np.cumsum(np.count_nonzero(mask, axis=1), out=indptr[1:])
+            self.csr = csr_array((np.zeros(nz.size), nz % p, indptr), shape=(p, p))
+
+    def vector(self, M: np.ndarray) -> np.ndarray:
+        """The free upper-triangle entries of ``M``."""
+        return M.take(self.upper)
+
+    def matrix(self, v: np.ndarray) -> np.ndarray:
+        """The exactly symmetric matrix of ``v``, zero off the free entries."""
+        M = np.zeros(self.mask.shape)
+        M.flat[self.upper] = M.flat[self.lower] = v
+        return M
+
+    def inner(self, u: np.ndarray, v: np.ndarray) -> float:
+        """The Frobenius inner product of the matrices of ``u`` and ``v``."""
+        return float(np.dot(self.weights * u, v))
+
+
 class _Hessian:
     """Hessian of the loss over the free entries at an iterate.
 
-    ``H[V] = free o (-A V A + A V M + M V A)`` for ``V`` zero off the
-    ``free`` mask, with ``A = Sigma^{-1}`` and ``M = A S A``: the three
-    terms are the second derivatives of ``ln det Sigma`` and
-    ``tr(Sigma^{-1} S)``, and they equal ``A V N + N V A`` with
-    ``N = M - A/2``.
+    ``H[V] = -A V A + A V M + M V A`` at the free entries, for ``V`` zero
+    off them, with ``A = Sigma^{-1}`` and ``M = A S A``: the three terms
+    are the second derivatives of ``ln det Sigma`` and
+    ``tr(Sigma^{-1} S)``, and they equal ``Y + Y^T`` with ``Y = A V N`` and
+    ``N = M - A/2``, symmetrized.  A product maps a vector of free entries
+    (:class:`_FreeEntries`) to one, so ``H[V]`` is exactly symmetric by
+    construction.
 
-    Applied matrix-free as ``H[V] = free o (Y + Y^T)`` with ``Y = (A V) N``
-    and ``N`` symmetrized, so a product costs two GEMMs; ``Y + Y^T`` and
-    the mask keep it exactly symmetric.  A product is written to one of
-    two buffers kept between products, so it is valid only until the next
-    product.
+    ``free.sparse`` picks one of two kernels.  The dense one forms
+    ``Y = (A V) N`` by two GEMMs, 2 p^3 flops.  The sparse one forms
+    ``W = V N`` from ``V`` in CSR form, in p flops per nonzero of ``V``,
+    then ``Y_ij = <A[i, :], W[:, j]>`` at the free entries alone, as
+    row-wise dot products of gathered rows of ``A`` and ``W^T``, in chunks
+    of at most ``PRODUCT_CHUNK`` gathered floats: O(p m) against 2 p^3.
+    Neither keeps a gather between products, and an operator, which holds
+    ``A`` and ``N``, serves one Newton direction.
     """
 
-    __slots__ = ("A", "N", "free", "_out", "_tmp")
+    __slots__ = ("A", "N", "free", "_v", "_flat", "_tmp")
 
-    def __init__(self, it: _Iterate, S: np.ndarray, free: np.ndarray):
+    def __init__(self, it: _Iterate, S: np.ndarray, free: _FreeEntries):
         M = it.asa(S)
         N = M + M.T  # the triple product drifts by O(eps)
         N -= it.inv
@@ -332,83 +406,107 @@ class _Hessian:
         self.A = it.inv
         self.N = N
         self.free = free
-        self._out = np.empty_like(N)
-        self._tmp = np.empty_like(N)
+        if not free.sparse:
+            self._v = np.empty_like(N)
+            self._flat = self._v.reshape(-1)  # a view, indexed faster than .flat
+            self._tmp = np.empty_like(N)
 
-    def __call__(self, V: np.ndarray) -> np.ndarray:
-        """``H[V]`` for an exactly symmetric ``V``, in the output buffer."""
-        out, tmp = self._out, self._tmp
-        np.matmul(self.A, V, out=out)
-        np.matmul(out, self.N, out=tmp)  # Y
-        np.add(tmp, tmp.T, out=out)
-        out *= self.free
-        return out
+    def __call__(self, v: np.ndarray) -> np.ndarray:
+        """``H[V]`` at the free entries, for ``V`` the matrix of ``v``."""
+        f = self.free
+        if f.sparse:
+            np.take(v, f.csr_entry, out=f.csr.data)
+            Wt = (f.csr @ self.N).T.copy()  # row j holds W[:, j]
+            p = Wt.shape[0]
+            out = np.empty_like(v)
+            step = max(1, PRODUCT_CHUNK // p)
+            for lo in range(0, v.size, step):
+                i, j = np.divmod(f.upper[lo : lo + step], p)
+                out[lo : lo + step] = np.einsum(
+                    "kr,kr->k", self.A[i], Wt[j]
+                ) + np.einsum("kr,kr->k", self.A[j], Wt[i])
+            return out
+        V, flat = self._v, self._flat
+        V.fill(0.0)
+        flat[f.upper] = flat[f.lower] = v
+        np.matmul(self.A, V, out=self._tmp)
+        np.matmul(self._tmp, self.N, out=V)  # Y
+        return flat[f.upper] + flat[f.lower]
 
     def diagonal(self) -> np.ndarray:
-        """``<E_ij, H[E_ij]> / <E_ij, E_ij>`` for the symmetric unit matrices
-        ``E_ij = e_i e_j^T + e_j e_i^T``, as a symmetric matrix, and one off
-        the free entries, where the preconditioner meets only zeros.
+        """``<E_ij, H[E_ij]> / <E_ij, E_ij>`` at the free entries, for the
+        symmetric unit matrices ``E_ij = e_i e_j^T + e_j e_i^T``, read in
+        O(m).
 
-        On a free entry off the diagonal that is
-        ``A_ii N_jj + A_jj N_ii + 2 A_ij N_ij``, on the diagonal half that.
-        The outer products are summed as ``T + T^T`` so that the result is
-        exactly symmetric.
+        Off the diagonal that is ``A_ii N_jj + A_jj N_ii + 2 A_ij N_ij``, on
+        the diagonal half that.
         """
-        T = np.outer(np.diag(self.A), np.diag(self.N))
-        diag = T + T.T
-        np.multiply(self.A, self.N, out=T)
-        T *= 2.0
-        diag += T
-        np.fill_diagonal(diag, diag.diagonal() / 2.0)
-        diag[~self.free] = 1.0
+        f = self.free
+        i, j = np.divmod(f.upper, self.N.shape[0])
+        a, n = np.diag(self.A), np.diag(self.N)
+        diag = a[i] * n[j]
+        diag += a[j] * n[i]
+        AN = self.A.take(f.upper)
+        AN *= self.N.take(f.upper)
+        AN *= 2.0
+        diag += AN
+        diag *= f.weights  # halved where the weight is 1, on the diagonal
+        diag /= 2.0
         return diag
 
 
 def _newton_direction(
-    it: _Iterate, S: np.ndarray, G: np.ndarray, free: np.ndarray
+    it: _Iterate, S: np.ndarray, g: np.ndarray, free: _FreeEntries
 ) -> tuple[np.ndarray, int]:
     """Truncated Newton direction for the loss over the ``free`` entries at
-    ``it``, ``G`` its gradient there and zero off them; returns (direction,
-    Hessian products).  The direction is zero off the free entries.
+    ``it``, given ``g``, the loss gradient there; returns (direction,
+    Hessian products).  ``g`` and the direction are vectors of the m free
+    entries (:class:`_FreeEntries`); write ``G`` and ``D`` for their
+    matrices.
 
     Preconditioned conjugate gradients on ``H[D] = -G`` in the Frobenius
-    inner product (Nocedal & Wright, Algorithms 5.3 and 7.1), stopped
-    once the residual falls to ``min(0.5, sqrt(||G|| / ||A||)) ||G||``,
-    unit-free like the stationarity test, ``A = Sigma^{-1}``.  The
-    preconditioner is the Jacobi diagonal of ``H`` (:meth:`_Hessian.diagonal`),
-    or the identity if that diagonal is not all positive.  Negative
-    curvature ends the solve: on the first iteration the direction is
-    ``-G``, later it is the current iterate.  In exact arithmetic CG ends
-    within the dimension ``p(p+1)/2`` of the symmetric matrices, which
-    caps the iterations.  Every buffer is updated elementwise from exactly
-    symmetric operands, so the direction is exactly symmetric.
+    inner product (Nocedal & Wright, Algorithms 5.3 and 7.1), run on the
+    vectors with :meth:`_FreeEntries.inner`, stopped once the residual
+    falls to ``min(0.5, sqrt(||G|| / ||A||)) ||G||``, unit-free like the
+    stationarity test, ``A = Sigma^{-1}``.  The preconditioner is the
+    Jacobi diagonal of ``H`` (:meth:`_Hessian.diagonal`), or the identity
+    if that diagonal is not all positive.  Negative curvature ends the
+    solve: on the first iteration the direction is ``-g``, later it is the
+    current iterate.
+
+    In exact arithmetic CG ends within m iterations, but the cap is the
+    dimension ``p(p+1)/2`` of the symmetric matrices: on the ill-conditioned
+    finishes of p > n fits, CG in floating point runs past m, and a cap of
+    m stopped 2 of 3 converging fits from converging.
     """
     hess = _Hessian(it, S, free)
     scale = hess.diagonal()  # the preconditioner, inverted in place
     if not np.all(scale > 0.0):
         scale.fill(1.0)
     np.reciprocal(scale, out=scale)
-    g_norm = float(np.linalg.norm(G))
+    w = free.weights  # the inner product <u, v> is np.dot(w * u, v)
+    r = g.copy()  # residual H[D] + G
+    g_norm = math.sqrt(free.inner(g, g))
     tol = min(0.5, math.sqrt(g_norm / float(np.linalg.norm(it.inv)))) * g_norm
-    D = np.zeros_like(G)
-    r = G.copy()  # residual H[D] + G
+    D = np.zeros_like(r)
     y = r * scale  # preconditioned residual; scratch once d is updated
     d = -y
-    ry = float(np.vdot(r, y))
-    p = G.shape[0]
+    ry = free.inner(r, y)
+    p = S.shape[0]
     for j in range(p * (p + 1) // 2):
         Hd = hess(d)
-        curvature = float(np.vdot(d, Hd))
+        curvature = float(np.dot(w * d, Hd))
         if curvature <= 0.0:
-            return (-G if j == 0 else D), j + 1
+            return (-g if j == 0 else D), j + 1
         alpha = ry / curvature
         D += np.multiply(d, alpha, out=y)
         Hd *= alpha
         r += Hd
-        if math.sqrt(float(np.vdot(r, r))) <= tol:
+        wr = w * r
+        if math.sqrt(float(np.dot(wr, r))) <= tol:
             break
         np.multiply(r, scale, out=y)
-        ry_next = float(np.vdot(r, y))
+        ry_next = float(np.dot(wr, y))
         d *= ry_next / ry
         d -= y
         ry = ry_next
@@ -560,9 +658,10 @@ def fit(
     # repeats the schedule's last rho, at which a point on the set scores
     # its loss.
     rho = rho_trace[-1]
-    free = support  # of the schedule's last iterate
+    mask = support  # of the schedule's last iterate
     if c.mode == "correlation":
-        np.fill_diagonal(free, False)
+        np.fill_diagonal(mask, False)
+    free = _FreeEntries(mask)
     schedule_steps = len(objective_trace)
     moved = it.dist2 > 0.0 and schedule_steps < cfg.max_outer
     if moved:
@@ -570,17 +669,16 @@ def fit(
         it = _finish_start(it, S, c)
     converged = False
     for _ in range(cfg.max_outer - schedule_steps):
-        G = it.gradient(S, 0.0)
-        G *= free
-        if np.linalg.norm(G) <= STATIONARITY_RTOL * np.linalg.norm(it.inv):
+        g = free.vector(it.gradient(S, 0.0))
+        if math.sqrt(free.inner(g, g)) <= STATIONARITY_RTOL * np.linalg.norm(it.inv):
             converged = True
             break
-        direction, products = _newton_direction(it, S, G, free)
+        d, products = _newton_direction(it, S, g, free)
         # a model decrease at round-off level is one no line search can
         # certify, so the iterate is as stationary as the arithmetic allows;
         # each halving halves the decrease, so the search stops where it
         # reaches that level too
-        decrease = -float(np.vdot(direction, G))
+        decrease = -free.inner(d, g)
         floor = DECREASE_RTOL * abs(it.loss)
         if decrease <= floor:
             converged = True
@@ -588,7 +686,7 @@ def fit(
         max_halvings = cfg.max_halvings
         if floor > 0.0:
             max_halvings = min(max_halvings, int(math.log2(decrease / floor)))
-        it_next, halvings = _line_search(it, direction, S, c, 0.0, max_halvings)
+        it_next, halvings = _line_search(it, free.matrix(d), S, c, 0.0, max_halvings)
         if it_next is None:
             break
         record(it, it_next, rho, halvings, True, products)

@@ -241,8 +241,11 @@ def test_bench_outputs(tmp_path, monkeypatch):
     )
     assert code == 0
     lines = (out / "bench.csv").read_text().strip().splitlines()
-    assert lines[0] == "p,median_seconds,iterations"
+    assert lines[0] == "p,median_seconds,iterations,finish_steps,cg_products"
     assert len(lines) == 3
+    for line in lines[1:]:
+        p, _, iterations, steps, products = line.split(",")
+        assert 0 < int(steps) <= int(iterations) and int(steps) <= int(products)
     manifest = _read_json(out / "manifest.json")
     assert manifest["parameters"]["p_list"] == [10, 20]
     # one untimed warm-up fit per p, then the timed reps

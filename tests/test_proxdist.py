@@ -16,6 +16,26 @@ def _sample_problem(p, n, seed, frac=0.05):
     return sc.sample_covariance(data)
 
 
+KERNELS = ("dense", "sparse")
+# each mode on each Hessian product kernel; the dense cases keep the ids
+# the tests had before the sparse kernel
+MODES_AND_KERNELS = pytest.mark.parametrize(
+    "mode, kernel",
+    [
+        pytest.param("covariance", "dense", id="covariance"),
+        pytest.param("correlation", "dense", id="correlation"),
+        pytest.param("covariance", "sparse", id="covariance-sparse"),
+        pytest.param("correlation", "sparse", id="correlation-sparse"),
+    ],
+)
+
+
+def _use_kernel(monkeypatch, kernel):
+    # every support takes the named Hessian product kernel
+    ratio = 0.0 if kernel == "sparse" else math.inf
+    monkeypatch.setattr(proxdist, "SPARSE_PRODUCT_RATIO", ratio)
+
+
 def test_config_validation():
     for delta in (-1e-3, math.inf, math.nan):
         with pytest.raises(ValueError, match="ridge_delta"):
@@ -283,6 +303,30 @@ def test_fit_finishes_on_the_support_of_the_bench_instance():
     assert result.objective_trace[-1] == sc.negative_loglik_loss(result.sigma_hat, S)
 
 
+def test_finish_kernel_selection_on_the_benchmark_sizes(monkeypatch):
+    # the criterion-11 instance at p = 200 finishes on the sparse product
+    # kernel, and a p = 20 cross-validation cell fit, on one training fold
+    # of the criterion-6 design, on the dense one
+    kernels = []
+    newton = proxdist._newton_direction
+
+    def recorded(it, S_used, g, free):
+        kernels.append(free.sparse)
+        return newton(it, S_used, g, free)
+
+    monkeypatch.setattr(proxdist, "_newton_direction", recorded)
+    S, c = _bench_instance()
+    sc.fit(S, c)
+    assert kernels and all(kernels)
+    design = sc.SimDesign(kind="random_sparse", p=20, sparsity_frac=0.02, seed=2025)
+    data = sc.sample_mvn(sc.make_design(design), 100, sc.RngStream(seed=2025, stream_id=1))
+    S_train = sc.sample_covariance(data[:80])
+    for k in (4, 21):  # the design's 4 pairs, and a cell of the 10-point grid
+        kernels.clear()
+        sc.fit(S_train, sc.SparsityConstraint(k))
+        assert kernels and not any(kernels)
+
+
 def test_finish_starts_from_the_diagonal_when_the_projection_is_not_pd(monkeypatch):
     # p > n: the projection of the schedule's last iterate is not PD, so the
     # finish starts from Diag(S) and still reaches the support's estimate
@@ -307,36 +351,41 @@ def test_finish_starts_from_the_diagonal_when_the_projection_is_not_pd(monkeypat
     _assert_finished_on_support(result, S, 10)
 
 
-def test_newton_operator_matches_fd_of_gradient():
-    # the finish's Hessian product, the loss alone on the entries P keeps,
-    # against central differences of the loss gradient on those entries
-    rng = np.random.default_rng(3)
+def test_newton_operator_matches_fd_of_gradient(monkeypatch):
+    # the finish's Hessian product on each kernel, the loss alone on the
+    # entries P keeps, against central differences of the loss gradient on
+    # those entries
     h = 1e-6
     p = 4
-    for mode in ("covariance", "correlation"):
-        for _ in range(10):
-            B = rng.standard_normal((p, p))
-            Sigma = B @ B.T + p * np.eye(p)
-            Sigma = (Sigma + Sigma.T) / 2.0
-            B = rng.standard_normal((p, p))
-            S = B @ B.T + p * np.eye(p)
-            c = sc.SparsityConstraint(int(rng.integers(0, p * (p - 1) // 2 + 1)), mode)
-            free = sc.project(Sigma, c) != 0.0
-            if mode == "correlation":
-                np.fill_diagonal(free, False)
+    for kernel in KERNELS:
+        _use_kernel(monkeypatch, kernel)
+        rng = np.random.default_rng(3)
+        for mode in ("covariance", "correlation"):
+            for _ in range(10):
+                B = rng.standard_normal((p, p))
+                Sigma = B @ B.T + p * np.eye(p)
+                Sigma = (Sigma + Sigma.T) / 2.0
+                B = rng.standard_normal((p, p))
+                S = B @ B.T + p * np.eye(p)
+                c = sc.SparsityConstraint(int(rng.integers(0, p * (p - 1) // 2 + 1)), mode)
+                mask = sc.project(Sigma, c) != 0.0
+                if mode == "correlation":
+                    np.fill_diagonal(mask, False)
 
-            def grad(X):
-                A = np.linalg.inv(X)
-                return A - A @ S @ A
+                def grad(X):
+                    A = np.linalg.inv(X)
+                    return A - A @ S @ A
 
-            it = proxdist._Iterate(Sigma, S, c)
-            hess = proxdist._Hessian(it, S, free)
-            for _ in range(3):
-                V = rng.standard_normal((p, p))
-                V = (V + V.T) / 2.0
-                V *= free
-                fd = (grad(Sigma + h * V) - grad(Sigma - h * V)) / (2 * h)
-                assert np.max(np.abs(hess(V) - free * fd)) <= 1e-5
+                it = proxdist._Iterate(Sigma, S, c)
+                free = proxdist._FreeEntries(mask)
+                assert free.sparse == (kernel == "sparse")
+                hess = proxdist._Hessian(it, S, free)
+                for _ in range(3):
+                    v = rng.standard_normal(free.upper.size)
+                    V = free.matrix(v)
+                    fd = (grad(Sigma + h * V) - grad(Sigma - h * V)) / (2 * h)
+                    error = np.max(np.abs(hess(v) - free.vector(fd)), initial=0.0)
+                    assert error <= 1e-5
 
 
 def _random_iterate(rng, p, mode):
@@ -350,26 +399,72 @@ def _random_iterate(rng, p, mode):
     return proxdist._Iterate(Sigma, S, c), S, c
 
 
-@pytest.mark.parametrize("mode", ["covariance", "correlation"])
-def test_hessian_diagonal_is_the_product_on_unit_matrices(mode):
+@MODES_AND_KERNELS
+def test_hessian_diagonal_is_the_product_on_unit_matrices(monkeypatch, mode, kernel):
     # the Jacobi preconditioner: <E_ij, H[E_ij]> / <E_ij, E_ij> for the
     # symmetric unit matrices on the free entries, read through the product
-    # itself, and one off them
+    # itself
+    _use_kernel(monkeypatch, kernel)
     rng = np.random.default_rng(5)
     p = 5
     for _ in range(5):
         it, S, c = _random_iterate(rng, p, mode)
-        free = rng.random((p, p)) < 0.5
-        free = free | free.T
+        mask = rng.random((p, p)) < 0.5
+        mask = mask | mask.T
+        free = proxdist._FreeEntries(mask)
         hess = proxdist._Hessian(it, S, free)
         diag = hess.diagonal()
-        assert np.array_equal(diag, diag.T)
-        for i in range(p):
-            for j in range(i, p):
-                E = np.zeros((p, p))
-                E[i, j] = E[j, i] = 1.0
-                expected = np.vdot(E, hess(E)) / np.vdot(E, E) if free[i, j] else 1.0
-                assert diag[i, j] == pytest.approx(expected, rel=1e-12)
+        assert diag.shape == (np.count_nonzero(np.triu(mask)),)
+        for k in range(diag.size):
+            e = np.zeros(diag.size)
+            e[k] = 1.0
+            E = free.matrix(e)
+            assert np.count_nonzero(E) == (1 if E[np.diag_indices(p)].any() else 2)
+            expected = free.inner(e, hess(e)) / free.inner(e, e)
+            assert diag[k] == pytest.approx(expected, rel=1e-12)
+
+
+def _iterate_near_its_optimum(rng, p, mode):
+    # a well-conditioned iterate on a random symmetric support, and an S
+    # that it nearly fits, so that CG takes several products and meets no
+    # negative curvature; in correlation mode no diagonal entry is free, so
+    # rows off the support hold no free entry
+    mask = rng.random((p, p)) < 0.05
+    mask = mask | mask.T
+    np.fill_diagonal(mask, mode == "covariance")
+    Sigma = np.where(mask, rng.standard_normal((p, p)), 0.0)
+    Sigma = (Sigma + Sigma.T) / 2.0
+    Sigma += 1.05 * np.abs(Sigma).sum(axis=1).max() * np.eye(p)
+    E = rng.standard_normal((p, p))
+    S = Sigma + 1e-4 * (E + E.T)
+    return proxdist._Iterate(Sigma, S, sc.SparsityConstraint(0, mode)), S, mask
+
+
+@pytest.mark.parametrize("p", [30, 60])
+@pytest.mark.parametrize("mode", ["covariance", "correlation"])
+def test_hessian_kernels_agree(monkeypatch, mode, p):
+    # the dense and the sparse product kernel on random supports: products
+    # and Jacobi diagonals to 1e-12 relative, whole Newton directions to
+    # 1e-10
+    rng = np.random.default_rng(p)
+    products = []
+    for _ in range(3):
+        it, S, mask = _iterate_near_its_optimum(rng, p, mode)
+        if mode == "correlation":
+            assert not mask.any(axis=1).all()  # empty CSR rows
+        v = rng.standard_normal(np.count_nonzero(np.triu(mask)))
+        out = {}
+        for kernel in KERNELS:
+            _use_kernel(monkeypatch, kernel)
+            free = proxdist._FreeEntries(mask)
+            assert free.sparse == (kernel == "sparse")
+            hess = proxdist._Hessian(it, S, free)
+            D, count = proxdist._newton_direction(it, S, free.vector(it.gradient(S, 0.0)), free)
+            out[kernel] = hess(v), hess.diagonal(), D
+        products.append(count)
+        for rtol, dense, sparse in zip((1e-12, 1e-12, 1e-10), out["dense"], out["sparse"]):
+            assert np.max(np.abs(sparse - dense)) <= rtol * np.max(np.abs(dense))
+    assert min(products) >= 3
 
 
 def test_newton_direction_without_a_positive_diagonal():
@@ -379,47 +474,52 @@ def test_newton_direction_without_a_positive_diagonal():
     # direction rather than dividing by zero
     c = sc.SparsityConstraint(0)
     S = 0.5 * np.eye(3)
-    free = np.eye(3, dtype=bool)
+    free = proxdist._FreeEntries(np.eye(3, dtype=bool))
     it = proxdist._Iterate(np.eye(3), S, c)
     assert not np.all(proxdist._Hessian(it, S, free).diagonal() > 0.0)
-    G = it.gradient(S, 0.0) * free
-    D, products = proxdist._newton_direction(it, S, G, free)
-    assert np.array_equal(D, -G)
+    g = free.vector(it.gradient(S, 0.0))
+    D, products = proxdist._newton_direction(it, S, g, free)
+    assert np.array_equal(D, -g)
     assert products == 1
 
 
-@pytest.mark.parametrize("mode", ["covariance", "correlation"])
-def test_refinement_directions_are_symmetric_descent_directions(monkeypatch, mode):
+@MODES_AND_KERNELS
+def test_refinement_directions_are_symmetric_descent_directions(monkeypatch, mode, kernel):
     # every preconditioned CG direction of the finish meets the unit-free
     # forcing tolerance of truncated Newton on the free entries within CG's
-    # iteration cap and descends, and directions and iterates stay exactly
-    # symmetric
-    S = _sample_problem(20, 100, 11)
+    # iteration cap and descends, and iterates stay exactly symmetric, on
+    # an instance whose supports select each product kernel and whose
+    # finish meets no negative curvature
+    p, n, seed, frac, k = {
+        "dense": (20, 100, 11, 0.05, 12),
+        "sparse": (60, 300, 7, 0.02, 20),
+    }[kernel]
+    S = _sample_problem(p, n, seed, frac)
     if mode == "correlation":
         d = np.sqrt(np.diag(S))
         S = S / np.outer(d, d)
         np.fill_diagonal(S, 1.0)
-    c = sc.SparsityConstraint(12, mode)
+    c = sc.SparsityConstraint(k, mode)
     directions = []
     newton = proxdist._newton_direction
 
-    def recorded(it, S_used, G, free):
-        D, products = newton(it, S_used, G, free)
-        directions.append((it, S_used, G, free.copy(), D, products))
+    def recorded(it, S_used, g, free):
+        D, products = newton(it, S_used, g, free)
+        directions.append((it, S_used, g, free, D, products))
         return D, products
 
     monkeypatch.setattr(proxdist, "_newton_direction", recorded)
     events = []
     sc.fit(S, c, callback=events.append)
     assert len(directions) >= 2
-    for it, S_used, G, free, D, products in directions:
-        assert np.array_equal(D, D.T)
-        assert np.vdot(D, G) < 0.0
-        g = np.linalg.norm(G)
-        residual = proxdist._Hessian(it, S_used, free)(D) + G
-        forcing = min(0.5, math.sqrt(g / np.linalg.norm(it.inv))) * g
-        assert np.linalg.norm(residual) <= 1.001 * forcing
-        assert 1 <= products <= 20 * 21 // 2
+    for it, S_used, g, free, D, products in directions:
+        assert free.sparse == (kernel == "sparse")
+        assert free.inner(D, g) < 0.0
+        g_norm = math.sqrt(free.inner(g, g))
+        residual = proxdist._Hessian(it, S_used, free)(D) + g
+        forcing = min(0.5, math.sqrt(g_norm / np.linalg.norm(it.inv))) * g_norm
+        assert math.sqrt(free.inner(residual, residual)) <= 1.001 * forcing
+        assert 1 <= products <= p * (p + 1) // 2
     for ev in events:
         assert np.array_equal(ev["sigma"], ev["sigma"].T)
     # a direction the round-off stop or an exhausted backtrack ends the
@@ -431,8 +531,10 @@ def test_refinement_directions_are_symmetric_descent_directions(monkeypatch, mod
 
 @pytest.mark.parametrize("mode", ["covariance", "correlation"])
 def test_finish_directions_stay_on_the_support(monkeypatch, mode):
-    # each finish direction and its gradient are zero off the free entries,
-    # whose mask is symmetric, and the fit ends exactly on the support
+    # each finish direction, as the matrix the line search takes, is exactly
+    # symmetric and zero off the free entries, whose mask is symmetric and
+    # leaves the correlation diagonal out; the fit ends exactly on the
+    # support
     S = _sample_problem(20, 100, 11)
     if mode == "correlation":
         d = np.sqrt(np.diag(S))
@@ -442,17 +544,20 @@ def test_finish_directions_stay_on_the_support(monkeypatch, mode):
     directions = []
     newton = proxdist._newton_direction
 
-    def recorded(it, S_used, G, free):
-        D, products = newton(it, S_used, G, free)
-        directions.append((G, free.copy(), D))
+    def recorded(it, S_used, g, free):
+        D, products = newton(it, S_used, g, free)
+        directions.append((free.mask.copy(), free.matrix(D)))
         return D, products
 
     monkeypatch.setattr(proxdist, "_newton_direction", recorded)
     result = sc.fit(S, c)
     assert len(directions) >= 2
-    for G, free, D in directions:
-        assert np.array_equal(free, free.T)
-        assert np.all(D[~free] == 0.0) and np.all(G[~free] == 0.0)
+    for mask, D in directions:
+        assert np.array_equal(mask, mask.T)
+        assert np.array_equal(D, D.T)
+        assert np.all(D[~mask] == 0.0)
+        if mode == "correlation":
+            assert not np.diag(mask).any()
     if mode == "correlation":
         assert np.all(np.diag(result.sigma_hat) == 1.0)
     _assert_finished_on_support(result, S, 12, mode)
@@ -466,10 +571,10 @@ def test_finish_that_takes_no_step_records_its_start(monkeypatch):
     c = sc.SparsityConstraint(12)
     newton = proxdist._newton_direction
 
-    def scaled(it, S_used, G, free):
-        D, products = newton(it, S_used, G, free)
+    def scaled(it, S_used, g, free):
+        D, products = newton(it, S_used, g, free)
         bound = proxdist.DECREASE_RTOL * abs(it.loss)
-        return D * (0.5 * bound / -np.vdot(D, G)), products
+        return D * (0.5 * bound / -free.inner(D, g)), products
 
     monkeypatch.setattr(proxdist, "_newton_direction", scaled)
     events = []
@@ -495,10 +600,10 @@ def test_refinement_stops_on_a_roundoff_model_decrease(monkeypatch, factor):
     c = sc.SparsityConstraint(12)
     newton = proxdist._newton_direction
 
-    def scaled(it, S_used, G, free):
-        D, products = newton(it, S_used, G, free)
+    def scaled(it, S_used, g, free):
+        D, products = newton(it, S_used, g, free)
         bound = proxdist.DECREASE_RTOL * abs(it.loss)
-        return D * (factor * bound / -np.vdot(D, G)), products
+        return D * (factor * bound / -free.inner(D, g)), products
 
     factorizations = []
     cholesky = proxdist.cholesky_pd
