@@ -281,7 +281,7 @@ def _run_bench(params: dict, out: str) -> None:
             events = []
             fit(S, SparsityConstraint(k=k), callback=events.append)
             products = [ev["cg_products"] for ev in events]
-            finish = sum(1 for n in products if n), sum(products)
+            finish = sum(1 for count in products if count), sum(products)
             for _ in range(reps):
                 start = time.perf_counter()
                 result = fit(S, SparsityConstraint(k=k))

@@ -1,4 +1,7 @@
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -36,3 +39,25 @@ def test_every_import_is_used_or_exported(path):
     used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
     unused = _imported_names(tree) - used - _exported_names(tree)
     assert not unused, f"{path.name} imports names it never uses: {sorted(unused)}"
+
+
+def test_import_leaves_scipy_sparse_unloaded():
+    # scipy.sparse adds about 11 ms to an import; only the finish's sparse
+    # Hessian kernel needs it, and imports it when it first runs
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(Path(sparsecov.__file__).parents[1]), env.get("PYTHONPATH")])
+    )
+    proc = subprocess.run(
+        [
+            sys.executable,
+            "-c",
+            "import sys, sparsecov; print('scipy.sparse' in sys.modules)",
+        ],
+        capture_output=True,
+        text=True,
+        timeout=60,
+        env=env,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
