@@ -28,7 +28,7 @@ class ThresholdSpec:
     kind: str
 
     def __post_init__(self):
-        if self.lam < 0:
+        if not self.lam >= 0:
             raise ValueError(f"lam must be nonnegative, got {self.lam}")
         if self.kind not in KINDS:
             raise ValueError(f"kind must be one of {KINDS}, got {self.kind!r}")

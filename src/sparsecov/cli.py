@@ -121,16 +121,10 @@ def _load_covariance(params: dict) -> np.ndarray:
     return sample_covariance(load_data_csv(params["input"]))
 
 
-def _fit_config(params: dict) -> FitConfig:
-    """The fit settings a command's parameters give: ``estimate``'s ridge;
-    ``cv`` takes none."""
-    ridge = params.get("ridge", "auto")
-    return FitConfig(ridge_delta=0.0 if ridge == "auto" else float(ridge))
-
-
 def _run_estimate(params: dict, out: str) -> None:
     S = _load_covariance(params)
-    cfg = _fit_config(params)
+    ridge = params["ridge"]
+    cfg = FitConfig(ridge_delta=0.0 if ridge == "auto" else float(ridge))
     k = params["k"]
     if params["mode"] == "corr":
         var = np.diag(S)
@@ -168,7 +162,6 @@ def _run_cv(params: dict, out: str) -> None:
     data = load_data_csv(params["input"])
     S = sample_covariance(data)
     method = params["method"]
-    cfg = _fit_config(params)
     if params["grid_file"]:
         grid = np.loadtxt(params["grid_file"], ndmin=1)
     else:
@@ -176,8 +169,8 @@ def _run_cv(params: dict, out: str) -> None:
     spec = CvSpec(
         grid=grid, folds=params["folds"], loss=params["loss"], seed=params["seed"]
     )
-    best, table = cross_validate(data, method, spec, cfg)
-    sigma_hat = _estimate(method, S, best, cfg)
+    best, table = cross_validate(data, method, spec)
+    sigma_hat = _estimate(method, S, best, FitConfig())
     out_dir = _ensure_dir(out)
     with open(out_dir / "cv_table.csv", "w") as fh:
         fh.write("param,mean_loss,stderr,n_folds,boundary_flag\n")

@@ -19,7 +19,9 @@ that zero pattern (Chaudhuri, Drton & Richardson, Biometrika 2007), so
 the schedule stops there, or on the iteration budget, and every fit
 finishes at that limit: truncated Newton steps with the same
 backtracking on the loss over the support, from a start on the sparse
-set, which return an exactly sparse estimate.  Their conjugate gradient
+set, which return an exactly sparse estimate.  Every finish iterate is
+zero off the support and has at most k pairs, so it is its own
+projection and the finish projects nothing.  Their conjugate gradient
 solves run on vectors of the free entries, with Hessian products that
 cost O(p m) for m free entries when m is small against p^2, and two
 GEMMs otherwise.
@@ -44,7 +46,7 @@ from .matcore import (
     as_symmetric,
     cholesky_pd,
 )
-from .sparsity import SparsityConstraint, _project, support_mask
+from .sparsity import SparsityConstraint, _project
 from .sylvester import _solve
 
 __all__ = [
@@ -145,7 +147,10 @@ class FitResult:
     ``rho_trace``'s weight; its last entry is the objective at
     ``sigma_hat``.  The Newton steps after the schedule repeat its last
     rho.  ``converged`` means those steps stopped on their gradient test
-    or their round-off stop.
+    or their round-off stop: ``sigma_hat`` is a stationary point of the
+    loss restricted to the support.  On p > n fits that restricted loss
+    can have several stationary points, and a converged fit need not
+    reach the lowest.
     """
 
     sigma_hat: np.ndarray
@@ -178,35 +183,45 @@ class _Iterate:
     Built once per line-search candidate, from one Cholesky factorization
     (the PD gate): ``inv = Sigma^{-1}`` by inverting the factor, the loss
     ``2 sum log L_ii + <inv, S>``, the projection ``P(Sigma)`` and
-    ``dist(Sigma, C)^2``.  Nothing else factors or solves against
+    ``dist(Sigma, C)^2``.  With ``c`` None, ``sigma`` is a point on the
+    sparse set, as every point of the finish is: ``proj`` is ``sigma``
+    itself and ``dist2`` is 0.0.  Nothing else factors or solves against
     ``Sigma``.  ``A S A`` is formed on first use, since a rejected
-    candidate never needs it.  ``sigma`` must be exactly symmetric;
-    construction raises NotPositiveDefiniteError if it is not PD.
+    candidate never needs it, and made exactly symmetric there, so that
+    what reads it needs no symmetrization of its own.  ``sigma`` must be
+    exactly symmetric; construction raises NotPositiveDefiniteError if
+    it is not PD.
     """
 
     __slots__ = ("sigma", "inv", "loss", "proj", "dist2", "_asa")
 
-    def __init__(self, sigma: np.ndarray, S: np.ndarray, c: SparsityConstraint):
+    def __init__(self, sigma: np.ndarray, S: np.ndarray, c: SparsityConstraint | None):
         self.sigma = sigma
         self.inv, self.loss = _inverse_and_loss(sigma, S)
-        self.proj = _project(sigma, c)
-        diff = sigma - self.proj
-        self.dist2 = float(np.sum(diff * diff))
+        if c is None:
+            self.proj, self.dist2 = sigma, 0.0
+        else:
+            self.proj = _project(sigma, c)
+            diff = sigma - self.proj
+            self.dist2 = float(np.sum(diff * diff))
         self._asa = None
 
     def objective(self, rho: float) -> float:
         return self.loss + 0.5 * rho * self.dist2
 
     def asa(self, S: np.ndarray) -> np.ndarray:
+        """``A S A``, exactly symmetric: the triple product drifts from
+        symmetry by O(eps), and this is the one place that averages it out."""
         if self._asa is None:
-            self._asa = self.inv @ S @ self.inv
+            self._asa = M = self.inv @ S @ self.inv
+            M += M.T
+            M *= 0.5
         return self._asa
 
     def gradient(self, S: np.ndarray, rho: float) -> np.ndarray:
         """Gradient of ``h_rho`` here, ``A - A S A + rho (Sigma - P(Sigma))``,
-        symmetrized against the triple product's O(eps) drift."""
-        G = self.inv - self.asa(S) + rho * (self.sigma - self.proj)
-        return (G + G.T) / 2.0
+        exactly symmetric as its terms are."""
+        return self.inv - self.asa(S) + rho * (self.sigma - self.proj)
 
 
 def _check_inputs(
@@ -281,7 +296,7 @@ def _line_search(
     it: _Iterate,
     direction: np.ndarray,
     S: np.ndarray,
-    c: SparsityConstraint,
+    c: SparsityConstraint | None,
     rho: float,
     max_halvings: int,
 ) -> tuple[_Iterate | None, int]:
@@ -311,9 +326,7 @@ def _step(
     max_halvings: int,
 ) -> tuple[_Iterate | None, int]:
     """One MM step from ``it``, with :func:`_line_search`'s return value."""
-    C_k = rho * it.proj + it.asa(S)
-    C_k = (C_k + C_k.T) / 2.0  # the triple product drifts by O(eps)
-    direction = _solve(it.sigma, C_k, rho) - it.sigma
+    direction = _solve(it.sigma, rho * it.proj + it.asa(S), rho) - it.sigma
     return _line_search(it, direction, S, c, rho, max_halvings)
 
 
@@ -379,9 +392,9 @@ class _Hessian:
     off them, with ``A = Sigma^{-1}`` and ``M = A S A``: the three terms
     are the second derivatives of ``ln det Sigma`` and
     ``tr(Sigma^{-1} S)``, and they equal ``Y + Y^T`` with ``Y = A V N`` and
-    ``N = M - A/2``, symmetrized.  A product maps a vector of free entries
-    (:class:`_FreeEntries`) to one, so ``H[V]`` is exactly symmetric by
-    construction.
+    ``N = M - A/2``, exactly symmetric since :meth:`_Iterate.asa` and ``A``
+    are.  A product maps a vector of free entries (:class:`_FreeEntries`)
+    to one, so ``H[V]`` is exactly symmetric by construction.
 
     ``free.sparse`` picks one of two kernels.  The dense one forms
     ``Y = (A V) N`` by two GEMMs, 2 p^3 flops.  The sparse one forms
@@ -397,17 +410,13 @@ class _Hessian:
     __slots__ = ("A", "N", "free", "_v", "_flat", "_tmp")
 
     def __init__(self, it: _Iterate, S: np.ndarray, free: _FreeEntries):
-        M = it.asa(S)
-        N = M + M.T  # the triple product drifts by O(eps)
-        N -= it.inv
-        N /= 2.0
         self.A = it.inv
-        self.N = N
+        self.N = it.asa(S) - 0.5 * it.inv
         self.free = free
         if not free.sparse:
-            self._v = np.empty_like(N)
+            self._v = np.empty_like(it.inv)
             self._flat = self._v.reshape(-1)  # a view, indexed faster than .flat
-            self._tmp = np.empty_like(N)
+            self._tmp = np.empty_like(it.inv)
 
     def __call__(self, v: np.ndarray) -> np.ndarray:
         """``H[V]`` at the free entries, for ``V`` the matrix of ``v``."""
@@ -508,12 +517,13 @@ def _resolve_ridge(S: np.ndarray, cfg: FitConfig) -> tuple[np.ndarray, float]:
 
 def _finish_start(it: _Iterate, S: np.ndarray, c: SparsityConstraint) -> _Iterate:
     """Where the finish at rho = inf starts: ``P(Sigma)`` if it is PD, else
-    ``Diag(S)``, or ``I`` in correlation mode, which lie on every support."""
+    ``Diag(S)``, or ``I`` in correlation mode, which lie on every support.
+    Either start is on the sparse set, so it is not projected again."""
     try:
-        return _Iterate(it.proj, S, c)
+        return _Iterate(it.proj, S, None)
     except NotPositiveDefiniteError:
         diag = np.ones(S.shape[0]) if c.mode == "correlation" else np.diag(S)
-        return _Iterate(np.diag(diag), S, c)
+        return _Iterate(np.diag(diag), S, None)
 
 
 def fit(
@@ -654,7 +664,7 @@ def fit(
         max_halvings = cfg.max_halvings
         if floor > 0.0:
             max_halvings = min(max_halvings, int(math.log2(decrease / floor)))
-        it_next, halvings = _line_search(it, free.matrix(d), S, c, 0.0, max_halvings)
+        it_next, halvings = _line_search(it, free.matrix(d), S, None, 0.0, max_halvings)
         if it_next is None:
             break
         record(it, it_next, rho, halvings, True, products)
@@ -673,7 +683,7 @@ def fit(
         total_halvings=total_halvings,
         converged=converged,
         final_penalty=it.dist2,
-        support=support_mask(it.proj, tol=0.0),
+        support=it.proj != 0.0,
         ridge_delta=ridge_delta,
     )
 

@@ -11,6 +11,8 @@ def test_threshold_spec_validation():
         sc.ThresholdSpec(kind="clip", lam=0.1)
     with pytest.raises(ValueError):
         sc.ThresholdSpec(kind="soft", lam=-0.1)
+    with pytest.raises(ValueError):
+        sc.ThresholdSpec(kind="soft", lam=float("nan"))
 
 
 def test_soft_shrinks_off_diagonal():

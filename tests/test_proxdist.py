@@ -303,6 +303,32 @@ def test_fit_finishes_on_the_support_of_the_bench_instance():
     assert result.objective_trace[-1] == sc.negative_loglik_loss(result.sigma_hat, S)
 
 
+def test_finish_makes_no_projection(monkeypatch):
+    # every finish iterate is zero off the free entries and has at most k
+    # pairs, so it is its own projection: once the free entries are fixed,
+    # the fit projects nothing, and still reports its estimate's support
+    # with a zero penalty
+    S, c = _bench_instance()
+    calls = []  # per projection: whether the finish had started
+    finishing = []
+    project, free_entries = proxdist._project, proxdist._FreeEntries
+
+    def counted_project(M, c):
+        calls.append(bool(finishing))
+        return project(M, c)
+
+    def started(mask):
+        finishing.append(True)
+        return free_entries(mask)
+
+    monkeypatch.setattr(proxdist, "_project", counted_project)
+    monkeypatch.setattr(proxdist, "_FreeEntries", started)
+    result = sc.fit(S, c)
+    assert finishing and calls and not any(calls)
+    assert np.array_equal(result.support, result.sigma_hat != 0.0)
+    _assert_finished_on_support(result, S, c.k)
+
+
 def test_finish_kernel_selection_on_the_benchmark_sizes(monkeypatch):
     # the criterion-11 instance at p = 200 finishes on the sparse product
     # kernel, and a p = 20 cross-validation cell fit, on one training fold
@@ -408,11 +434,14 @@ def _iterate_near_its_optimum(rng, p, mode):
 @pytest.mark.parametrize("mode", ["covariance", "correlation"])
 def test_hessian_kernels_agree(monkeypatch, mode, p):
     # the dense and the sparse product kernel on random supports: products
-    # to 1e-12 relative, whole Newton directions to 1e-10
+    # to 1e-12 relative, whole Newton directions to 1e-10; the iterate's
+    # A S A and gradient, which both kernels read, are exactly symmetric
     rng = np.random.default_rng(p)
     products = []
     for _ in range(3):
         it, S, mask = _iterate_near_its_optimum(rng, p, mode)
+        M, G = it.asa(S), it.gradient(S, 1.0)
+        assert np.array_equal(M, M.T) and np.array_equal(G, G.T)
         if mode == "correlation":
             assert not mask.any(axis=1).all()  # empty CSR rows
         v = rng.standard_normal(np.count_nonzero(np.triu(mask)))
