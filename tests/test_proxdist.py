@@ -1,11 +1,12 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
 import sparsecov as sc
-from sparsecov import proxdist, sylvester
+from sparsecov import proxdist, sylvester, synthdata, tuning
 from sparsecov.proxdist import LOCK_STEPS, RHO0, RHO_GROWTH, STATIONARITY_RTOL
 
 
@@ -317,9 +318,9 @@ def test_finish_makes_no_projection(monkeypatch):
         calls.append(bool(finishing))
         return project(M, c)
 
-    def started(mask):
+    def started(mask, precondition):
         finishing.append(True)
-        return free_entries(mask)
+        return free_entries(mask, precondition)
 
     monkeypatch.setattr(proxdist, "_project", counted_project)
     monkeypatch.setattr(proxdist, "_FreeEntries", started)
@@ -403,7 +404,7 @@ def test_newton_operator_matches_fd_of_gradient(monkeypatch):
                     return A - A @ S @ A
 
                 it = proxdist._Iterate(Sigma, S, c)
-                free = proxdist._FreeEntries(mask)
+                free = proxdist._FreeEntries(mask, False)
                 assert free.sparse == (kernel == "sparse")
                 hess = proxdist._Hessian(it, S, free)
                 for _ in range(3):
@@ -448,7 +449,7 @@ def test_hessian_kernels_agree(monkeypatch, mode, p):
         out = {}
         for kernel in KERNELS:
             _use_kernel(monkeypatch, kernel)
-            free = proxdist._FreeEntries(mask)
+            free = proxdist._FreeEntries(mask, False)
             assert free.sparse == (kernel == "sparse")
             hess = proxdist._Hessian(it, S, free)
             D, count = proxdist._newton_direction(it, S, free.vector(it.gradient(S, 0.0)), free)
@@ -459,19 +460,135 @@ def test_hessian_kernels_agree(monkeypatch, mode, p):
     assert min(products) >= 3
 
 
+@pytest.mark.parametrize("p", [30, 60])
+@pytest.mark.parametrize("mode", ["covariance", "correlation"])
+def test_fisher_preconditioner_is_sigma_v_sigma(monkeypatch, mode, p):
+    # the preconditioner on each product kernel, against a dense
+    # mask * (Sigma V Sigma) up to one positive scale; it is self-adjoint
+    # and positive definite in the inner product CG runs in
+    rng = np.random.default_rng(p + 1)
+    for _ in range(3):
+        it, S, mask = _iterate_near_its_optimum(rng, p, mode)
+        u, v = rng.standard_normal((2, np.count_nonzero(np.triu(mask))))
+        for kernel in KERNELS:
+            _use_kernel(monkeypatch, kernel)
+            free = proxdist._FreeEntries(mask, True)
+            assert free.sparse == (kernel == "sparse")
+            fisher_inverse = proxdist._Hessian(it, S, free).fisher_inverse
+            Pu, Pv = fisher_inverse(u), fisher_inverse(v)
+            reference = free.vector(it.sigma @ free.matrix(v) @ it.sigma)
+            scale = free.inner(Pv, reference) / free.inner(reference, reference)
+            assert scale > 0.0
+            assert np.max(np.abs(Pv - scale * reference)) <= 1e-12 * np.max(np.abs(Pv))
+            bound = math.sqrt(free.inner(u, u) * free.inner(Pv, Pv))
+            assert abs(free.inner(u, Pv) - free.inner(Pu, v)) <= 1e-12 * bound
+            assert free.inner(u, Pu) > 0.0 and free.inner(v, Pv) > 0.0
+
+
+def _plain_cg_direction(it, S, g, free):
+    # the reference for rank-deficient S: the finish's conjugate gradients
+    # without a preconditioner, stopped on the forcing term alone
+    hess = proxdist._Hessian(it, S, free)
+    r = g.copy()
+    rr = free.inner(r, r)
+    g_norm = math.sqrt(rr)
+    tol = min(0.5, math.sqrt(g_norm / float(np.linalg.norm(it.inv)))) * g_norm
+    D = np.zeros_like(r)
+    d = -r
+    p = S.shape[0]
+    for j in range(p * (p + 1) // 2):
+        Hd = hess(d)
+        curvature = free.inner(d, Hd)
+        if curvature <= 0.0:
+            return (-g if j == 0 else D), j + 1
+        alpha = rr / curvature
+        D += alpha * d
+        Hd *= alpha
+        r += Hd
+        rr_next = free.inner(r, r)
+        if math.sqrt(rr_next) <= tol:
+            break
+        d *= rr_next / rr
+        d -= r
+        rr = rr_next
+    return D, j + 1
+
+
+@pytest.mark.parametrize("kernel", KERNELS)
+def test_rank_deficient_finish_runs_plain_cg(monkeypatch, kernel):
+    # the preconditioner follows the rank of S, not the ridge: on p > n fits
+    # every Newton direction and its product count are the plain reference's,
+    # bit for bit, automatic ridge or explicit; on full-rank fits the
+    # directions are preconditioned, and a fit takes fewer products in all
+    # than with the reference
+    _use_kernel(monkeypatch, kernel)
+    newton = proxdist._newton_direction
+    directions = []
+
+    def compared(it, S_used, g, free):
+        D, products = newton(it, S_used, g, free)
+        directions.append((free.precondition, D, products, *_plain_cg_direction(it, S_used, g, free)))
+        return D, products
+
+    monkeypatch.setattr(proxdist, "_newton_direction", compared)
+    deficient = _sample_problem(20, 8, 1, frac=0.01)
+    full = _sample_problem(20, 100, 11)
+    for S, cfg, rank_deficient in (
+        (deficient, sc.FitConfig(), True),
+        (deficient, sc.FitConfig(ridge_delta=0.5), True),
+        (full, sc.FitConfig(ridge_delta=0.5), False),
+    ):
+        directions.clear()
+        result = sc.fit(S, sc.SparsityConstraint(10), cfg)
+        assert result.ridge_delta > 0.0 and result.converged
+        assert len(directions) >= 2
+        for precondition, D, products, D_ref, products_ref in directions:
+            assert precondition != rank_deficient
+            if rank_deficient:
+                assert np.array_equal(D, D_ref) and products == products_ref
+    totals = []
+    for direction in (newton, _plain_cg_direction):
+        monkeypatch.setattr(proxdist, "_newton_direction", direction)
+        events = []
+        result = sc.fit(full, sc.SparsityConstraint(12), callback=events.append)
+        assert result.ridge_delta == 0.0 and result.converged
+        totals.append(sum(ev["cg_products"] for ev in events))
+    assert totals[0] < totals[1]
+
+
+def test_finish_aims_its_last_solve_below_the_gradient_test():
+    # two cross-validation cells of the criterion-6 study, replicate 7,
+    # whose last Newton step landed just above the gradient test, where
+    # only the round-off stop could end the fit, and which ended
+    # unconverged: fold 3 at k = 44 (||G|| / ||A|| = 1.3e-8) with plain CG
+    # and the forcing term, fold 0 at k = 49 (1.3e-8) with the
+    # preconditioner and the forcing term alone.  The aimed solve lands
+    # both under the test.
+    derive = synthdata._derive_seed
+    design = sc.SimDesign(kind="random_sparse", p=20, sparsity_frac=0.02, seed=2025)
+    truth = sc.make_design(replace(design, seed=derive(design.seed, (7, 0))))
+    data = sc.sample_mvn(truth, 100, sc.RngStream(seed=derive(design.seed, (7, 1))))
+    folds = tuning.kfold_split(100, 5, derive(design.seed, (7, 2)))
+    for fold, k in ((3, 44), (0, 49)):
+        S_train = sc.sample_covariance(np.delete(data, folds[fold], axis=0))
+        _assert_finished_on_support(sc.fit(S_train, sc.SparsityConstraint(k)), S_train, k)
+
+
 def test_newton_direction_on_zero_curvature_is_steepest_descent():
     # at Sigma = I, S = I/2 the loss has zero curvature along the free
     # diagonal: CG stops on the nonpositive curvature of its first
-    # iteration with the steepest descent direction rather than dividing
-    # by zero
+    # iteration with its first search direction rather than dividing by
+    # zero: the steepest descent direction -g, or -2g with the
+    # preconditioner, which is 2 Sigma V Sigma = 2 V there
     c = sc.SparsityConstraint(0)
     S = 0.5 * np.eye(3)
-    free = proxdist._FreeEntries(np.eye(3, dtype=bool))
     it = proxdist._Iterate(np.eye(3), S, c)
-    g = free.vector(it.gradient(S, 0.0))
-    D, products = proxdist._newton_direction(it, S, g, free)
-    assert np.array_equal(D, -g)
-    assert products == 1
+    for precondition, scale in ((False, 1.0), (True, 2.0)):
+        free = proxdist._FreeEntries(np.eye(3, dtype=bool), precondition)
+        g = free.vector(it.gradient(S, 0.0))
+        D, products = proxdist._newton_direction(it, S, g, free)
+        assert np.array_equal(D, -scale * g)
+        assert products == 1
 
 
 @MODES_AND_KERNELS
