@@ -24,12 +24,10 @@ zero off the support and has at most k pairs, so it is its own
 projection and the finish projects nothing.  Their conjugate gradient
 solves run on vectors of the free entries, with Hessian products that
 cost O(p m) for m free entries when m is small against p^2, and two
-GEMMs otherwise.  When S is full rank, CG is preconditioned by the
-Fisher metric of the Gaussian model, whose inverse ``V -> Sigma V Sigma``
-costs one more such product (Anderson, Ann. Statist. 1973), and a solve
-near the gradient test aims below it.  Rank-deficient S, the p > n fits,
-keeps plain CG and the forcing term alone: there the finish tends to end
-near the ridge, where the Hessian is far from its Fisher form.
+GEMMs otherwise.  CG is preconditioned by the Fisher metric of the
+Gaussian model, whose inverse ``V -> Sigma V Sigma`` costs one more such
+product (Anderson, Ann. Statist. 1973), and a solve near the gradient
+test aims below it.
 
 :func:`fit` runs that loop and is the only public way to take an MM
 step; :func:`objective`, :func:`surrogate_gradient` and
@@ -105,12 +103,12 @@ SPARSE_PRODUCT_RATIO = 40
 # Floats per gathered block of the sparse Hessian product (256 KB): blocks
 # twice as large ran its dot products 3x slower at p = 200.
 PRODUCT_CHUNK = 32768
-# When S is full rank, a Newton solve whose forcing tolerance falls below
-# AIM_WINDOW times the gradient test's bound STATIONARITY_RTOL * ||A||_F
-# runs on to half that bound, so that its step lands under the test rather
-# than just above it, where only a line search at the round-off floor could
-# end the fit.  On the criterion-6 study's 2010 fits, 12 ended unconverged
-# with plain CG, 48 with the preconditioner alone and 2 with both.
+# A Newton solve whose forcing tolerance falls below AIM_WINDOW times the
+# gradient test's bound STATIONARITY_RTOL * ||A||_F runs on to half that
+# bound, so that its step lands under the test rather than just above it,
+# where only a line search at the round-off floor could end the fit.  On
+# the criterion-6 study's 2010 fits, 12 ended unconverged with plain CG,
+# 48 with the preconditioner alone and 2 with both.
 AIM_WINDOW = 10.0
 
 
@@ -352,8 +350,6 @@ class _FreeEntries:
     transpose.  With ``weights`` 2 off the diagonal and 1 on it,
     :meth:`inner` is the Frobenius inner product of the matrices.
 
-    ``precondition`` says whether the finish's conjugate gradients are
-    preconditioned (:func:`_newton_direction`): only when S is full rank.
     ``sparse`` selects :class:`_Hessian`'s product kernel: the sparse one
     once ``m <= p^2 / SPARSE_PRODUCT_RATIO``.  For it, ``csr`` holds such a
     matrix in CSR form, both triangles, its index structure built here
@@ -361,14 +357,11 @@ class _FreeEntries:
     ``csr.data``.
     """
 
-    __slots__ = (
-        "mask", "upper", "lower", "weights", "precondition", "sparse", "csr", "csr_entry"
-    )
+    __slots__ = ("mask", "upper", "lower", "weights", "sparse", "csr", "csr_entry")
 
-    def __init__(self, mask: np.ndarray, precondition: bool):
+    def __init__(self, mask: np.ndarray):
         p = mask.shape[0]
         self.mask = mask
-        self.precondition = precondition
         self.upper = np.flatnonzero(np.triu(mask))
         rows, cols = np.divmod(self.upper, p)
         self.lower = cols * p + rows
@@ -483,29 +476,21 @@ def _newton_direction(
     matrices.
 
     Conjugate gradients on ``H[D] = -G`` in the Frobenius inner product
-    (Nocedal & Wright, Algorithms 5.2, 5.3 and 7.1), run on the vectors
+    (Nocedal & Wright, Algorithms 5.3 and 7.1), run on the vectors
     with :meth:`_FreeEntries.inner`, stopped once the residual
     ``H[D] + G`` falls to ``min(0.5, sqrt(||G|| / ||A||)) ||G||``,
     unit-free like the stationarity test, ``A = Sigma^{-1}``.  Negative
     curvature ends the solve: on the first iteration the direction is the
     first search direction, later it is the current iterate.
 
-    When ``free.precondition`` is set (S full rank), CG is preconditioned
-    by :meth:`_Hessian.fisher_inverse`, ``V -> Sigma V Sigma`` at the free
-    entries: the inverse of the Gaussian model's Fisher metric, which
-    ``H`` equals on the full space where ``S = Sigma``.  The stop still
-    reads the unpreconditioned residual, so the forcing term bounds it as
-    before, and the first search direction is ``-Sigma G Sigma`` (up to a
-    factor 2) instead of ``-g``.  Such a solve also aims below the
+    CG is preconditioned by :meth:`_Hessian.fisher_inverse`,
+    ``V -> Sigma V Sigma`` at the free entries: the inverse of the Gaussian
+    model's Fisher metric, which ``H`` equals on the full space where
+    ``S = Sigma``.  The stop still reads the unpreconditioned residual, so
+    the forcing term bounds it, and the first search direction is
+    ``-Sigma G Sigma`` (up to a factor 2).  A solve also aims below the
     gradient test: once its forcing tolerance is below ``AIM_WINDOW``
     times the test's bound, it stops at no more than half that bound.
-    Rank-deficient S keeps plain CG and the forcing term alone: on the
-    p > n fits the finish tends to end near the ridge, far from the Fisher
-    form.
-    On 18 random-sparse fits with p = 20-50 and n = 0.4p, preconditioning
-    them cut the products by 1.3% at two kernel calls each, ran 1.6x
-    longer and converged on 3 fits instead of 4; the aim alone also lost
-    that fit.
 
     In exact arithmetic CG ends within m iterations, but the cap is the
     dimension ``p(p+1)/2`` of the symmetric matrices: on the ill-conditioned
@@ -514,22 +499,18 @@ def _newton_direction(
     products by 37% but left one of the 4 converging fits unconverged.
     """
     hess = _Hessian(it, S, free)
-    precondition = hess.fisher_inverse if free.precondition else None
     a_norm = float(np.linalg.norm(it.inv))
     r = g.copy()  # residual H[D] + G
     rr = free.inner(r, r)
     g_norm = math.sqrt(rr)
     tol = min(0.5, math.sqrt(g_norm / a_norm)) * g_norm
-    if precondition is not None and tol < AIM_WINDOW * STATIONARITY_RTOL * a_norm:
+    if tol < AIM_WINDOW * STATIONARITY_RTOL * a_norm:
         tol = min(tol, 0.5 * STATIONARITY_RTOL * a_norm)
     D = np.zeros_like(r)
     p = S.shape[0]
     for j in range(p * (p + 1) // 2):
-        if precondition is None:
-            y, ry_next = r, rr
-        else:
-            y = precondition(r)
-            ry_next = free.inner(r, y)
+        y = hess.fisher_inverse(r)
+        ry_next = free.inner(r, y)
         if j == 0:
             d = -y
         else:
@@ -550,11 +531,8 @@ def _newton_direction(
     return D, j + 1
 
 
-def _resolve_ridge(S: np.ndarray, cfg: FitConfig) -> tuple[np.ndarray, float, bool]:
-    """Apply the explicit or automatic ridge; returns (S_used, delta,
-    full_rank).  ``full_rank`` is the rank test behind the automatic
-    ridge, ``lambda_min(S) >= RIDGE_EIG_RTOL * lambda_max(S)``, whatever
-    ridge is applied.
+def _resolve_ridge(S: np.ndarray, cfg: FitConfig) -> tuple[np.ndarray, float]:
+    """Apply the explicit or automatic ridge; returns (S_used, delta).
 
     Raises ValueError, before any ridge is added, if S has an eigenvalue
     below ``-RIDGE_EIG_RTOL * lambda_max(S)``: a ridge would hide that S
@@ -573,10 +551,10 @@ def _resolve_ridge(S: np.ndarray, cfg: FitConfig) -> tuple[np.ndarray, float, bo
     elif not full_rank:
         delta = RIDGE_SCALE * float(np.trace(S)) / S.shape[0]
     else:
-        return S, 0.0, full_rank
+        return S, 0.0
     S_used = S.copy()
     S_used[np.diag_indices_from(S_used)] += delta
-    return S_used, delta, full_rank
+    return S_used, delta
 
 
 def _finish_start(it: _Iterate, S: np.ndarray, c: SparsityConstraint) -> _Iterate:
@@ -645,7 +623,7 @@ def fit(
         the diagonal start is singular.
     """
     (S,) = _check_inputs((S,), c)
-    S, ridge_delta, full_rank = _resolve_ridge(S, cfg)
+    S, ridge_delta = _resolve_ridge(S, cfg)
     if np.any(np.diag(S) <= 0):
         raise NotPositiveDefiniteError(
             "S has a nonpositive diagonal entry, so the diagonal start is "
@@ -703,7 +681,7 @@ def fit(
     mask = support  # of the schedule's last iterate
     if c.mode == "correlation":
         np.fill_diagonal(mask, False)
-    free = _FreeEntries(mask, full_rank)
+    free = _FreeEntries(mask)
     schedule_steps = len(objective_trace)
     moved = it.dist2 > 0.0 and schedule_steps < cfg.max_outer
     if moved:

@@ -101,6 +101,6 @@ def support_mask(M: np.ndarray, tol: float | None = None) -> np.ndarray:
     M = np.asarray(M, dtype=float)
     if tol is None:
         tol = 1e-8 * float(np.abs(M).max()) if M.size else 0.0
-    if tol < 0:
-        raise ValueError("tol must be nonnegative")
+    if not tol >= 0:
+        raise ValueError(f"tol must be nonnegative, got {tol}")
     return np.abs(M) > tol

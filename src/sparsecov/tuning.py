@@ -83,8 +83,9 @@ def kfold_split(n: int, folds: int, seed: int) -> list[np.ndarray]:
 def default_grid(method: str, S: np.ndarray, size: int = 40) -> np.ndarray:
     """The standard tuning grid for one method on sample covariance ``S``.
 
-    Sparsity levels ``round(linspace(0, p(p-1)/2, size))`` for the
-    penalized estimator; threshold levels ``linspace(0, max off-diagonal
+    The distinct sparsity levels of ``round(linspace(0, p(p-1)/2, size))``
+    for the penalized estimator, so at most ``size`` of them, fewer when
+    p(p-1)/2 < size - 1; threshold levels ``linspace(0, max off-diagonal
     |S|, size)`` for the baselines.
     """
     if method not in METHODS:
@@ -92,7 +93,7 @@ def default_grid(method: str, S: np.ndarray, size: int = 40) -> np.ndarray:
     S = np.asarray(S, dtype=float)
     p = S.shape[0]
     if method == "proxdist":
-        return np.rint(np.linspace(0, p * (p - 1) // 2, size)).astype(int)
+        return np.unique(np.rint(np.linspace(0, p * (p - 1) // 2, size)).astype(int))
     off = np.abs(S - np.diag(np.diag(S)))
     return np.linspace(0.0, float(off.max()), size)
 
@@ -115,8 +116,8 @@ def cross_validate(
     Returns ``(best_param, table)`` where the table has one row per grid
     value with the mean held-out loss and its standard error.  A failed
     fit on a fold scores that cell as +inf with a warning.  The
-    ``boundary`` field is set on the selected row when it sits at either
-    end of the grid.
+    ``boundary`` field is set on the selected row when its value is the
+    grid's first or last.
 
     Parameters
     ----------
@@ -178,7 +179,7 @@ def cross_validate(
         stderrs = losses.std(axis=1, ddof=1) / np.sqrt(len(folds))
     tied = np.flatnonzero(means == means.min())
     best_idx = int(tied[0]) if method == "proxdist" else int(tied[-1])
-    on_boundary = best_idx in (0, grid.size - 1)
+    on_boundary = grid[best_idx] in (grid[0], grid[-1])
     if on_boundary:
         warnings.warn(
             f"selected parameter {grid[best_idx]:g} lies on the grid boundary; "

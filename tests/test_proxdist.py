@@ -318,9 +318,9 @@ def test_finish_makes_no_projection(monkeypatch):
         calls.append(bool(finishing))
         return project(M, c)
 
-    def started(mask, precondition):
+    def started(mask):
         finishing.append(True)
-        return free_entries(mask, precondition)
+        return free_entries(mask)
 
     monkeypatch.setattr(proxdist, "_project", counted_project)
     monkeypatch.setattr(proxdist, "_FreeEntries", started)
@@ -404,7 +404,7 @@ def test_newton_operator_matches_fd_of_gradient(monkeypatch):
                     return A - A @ S @ A
 
                 it = proxdist._Iterate(Sigma, S, c)
-                free = proxdist._FreeEntries(mask, False)
+                free = proxdist._FreeEntries(mask)
                 assert free.sparse == (kernel == "sparse")
                 hess = proxdist._Hessian(it, S, free)
                 for _ in range(3):
@@ -417,7 +417,8 @@ def test_newton_operator_matches_fd_of_gradient(monkeypatch):
 
 def _iterate_near_its_optimum(rng, p, mode):
     # a well-conditioned iterate on a random symmetric support, and an S
-    # that it nearly fits, so that CG takes several products and meets no
+    # that it nearly fits, so that its Newton solve aims below the gradient
+    # test, takes several products even preconditioned and meets no
     # negative curvature; in correlation mode no diagonal entry is free, so
     # rows off the support hold no free entry
     mask = rng.random((p, p)) < 0.05
@@ -427,7 +428,7 @@ def _iterate_near_its_optimum(rng, p, mode):
     Sigma = (Sigma + Sigma.T) / 2.0
     Sigma += 1.05 * np.abs(Sigma).sum(axis=1).max() * np.eye(p)
     E = rng.standard_normal((p, p))
-    S = Sigma + 1e-4 * (E + E.T)
+    S = Sigma + 1e-7 * (E + E.T)
     return proxdist._Iterate(Sigma, S, sc.SparsityConstraint(0, mode)), S, mask
 
 
@@ -449,7 +450,7 @@ def test_hessian_kernels_agree(monkeypatch, mode, p):
         out = {}
         for kernel in KERNELS:
             _use_kernel(monkeypatch, kernel)
-            free = proxdist._FreeEntries(mask, False)
+            free = proxdist._FreeEntries(mask)
             assert free.sparse == (kernel == "sparse")
             hess = proxdist._Hessian(it, S, free)
             D, count = proxdist._newton_direction(it, S, free.vector(it.gradient(S, 0.0)), free)
@@ -472,7 +473,7 @@ def test_fisher_preconditioner_is_sigma_v_sigma(monkeypatch, mode, p):
         u, v = rng.standard_normal((2, np.count_nonzero(np.triu(mask))))
         for kernel in KERNELS:
             _use_kernel(monkeypatch, kernel)
-            free = proxdist._FreeEntries(mask, True)
+            free = proxdist._FreeEntries(mask)
             assert free.sparse == (kernel == "sparse")
             fisher_inverse = proxdist._Hessian(it, S, free).fisher_inverse
             Pu, Pv = fisher_inverse(u), fisher_inverse(v)
@@ -486,8 +487,8 @@ def test_fisher_preconditioner_is_sigma_v_sigma(monkeypatch, mode, p):
 
 
 def _plain_cg_direction(it, S, g, free):
-    # the reference for rank-deficient S: the finish's conjugate gradients
-    # without a preconditioner, stopped on the forcing term alone
+    # the finish's conjugate gradients without the preconditioner or the
+    # aimed stop, ended on the forcing term alone
     hess = proxdist._Hessian(it, S, free)
     r = g.copy()
     rr = free.inner(r, r)
@@ -515,45 +516,46 @@ def _plain_cg_direction(it, S, g, free):
 
 
 @pytest.mark.parametrize("kernel", KERNELS)
-def test_rank_deficient_finish_runs_plain_cg(monkeypatch, kernel):
-    # the preconditioner follows the rank of S, not the ridge: on p > n fits
-    # every Newton direction and its product count are the plain reference's,
-    # bit for bit, automatic ridge or explicit; on full-rank fits the
-    # directions are preconditioned, and a fit takes fewer products in all
-    # than with the reference
+def test_every_finish_direction_is_preconditioned(monkeypatch, kernel):
+    # rank-deficient S (p > n, with the automatic ridge or an explicit one)
+    # and full-rank S run the same CG: each iteration of every direction
+    # applies the preconditioner once, each fit converges, and it takes
+    # fewer Hessian products in all than with plain CG patched in
     _use_kernel(monkeypatch, kernel)
+    fisher_inverse = proxdist._Hessian.fisher_inverse
     newton = proxdist._newton_direction
-    directions = []
+    calls = []
+    directions = []  # per direction: (preconditioner calls, products)
 
-    def compared(it, S_used, g, free):
+    def counted_fisher_inverse(hess, v):
+        calls.append(1)
+        return fisher_inverse(hess, v)
+
+    def counted_newton(it, S_used, g, free):
+        calls.clear()
         D, products = newton(it, S_used, g, free)
-        directions.append((free.precondition, D, products, *_plain_cg_direction(it, S_used, g, free)))
+        directions.append((len(calls), products))
         return D, products
 
-    monkeypatch.setattr(proxdist, "_newton_direction", compared)
+    monkeypatch.setattr(proxdist._Hessian, "fisher_inverse", counted_fisher_inverse)
     deficient = _sample_problem(20, 8, 1, frac=0.01)
     full = _sample_problem(20, 100, 11)
-    for S, cfg, rank_deficient in (
-        (deficient, sc.FitConfig(), True),
-        (deficient, sc.FitConfig(ridge_delta=0.5), True),
-        (full, sc.FitConfig(ridge_delta=0.5), False),
+    for S, cfg, k in (
+        (deficient, sc.FitConfig(), 10),
+        (deficient, sc.FitConfig(ridge_delta=0.5), 10),
+        (full, sc.FitConfig(), 12),
     ):
         directions.clear()
-        result = sc.fit(S, sc.SparsityConstraint(10), cfg)
-        assert result.ridge_delta > 0.0 and result.converged
+        totals = []
+        for direction in (counted_newton, _plain_cg_direction):
+            monkeypatch.setattr(proxdist, "_newton_direction", direction)
+            events = []
+            result = sc.fit(S, sc.SparsityConstraint(k), cfg, callback=events.append)
+            assert result.converged
+            totals.append(sum(ev["cg_products"] for ev in events))
         assert len(directions) >= 2
-        for precondition, D, products, D_ref, products_ref in directions:
-            assert precondition != rank_deficient
-            if rank_deficient:
-                assert np.array_equal(D, D_ref) and products == products_ref
-    totals = []
-    for direction in (newton, _plain_cg_direction):
-        monkeypatch.setattr(proxdist, "_newton_direction", direction)
-        events = []
-        result = sc.fit(full, sc.SparsityConstraint(12), callback=events.append)
-        assert result.ridge_delta == 0.0 and result.converged
-        totals.append(sum(ev["cg_products"] for ev in events))
-    assert totals[0] < totals[1]
+        assert all(applied == products for applied, products in directions)
+        assert totals[0] < totals[1]
 
 
 def test_finish_aims_its_last_solve_below_the_gradient_test():
@@ -578,17 +580,16 @@ def test_newton_direction_on_zero_curvature_is_steepest_descent():
     # at Sigma = I, S = I/2 the loss has zero curvature along the free
     # diagonal: CG stops on the nonpositive curvature of its first
     # iteration with its first search direction rather than dividing by
-    # zero: the steepest descent direction -g, or -2g with the
-    # preconditioner, which is 2 Sigma V Sigma = 2 V there
+    # zero: the preconditioned steepest descent direction -2g, since the
+    # preconditioner is 2 Sigma V Sigma = 2 V there
     c = sc.SparsityConstraint(0)
     S = 0.5 * np.eye(3)
     it = proxdist._Iterate(np.eye(3), S, c)
-    for precondition, scale in ((False, 1.0), (True, 2.0)):
-        free = proxdist._FreeEntries(np.eye(3, dtype=bool), precondition)
-        g = free.vector(it.gradient(S, 0.0))
-        D, products = proxdist._newton_direction(it, S, g, free)
-        assert np.array_equal(D, -scale * g)
-        assert products == 1
+    free = proxdist._FreeEntries(np.eye(3, dtype=bool))
+    g = free.vector(it.gradient(S, 0.0))
+    D, products = proxdist._newton_direction(it, S, g, free)
+    assert np.array_equal(D, -2.0 * g)
+    assert products == 1
 
 
 @MODES_AND_KERNELS

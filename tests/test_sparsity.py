@@ -80,6 +80,9 @@ def test_support_mask_tolerance():
     M = np.array([[1.0, 1e-12], [1e-12, 1.0]])
     assert sc.support_mask(M).sum() == 2
     assert sc.support_mask(M, tol=0.0).sum() == 4
+    for tol in (-1.0, float("nan")):
+        with pytest.raises(ValueError, match="nonnegative"):
+            sc.support_mask(M, tol)
 
 
 def _reference_project(M, c):

@@ -130,5 +130,6 @@ def test_replicate_table_serialization(tmp_path):
 
 def test_replicate_table_single_rep_stderr_zero():
     design = sc.SimDesign(kind="moving_average", p=5, seed=2)
-    table = sc.run_replicates(design, n=40, reps=1, methods=("hard",), grid_size=4)
+    with pytest.warns(UserWarning, match="boundary"):
+        table = sc.run_replicates(design, n=40, reps=1, methods=("hard",), grid_size=4)
     assert table.stderr("hard", "rmse") == 0.0

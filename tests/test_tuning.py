@@ -34,7 +34,9 @@ def test_default_grid_shapes():
     kg = sc.default_grid("proxdist", S, 10)
     assert kg.dtype.kind == "i"
     assert kg[0] == 0 and kg[-1] == 15
-    assert np.all(np.diff(kg) >= 0)
+    assert np.all(np.diff(kg) > 0)
+    # at most size levels, each once: p = 6 has 16 levels to draw from
+    assert np.array_equal(sc.default_grid("proxdist", S, 40), np.arange(16))
     lg = sc.default_grid("soft", S, 10)
     assert lg[0] == 0.0
     off = np.abs(S - np.diag(np.diag(S)))
@@ -94,11 +96,28 @@ def test_cross_validate_boundary_warning():
     assert flagged[0].param == best
 
 
+def test_cross_validate_boundary_is_a_value_not_an_index():
+    # p = 3 has 4 sparsity levels, so a 40-point grid repeats them; CV
+    # picks the largest, k = 3, which is on the boundary however often
+    # the grid holds it
+    truth = np.array([[1.0, 0.6, 0.5], [0.6, 1.0, 0.4], [0.5, 0.4, 1.0]])
+    data = sc.sample_mvn(truth, 200, sc.RngStream(0))
+    S = sc.sample_covariance(data)
+    for grid in (sc.default_grid("proxdist", S, 40), np.rint(np.linspace(0, 3, 40))):
+        with pytest.warns(UserWarning, match="boundary"):
+            best, table = sc.cross_validate(
+                data, "proxdist", sc.CvSpec(grid=grid, folds=5)
+            )
+        assert best == 3
+        assert [row.param for row in table if row.boundary] == [3.0]
+
+
 def test_cross_validate_failed_cells_become_inf():
     data = _dataset(p=5, n=20, seed=3)
     data[:] = 0.0  # S = 0 defeats the ridge too: every proxdist fit raises
     grid = np.array([0, 1])
-    with pytest.warns(UserWarning, match="inf"):
+    # every cell ties at +inf, so the sparsest value, on the boundary, wins
+    with pytest.warns(UserWarning, match="inf"), pytest.warns(UserWarning, match="boundary"):
         best, table = sc.cross_validate(
             data, "proxdist", sc.CvSpec(grid=grid, folds=4)
         )
@@ -122,6 +141,7 @@ def test_cross_validate_ties_prefer_sparser_proxdist():
     # documented rule keeps the smaller k, checked on a grid of one value
     data = _dataset(seed=5)
     grid = np.array([2])
-    best, table = sc.cross_validate(data, "proxdist", sc.CvSpec(grid=grid, folds=3))
+    with pytest.warns(UserWarning, match="boundary"):
+        best, table = sc.cross_validate(data, "proxdist", sc.CvSpec(grid=grid, folds=3))
     assert best == 2
     assert table[0].boundary
