@@ -170,20 +170,21 @@ def inverse_pd(M: np.ndarray) -> np.ndarray:
 
 
 def _inverse_from_cholesky(L: np.ndarray) -> np.ndarray:
-    """Inverse of ``L L^T`` from the lower factor ``L`` of :func:`cholesky_pd`.
+    """Inverse of ``L L^T`` from the lower factor ``L`` of :func:`cholesky_pd`,
+    which it consumes: read anything else from ``L`` before the call.
 
-    LAPACK ``potri`` writes the lower triangle of the inverse over a copy
-    of ``L``, for less than half the cost of solving against the
-    identity.  ``L``'s upper triangle is zero, so ``X + X^T`` with the
-    diagonal reset mirrors that triangle into an exactly symmetric
-    inverse.
+    LAPACK ``potri`` writes the lower triangle of the inverse over ``L``
+    itself, for less than half the cost of solving against the identity,
+    and the triangle is mirrored in place.  The result is exactly
+    symmetric and C-contiguous: it is the transpose of the F-ordered
+    factor's memory, which equals that matrix since it is symmetric.
     """
-    X, info = dpotri(L, lower=1)
+    X, info = dpotri(L, lower=1, overwrite_c=1)
     if info != 0:
         raise ValueError(f"inverting the Cholesky factor failed (LAPACK info {info})")
-    inv = X + X.T
-    np.fill_diagonal(inv, np.diag(X))
-    return inv
+    for j in range(1, X.shape[0]):
+        X[:j, j] = X[j, :j]
+    return X.T
 
 
 def spectral_decompose(M: np.ndarray) -> SpectralDecomposition:

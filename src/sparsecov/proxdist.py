@@ -182,8 +182,8 @@ def _inverse_and_loss(sigma: np.ndarray, S: np.ndarray) -> tuple[np.ndarray, flo
     their entrywise product, so the loss needs no solve against ``S``.
     """
     L = cholesky_pd(sigma)
+    logdet = 2.0 * float(np.sum(np.log(np.diag(L))))  # before L is overwritten
     inv = _inverse_from_cholesky(L)
-    logdet = 2.0 * float(np.sum(np.log(np.diag(L))))
     return inv, logdet + float(np.vdot(inv, S))
 
 
@@ -201,6 +201,14 @@ class _Iterate:
     what reads it needs no symmetrization of its own.  ``sigma`` must be
     exactly symmetric; construction raises NotPositiveDefiniteError if
     it is not PD.
+
+    An iterate holds its matrices only until its step is formed, so that
+    a fit's working set stays near 7.5 p x p matrices: ``c_k`` and the
+    finish's Hessian take ``A S A`` (:meth:`take_asa`) to overwrite, and
+    :func:`_step` sets ``inv`` and ``proj`` to None before the line
+    search, which reads ``sigma``, ``loss`` and ``dist2`` alone.  A
+    schedule step that backtracking rejects rebuilds its iterate from
+    ``sigma``, bit for bit, at the cost of one more factorization.
     """
 
     __slots__ = ("sigma", "inv", "loss", "proj", "dist2", "_asa")
@@ -212,8 +220,9 @@ class _Iterate:
             self.proj, self.dist2 = sigma, 0.0
         else:
             self.proj = _project(sigma, c)
-            diff = sigma - self.proj
-            self.dist2 = float(np.sum(diff * diff))
+            diff = np.subtract(sigma, self.proj)
+            diff *= diff
+            self.dist2 = float(np.sum(diff))
         self._asa = None
 
     def objective(self, rho: float) -> float:
@@ -223,10 +232,19 @@ class _Iterate:
         """``A S A``, exactly symmetric: the triple product drifts from
         symmetry by O(eps), and this is the one place that averages it out."""
         if self._asa is None:
-            self._asa = M = self.inv @ S @ self.inv
-            M += M.T
-            M *= 0.5
+            self._asa = AS = self.inv @ S
+            M = AS @ self.inv
+            np.copyto(AS, M.T)  # A S is spent; M^T + M is M + M^T
+            AS += M
+            AS *= 0.5
         return self._asa
+
+    def take_asa(self, S: np.ndarray) -> np.ndarray:
+        """:meth:`asa` for the caller to overwrite: the iterate lets go of
+        it, and forms it again if it is asked for it."""
+        M = self.asa(S)
+        self._asa = None
+        return M
 
     def gradient(self, S: np.ndarray, rho: float) -> np.ndarray:
         """Gradient of ``h_rho`` here, ``A - A S A + rho (Sigma - P(Sigma))``,
@@ -319,12 +337,15 @@ def _line_search(
     """
     h = it.objective(rho)
     for s in range(max_halvings + 1):
+        candidate = direction * 0.5**s
+        candidate += it.sigma
         try:
-            nxt = _Iterate(it.sigma + 0.5**s * direction, S, c)
+            nxt = _Iterate(candidate, S, c)
         except NotPositiveDefiniteError:
             continue
         if nxt.objective(rho) < h:
             return nxt, s
+        nxt = None  # a rejected candidate goes before the next is built
     return None, max_halvings
 
 
@@ -335,8 +356,19 @@ def _step(
     rho: float,
     max_halvings: int,
 ) -> tuple[_Iterate | None, int]:
-    """One MM step from ``it``, with :func:`_line_search`'s return value."""
-    direction = _solve(it.sigma, rho * it.proj + it.asa(S), rho) - it.sigma
+    """One MM step from ``it``, with :func:`_line_search`'s return value.
+
+    ``c_k = A S A + rho P(Sigma)`` is formed in the ``A S A`` buffer, and
+    then ``it`` lets go of its inverse and projection, which the line
+    search does not read.  A caller whose step is rejected rebuilds them
+    from ``it.sigma``.
+    """
+    c_k = it.take_asa(S)
+    c_k += rho * it.proj
+    it.inv = it.proj = None
+    direction = _solve(it.sigma, c_k, rho)
+    del c_k
+    direction -= it.sigma
     return _line_search(it, direction, S, c, rho, max_halvings)
 
 
@@ -403,8 +435,10 @@ class _Hessian:
     are the second derivatives of ``ln det Sigma`` and
     ``tr(Sigma^{-1} S)``, and they equal ``Y + Y^T`` with ``Y = A V N`` and
     ``N = M - A/2``, exactly symmetric since :meth:`_Iterate.asa` and ``A``
-    are.  A product maps a vector of free entries (:class:`_FreeEntries`)
-    to one, so ``H[V]`` is exactly symmetric by construction.
+    are.  ``N`` is formed in the buffer of ``M``, which the operator takes
+    from the iterate (:meth:`_Iterate.take_asa`).  A product maps a vector
+    of free entries (:class:`_FreeEntries`) to one, so ``H[V]`` is exactly
+    symmetric by construction.
 
     ``free.sparse`` picks one of two kernels.  The dense one forms
     ``Y = (A V) N`` by two GEMMs, 2 p^3 flops.  The sparse one forms
@@ -416,20 +450,23 @@ class _Hessian:
     ``A`` and ``N``, serves one Newton direction, whose conjugate gradient
     solve reads ``H`` through products alone.  The preconditioner
     :meth:`fisher_inverse` is the same product with ``Sigma`` for both
-    ``A`` and ``N``, on the same kernel and the same buffers.
+    ``A`` and ``N``, on the same kernel and the same buffers.  The dense
+    kernel's buffers are C-ordered whatever the layout of ``A``, so that
+    its flat view is a view.
     """
 
     __slots__ = ("A", "N", "sigma", "free", "_v", "_flat", "_tmp")
 
     def __init__(self, it: _Iterate, S: np.ndarray, free: _FreeEntries):
         self.A = it.inv
-        self.N = it.asa(S) - 0.5 * it.inv
+        self.N = it.take_asa(S)
+        self.N -= 0.5 * it.inv
         self.sigma = it.sigma
         self.free = free
         if not free.sparse:
-            self._v = np.empty_like(it.inv)
+            self._v = np.empty(it.inv.shape)
             self._flat = self._v.reshape(-1)  # a view, indexed faster than .flat
-            self._tmp = np.empty_like(it.inv)
+            self._tmp = np.empty(it.inv.shape)
 
     def __call__(self, v: np.ndarray) -> np.ndarray:
         """``H[V]`` at the free entries, for ``V`` the matrix of ``v``."""
@@ -560,12 +597,16 @@ def _resolve_ridge(S: np.ndarray, cfg: FitConfig) -> tuple[np.ndarray, float]:
 def _finish_start(it: _Iterate, S: np.ndarray, c: SparsityConstraint) -> _Iterate:
     """Where the finish at rho = inf starts: ``P(Sigma)`` if it is PD, else
     ``Diag(S)``, or ``I`` in correlation mode, which lie on every support.
-    Either start is on the sparse set, so it is not projected again."""
+    Either start is on the sparse set, so it is not projected again.
+
+    The fallback is built after the ``except`` block, whose traceback
+    would keep the failed factorization alive while it is built."""
     try:
         return _Iterate(it.proj, S, None)
     except NotPositiveDefiniteError:
-        diag = np.ones(S.shape[0]) if c.mode == "correlation" else np.diag(S)
-        return _Iterate(np.diag(diag), S, None)
+        pass
+    diag = np.ones(S.shape[0]) if c.mode == "correlation" else np.diag(S)
+    return _Iterate(np.diag(diag), S, None)
 
 
 def fit(
@@ -630,7 +671,7 @@ def fit(
             "singular; set ridge_delta > 0 in FitConfig"
         )
 
-    it = _Iterate(np.diag(np.diag(S)).copy(), S, c)
+    it = _Iterate(np.diag(np.diag(S)), S, c)
     rho = RHO0
     objective_trace: list[float] = []
     rho_trace: list[float] = []
@@ -660,7 +701,8 @@ def fit(
         it_next, halvings = _step(it, S, c, rho, cfg.max_halvings)
         accepted = it_next is not None
         if not accepted:
-            it_next, halvings = it, 0
+            # the step let go of the iterate's inverse and projection
+            it_next, halvings = _Iterate(it.sigma, S, c), 0
         record(it, it_next, rho, halvings, accepted)
         it = it_next
         total_halvings += halvings
@@ -685,11 +727,14 @@ def fit(
     schedule_steps = len(objective_trace)
     moved = it.dist2 > 0.0 and schedule_steps < cfg.max_outer
     if moved:
-        it_next = None  # the schedule's iterate goes with the switch
+        # the schedule's iterate goes with the switch; the start reads its
+        # projection alone
+        it_next = it.inv = None
         it = _finish_start(it, S, c)
     converged = False
     for _ in range(cfg.max_outer - schedule_steps):
-        g = free.vector(it.gradient(S, 0.0))
+        # the loss gradient A - A S A on the free entries
+        g = free.vector(it.inv) - free.vector(it.asa(S))
         if math.sqrt(free.inner(g, g)) <= STATIONARITY_RTOL * np.linalg.norm(it.inv):
             converged = True
             break

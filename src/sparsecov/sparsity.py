@@ -54,17 +54,26 @@ def _project(M: np.ndarray, c: SparsityConstraint) -> np.ndarray:
     the k-th largest; entries above it are kept, then the tied entries in
     row-major order, which breaks ties toward the smaller (row, col) so
     the projection is deterministic even on the measure-zero tie set.
-    Exactly-zero entries are never kept.
+    Exactly-zero entries are never kept.  The magnitudes are partitioned
+    in place and formed again after, and the result is written over them,
+    so that two p x p buffers serve the whole projection.
     """
     upper = np.triu(M, 1)
-    mags = np.abs(upper).ravel()
-    kth = np.partition(mags, mags.size - c.k)[mags.size - c.k] if c.k else np.inf
-    keep = mags > kth
+    mags = np.abs(upper)
+    flat = mags.reshape(-1)  # a view
+    kth = np.inf
+    if c.k:
+        flat.partition(flat.size - c.k)
+        kth = flat[flat.size - c.k]
+        np.abs(upper, out=mags)  # the partition reordered them
+    keep = flat > kth
     if kth > 0.0:
-        ties = np.flatnonzero(mags == kth)[: c.k - np.count_nonzero(keep)]
+        ties = np.flatnonzero(flat == kth)[: c.k - np.count_nonzero(keep)]
         keep[ties] = True
     upper[~keep.reshape(upper.shape)] = 0.0
-    out = upper + upper.T
+    out = mags
+    np.copyto(out, upper.T)  # then a same-order add, which needs no buffer
+    out += upper
     np.fill_diagonal(out, 1.0 if c.mode == "correlation" else np.diag(M))
     return out
 

@@ -117,16 +117,29 @@ def _solve(sigma_k: np.ndarray, c_k: np.ndarray, rho: float) -> np.ndarray:
     The caller guarantees what :class:`SurrogateSystem` would check:
     ``sigma_k`` exactly symmetric and positive definite, ``c_k`` exactly
     symmetric of the same shape, and ``rho > 0``.
+
+    Beside the eigenvectors it holds two p x p buffers: the four GEMMs
+    alternate between them, and the denominators are formed in place in
+    the one the second GEMM has spent.  The result is the last of them.
     """
     lam, Q = spectral_decompose(sigma_k)
-    denom = rho + 1.0 / np.outer(lam, lam)
+    a = np.matmul(Q.T, c_k)
+    b = np.matmul(a, Q)
+    denom = np.outer(lam, lam, out=a)
+    np.divide(1.0, denom, out=denom)
+    denom += rho
     if not np.all(denom > 0):
         raise ValueError(
             "solver denominators are not all positive; "
             "sigma_k is numerically singular or indefinite"
         )
-    X = Q @ ((Q.T @ c_k @ Q) / denom) @ Q.T
-    return (X + X.T) / 2.0
+    b /= denom
+    np.matmul(Q, b, out=a)
+    np.matmul(a, Q.T, out=b)
+    np.copyto(a, b.T)  # then a same-order add, which needs no buffer
+    a += b
+    a /= 2.0
+    return a
 
 
 def solve_kronecker(sys: SurrogateSystem) -> np.ndarray:

@@ -110,6 +110,27 @@ def test_inverse_pd_random_roundtrip():
     assert sc.negative_loglik_loss(M, S) == pytest.approx(expected, rel=1e-12)
 
 
+@pytest.mark.parametrize("p", [1, 2, 20, 200])
+def test_loss_and_inverse_from_one_factor(p):
+    # the loss reads log det from the Cholesky factor before the inverse
+    # overwrites it; both match slogdet, a solve and numpy's inverse, and
+    # the inverse is exactly symmetric and C-contiguous
+    rng = np.random.default_rng(p)
+    B = rng.standard_normal((p, p))
+    M = B @ B.T + p * np.eye(p)
+    M = (M + M.T) / 2
+    B = rng.standard_normal((2 * p, p))
+    S = B.T @ B / (2 * p)
+    _, logdet = np.linalg.slogdet(M)
+    expected = logdet + np.trace(np.linalg.solve(M, S))
+    assert sc.negative_loglik_loss(M, S) == pytest.approx(expected, rel=1e-12)
+    A = sc.inverse_pd(M)
+    assert np.array_equal(A, A.T)
+    assert A.flags.c_contiguous
+    expected = np.linalg.inv(M)
+    assert np.max(np.abs(A - expected)) <= 1e-12 * np.max(np.abs(expected))
+
+
 def test_spectral_decompose_reconstructs():
     rng = np.random.default_rng(2)
     B = rng.standard_normal((4, 4))

@@ -1,4 +1,6 @@
+import gc
 import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -304,6 +306,60 @@ def test_fit_finishes_on_the_support_of_the_bench_instance():
     assert result.objective_trace[-1] == sc.negative_loglik_loss(result.sigma_hat, S)
 
 
+def _fit_peak_matrices(S, c, callback=None):
+    # a fit, and its tracemalloc peak above its start in p x p float64
+    # matrices; LAPACK's own workspace is not traced.  The sparse Hessian
+    # kernel imports scipy.sparse on first use, so it is imported first
+    import scipy.sparse  # noqa: F401
+
+    gc.collect()
+    tracemalloc.start()
+    try:
+        result = sc.fit(S, c, callback=callback)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return result, peak / S.nbytes
+
+
+def test_fit_working_set_full_rank():
+    # the criterion-11 instance at p = 200: S, the iterate's sigma, the
+    # step direction, and the candidate with its inverse and the
+    # projection's two buffers; each iterate lets go of its inverse,
+    # A S A and projection once its step is formed
+    S, c = _bench_instance()
+    result, matrices = _fit_peak_matrices(S, c)
+    assert result.converged and result.ridge_delta == 0.0
+    assert matrices <= 8.4
+
+
+def test_fit_working_set_p_above_n(monkeypatch):
+    # p = 200 > n = 80 with the automatic ridge, the benchmark's
+    # rank-deficient k = 100 fit: its schedule's line searches reject
+    # candidates at the PD gate and on the descent test, and a rejected
+    # candidate goes before the next one is built
+    S = _sample_problem(200, 80, 0, frac=0.005)
+    steps = []  # the rho of each recorded step
+    failed_at = []  # steps recorded when a candidate failed the PD gate
+    cholesky = proxdist.cholesky_pd
+
+    def counted_cholesky(M):
+        try:
+            return cholesky(M)
+        except sc.NotPositiveDefiniteError:
+            failed_at.append(len(steps))
+            raise
+
+    monkeypatch.setattr(proxdist, "cholesky_pd", counted_cholesky)
+    result, matrices = _fit_peak_matrices(
+        S, sc.SparsityConstraint(100), callback=lambda ev: steps.append(ev["rho"])
+    )
+    schedule = next(i for i in range(1, len(steps)) if steps[i] == steps[i - 1])
+    assert result.ridge_delta > 0.0
+    assert any(n < schedule for n in failed_at)
+    assert matrices <= 8.4
+
+
 def test_finish_makes_no_projection(monkeypatch):
     # every finish iterate is zero off the free entries and has at most k
     # pairs, so it is its own projection: once the free entries are fixed,
@@ -484,6 +540,33 @@ def test_fisher_preconditioner_is_sigma_v_sigma(monkeypatch, mode, p):
             bound = math.sqrt(free.inner(u, u) * free.inner(Pv, Pv))
             assert abs(free.inner(u, Pv) - free.inner(Pu, v)) <= 1e-12 * bound
             assert free.inner(u, Pu) > 0.0 and free.inner(v, Pv) > 0.0
+
+
+@pytest.mark.parametrize("mode", ["covariance", "correlation"])
+def test_dense_kernel_does_not_depend_on_the_inverse_layout(monkeypatch, mode):
+    # with an F-ordered inverse the dense kernel's buffers stay C-ordered,
+    # so that its flat view writes through: its products still match
+    # -A V A + A V M + M V A with M = A S A, and its preconditioner
+    # 2 Sigma V Sigma
+    _use_kernel(monkeypatch, "dense")
+    rng = np.random.default_rng(5)
+    it, S, mask = _iterate_near_its_optimum(rng, 30, mode)
+    it.inv = np.asfortranarray(it.inv)
+    assert not it.inv.flags.c_contiguous
+    A, Sigma = it.inv, it.sigma
+    M = A @ S @ A
+    free = proxdist._FreeEntries(mask)
+    assert not free.sparse
+    hess = proxdist._Hessian(it, S, free)
+    for _ in range(3):
+        v = rng.standard_normal(free.upper.size)
+        V = free.matrix(v)
+        for got, expected in (
+            (hess(v), -A @ V @ A + A @ V @ M + M @ V @ A),
+            (hess.fisher_inverse(v), 2.0 * Sigma @ V @ Sigma),
+        ):
+            expected = free.vector(expected)
+            assert np.max(np.abs(got - expected)) <= 1e-12 * np.max(np.abs(expected))
 
 
 def _plain_cg_direction(it, S, g, free):
