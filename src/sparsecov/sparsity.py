@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .matcore import as_symmetric
+from .matcore import _strict_upper, as_symmetric
 
 __all__ = ["SparsityConstraint", "project", "squared_distance", "support_mask"]
 
@@ -50,30 +50,32 @@ def _project(M: np.ndarray, c: SparsityConstraint) -> np.ndarray:
     """:func:`project` without validation: ``M`` must be exactly symmetric
     and ``c`` must fit its dimension.
 
-    Selects on ``triu(M, 1)`` itself.  A partition of its magnitudes finds
-    the k-th largest; entries above it are kept, then the tied entries in
+    Selects on the strict upper triangle, gathered in row-major order
+    through a cached mask.  A partition of its magnitudes finds the k-th
+    largest; entries above it are kept, then the tied entries in
     row-major order, which breaks ties toward the smaller (row, col) so
     the projection is deterministic even on the measure-zero tie set.
     Exactly-zero entries are never kept.  The magnitudes are partitioned
-    in place and formed again after, and the result is written over them,
-    so that two p x p buffers serve the whole projection.
+    in place and formed again after, and let go before the result is
+    allocated, so that the projection peaks at 1.5 p x p buffers.
     """
-    upper = np.triu(M, 1)
-    mags = np.abs(upper)
-    flat = mags.reshape(-1)  # a view
+    upper = _strict_upper(M.shape[0])
+    vals = M[upper]
+    mags = np.abs(vals)
     kth = np.inf
     if c.k:
-        flat.partition(flat.size - c.k)
-        kth = flat[flat.size - c.k]
-        np.abs(upper, out=mags)  # the partition reordered them
-    keep = flat > kth
+        mags.partition(mags.size - c.k)
+        kth = mags[mags.size - c.k]
+        np.abs(vals, out=mags)  # the partition reordered them
+    keep = mags > kth
     if kth > 0.0:
-        ties = np.flatnonzero(flat == kth)[: c.k - np.count_nonzero(keep)]
+        ties = np.flatnonzero(mags == kth)[: c.k - np.count_nonzero(keep)]
         keep[ties] = True
-    upper[~keep.reshape(upper.shape)] = 0.0
-    out = mags
-    np.copyto(out, upper.T)  # then a same-order add, which needs no buffer
-    out += upper
+    del mags
+    vals[~keep] = 0.0
+    out = np.zeros(M.shape)
+    out[upper] = vals
+    out.T[upper] = vals
     np.fill_diagonal(out, 1.0 if c.mode == "correlation" else np.diag(M))
     return out
 

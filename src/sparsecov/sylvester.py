@@ -73,8 +73,9 @@ class SurrogateSystem:
     rho: float
 
     def __post_init__(self):
-        sigma_k = as_symmetric(self.sigma_k)
-        c_k = as_symmetric(self.c_k)
+        # stored, so copied: as_symmetric may return the caller's array
+        sigma_k = np.array(as_symmetric(self.sigma_k))
+        c_k = np.array(as_symmetric(self.c_k))
         if sigma_k.shape != c_k.shape:
             raise ValueError(
                 f"sigma_k and c_k dimensions differ: {sigma_k.shape} vs {c_k.shape}"

@@ -105,6 +105,21 @@ def _estimate(method: str, S_train: np.ndarray, param: float, cfg: FitConfig):
     return threshold(S_train, ThresholdSpec(lam=float(param), kind=method))
 
 
+def _cell_loss(
+    method: str,
+    S_train: np.ndarray,
+    S_test: np.ndarray,
+    entropy: bool,
+    param: float,
+    cfg: FitConfig,
+) -> float:
+    """One cell's held-out loss; its estimate goes when it returns."""
+    est = _estimate(method, S_train, param, cfg)
+    if entropy:
+        return entropy_loss(S_test, est)
+    return float(np.linalg.norm(est - S_test))
+
+
 def cross_validate(
     data: np.ndarray,
     method: str,
@@ -117,7 +132,9 @@ def cross_validate(
     value with the mean held-out loss and its standard error.  A failed
     fit on a fold scores that cell as +inf with a warning.  The
     ``boundary`` field is set on the selected row when its value is the
-    grid's first or last.
+    grid's first or last.  Folds are scored one at a time, every grid
+    value on one fold's pair of sample covariances before the next pair
+    is built, so that one pair is held at a time.
 
     Parameters
     ----------
@@ -139,40 +156,32 @@ def cross_validate(
     grid = np.asarray(spec.grid, dtype=float)
     folds = kfold_split(data.shape[0], spec.folds, spec.seed)
 
-    split = []
-    for test_idx in folds:
+    losses = np.empty((grid.size, len(folds)))
+    warned = False
+    for fi, test_idx in enumerate(folds):
         mask = np.ones(data.shape[0], dtype=bool)
         mask[test_idx] = False
         S_train = sample_covariance(data[mask])
         S_test = sample_covariance(data[test_idx])
-        test_pd = is_positive_definite(S_test) if spec.loss == "entropy" else False
-        split.append((S_train, S_test, test_pd))
-
-    def cell_loss(gi: int, fi: int) -> float:
-        S_train, S_test, test_pd = split[fi]
-        try:
-            est = _estimate(method, S_train, grid[gi], cfg)
-            if spec.loss == "entropy" and test_pd:
-                return entropy_loss(S_test, est)
-        except (NotPositiveDefiniteError, RuntimeError, np.linalg.LinAlgError) as exc:
+        entropy = spec.loss == "entropy" and is_positive_definite(S_test)
+        if spec.loss == "entropy" and not entropy and not warned:
             warnings.warn(
-                f"fold {fi} failed at parameter {grid[gi]:g} ({exc}); "
-                "scoring the cell as +inf",
+                "held-out sample covariance not positive definite on some folds; "
+                "those folds fall back to Frobenius loss",
                 stacklevel=2,
             )
-            return np.inf
-        return float(np.linalg.norm(est - S_test))
-
-    if spec.loss == "entropy" and not all(t[2] for t in split):
-        warnings.warn(
-            "held-out sample covariance not positive definite on some folds; "
-            "those folds fall back to Frobenius loss",
-            stacklevel=2,
-        )
-
-    losses = np.array(
-        [[cell_loss(gi, fi) for fi in range(len(folds))] for gi in range(grid.size)]
-    )
+            warned = True
+        for gi, param in enumerate(grid):
+            try:
+                losses[gi, fi] = _cell_loss(method, S_train, S_test, entropy, param, cfg)
+            except (NotPositiveDefiniteError, RuntimeError, np.linalg.LinAlgError) as exc:
+                warnings.warn(
+                    f"fold {fi} failed at parameter {param:g} ({exc}); "
+                    "scoring the cell as +inf",
+                    stacklevel=2,
+                )
+                losses[gi, fi] = np.inf
+        del S_train, S_test  # before the next fold's pair is built
 
     means = losses.mean(axis=1)
     with np.errstate(invalid="ignore"):

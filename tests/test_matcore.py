@@ -21,8 +21,22 @@ def test_cholesky_rejects_indefinite():
 
 def test_as_symmetric_accepts_roundoff_drift():
     M = np.array([[1.0, 0.5], [0.5 + 1e-15, 1.0]])
+    before = M.copy()
     out = sc.as_symmetric(M)
     assert_allclose(out, out.T)
+    # drift gets a new, exactly symmetric array, and the input is kept
+    assert out is not M
+    assert np.array_equal(out, out.T)
+    assert np.array_equal(M, before)
+    # an exactly symmetric C-contiguous float64 array is returned uncopied
+    S = np.array([[2.0, 0.5], [0.5, 1.0]])
+    assert sc.as_symmetric(S) is S
+    # equal values are not enough: a 0.0 mirrored by a -0.0 gets the copy,
+    # whose zeros are both +0.0, as (M + M^T) / 2 makes them
+    Z = np.array([[1.0, 0.0], [-0.0, 1.0]])
+    out = sc.as_symmetric(Z)
+    assert out is not Z
+    assert not np.signbit(out).any()
 
 
 def test_as_symmetric_rejects_true_asymmetry():

@@ -2,8 +2,10 @@ import ast
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import sparsecov
@@ -61,3 +63,60 @@ def test_import_leaves_scipy_sparse_unloaded():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "False"
+
+
+def _inputs():
+    # a p = 6 problem whose matrices are exactly symmetric and C-contiguous,
+    # the inputs as_symmetric passes through without a copy
+    truth = sparsecov.make_design(
+        sparsecov.SimDesign(kind="random_sparse", p=6, sparsity_frac=0.2, seed=0)
+    )
+    data = sparsecov.sample_mvn(truth, 40, sparsecov.RngStream(seed=0, stream_id=1))
+    S = sparsecov.sample_covariance(data)
+    d = np.sqrt(np.diag(S))
+    return {
+        "data": data,
+        "truth": truth,
+        "S": S,
+        "R": S / np.outer(d, d),
+        "Sigma": np.diag(np.diag(S)),
+        "support": truth != 0.0,
+        "grid": np.array([0.0, 2.0, 4.0]),
+    }
+
+
+C = sparsecov.SparsityConstraint(3)
+ENTRY_POINTS = {
+    "fit": lambda a: sparsecov.fit(a["S"], C),
+    "fit_correlation": lambda a: sparsecov.fit_correlation(a["R"], 3),
+    "project": lambda a: sparsecov.project(a["S"], C),
+    "squared_distance": lambda a: sparsecov.squared_distance(a["S"], C),
+    "objective": lambda a: sparsecov.objective(a["Sigma"], a["S"], C, 1.0),
+    "surrogate_gradient": lambda a: sparsecov.surrogate_gradient(
+        a["S"], a["Sigma"], a["truth"], C, 1.0
+    ),
+    "threshold": lambda a: sparsecov.threshold(a["S"], sparsecov.ThresholdSpec(0.1, "soft")),
+    "threshold_path": lambda a: sparsecov.threshold_path(a["S"], "hard", a["grid"] / 10),
+    "cross_validate": lambda a: sparsecov.cross_validate(
+        a["data"], "proxdist", sparsecov.CvSpec(grid=a["grid"], folds=4)
+    ),
+    "compute_report": lambda a: sparsecov.compute_report(
+        a["truth"], a["Sigma"], S=a["S"], n=40, support=a["support"]
+    ),
+    "roc_sweep": lambda a: sparsecov.roc_sweep(a["S"], a["truth"], "proxdist", a["grid"]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(ENTRY_POINTS))
+def test_entry_points_leave_their_inputs_unchanged(name):
+    # as_symmetric returns an exactly symmetric input itself, so an entry
+    # point that wrote into what it returned would write into the caller's
+    # array: every input is read-only, and comes back bit for bit
+    inputs = _inputs()
+    before = {key: value.tobytes() for key, value in inputs.items()}
+    for value in inputs.values():
+        value.flags.writeable = False
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # a boundary choice in CV warns
+        ENTRY_POINTS[name](inputs)
+    assert {key: value.tobytes() for key, value in inputs.items()} == before

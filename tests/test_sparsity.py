@@ -111,7 +111,7 @@ def test_project_matches_stable_argsort_on_ties_and_zeros():
         M = _tied_symmetric(rng.integers(-3, 4, size=(p, p)).astype(float))
         cases.append((M, range(p * (p - 1) // 2 + 1)))
     # the sizes the fits run at, rounded to one decimal so ties and zeros occur
-    for p in (20, 60):
+    for p in (20, 60, 200):
         M = _tied_symmetric(np.round(rng.standard_normal((p, p)), 1))
         m = p * (p - 1) // 2
         cases.append((M, (0, 1, m // 2, m - 1, m)))

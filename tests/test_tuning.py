@@ -1,3 +1,6 @@
+import gc
+import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -145,3 +148,69 @@ def test_cross_validate_ties_prefer_sparser_proxdist():
         best, table = sc.cross_validate(data, "proxdist", sc.CvSpec(grid=grid, folds=3))
     assert best == 2
     assert table[0].boundary
+
+
+def _grid_major_cv(data, method, spec):
+    # the table and selection cross_validate must give, built grid value
+    # by grid value from the package's parts
+    folds = sc.kfold_split(data.shape[0], spec.folds, spec.seed)
+    grid = np.asarray(spec.grid, dtype=float)
+    losses = np.empty((grid.size, len(folds)))
+    for gi, param in enumerate(grid):
+        for fi, test_idx in enumerate(folds):
+            S_train = sc.sample_covariance(np.delete(data, test_idx, axis=0))
+            S_test = sc.sample_covariance(data[test_idx])
+            if method == "proxdist":
+                est = sc.fit(S_train, sc.SparsityConstraint(int(round(param)))).sigma_hat
+            else:
+                est = sc.threshold(S_train, sc.ThresholdSpec(float(param), method))
+            if spec.loss == "entropy" and sc.is_positive_definite(S_test):
+                losses[gi, fi] = sc.entropy_loss(S_test, est)
+            else:
+                losses[gi, fi] = np.linalg.norm(est - S_test)
+    means = losses.mean(axis=1)
+    stderrs = losses.std(axis=1, ddof=1) / math.sqrt(len(folds))
+    tied = np.flatnonzero(means == means.min())
+    best = tied[0] if method == "proxdist" else tied[-1]
+    rows = [(float(g), float(m), float(e)) for g, m, e in zip(grid, means, stderrs)]
+    return float(grid[best]), rows
+
+
+@pytest.mark.parametrize(
+    "method, loss", [("proxdist", "frobenius"), ("proxdist", "entropy"), ("soft", "frobenius")]
+)
+def test_cross_validate_matches_a_grid_major_reference(method, loss):
+    # scoring fold by fold changes no cell, mean, standard error or choice
+    data = _dataset(seed=6)
+    if method == "proxdist":
+        grid = np.array([0, 1, 2, 4, 8])
+    else:
+        grid = sc.default_grid(method, sc.sample_covariance(data), 6)
+    spec = sc.CvSpec(grid=grid, folds=4, loss=loss, seed=3)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # a boundary choice warns
+        best, table = sc.cross_validate(data, method, spec)
+        ref_best, ref_rows = _grid_major_cv(data, method, spec)
+    assert best == ref_best
+    assert [(row.param, row.mean_loss, row.stderr) for row in table] == ref_rows
+
+
+def test_cross_validate_holds_one_fold_at_a_time():
+    # 5-fold CV at p = 25, n = 50: the peak is one fit's working set beside
+    # its fold's S_train and S_test, 10.8 p x p matrices in all; holding
+    # every fold's pair from the start peaked at 20.3.  A fit first makes
+    # the caches a fit makes once.
+    p = 25
+    data = _dataset(p=p, n=2 * p, seed=0, frac=0.02)
+    spec = sc.CvSpec(grid=np.array([0, p]), folds=5)
+    sc.fit(sc.sample_covariance(data), sc.SparsityConstraint(p))
+    gc.collect()
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # a boundary choice warns
+        tracemalloc.start()
+        try:
+            sc.cross_validate(data, "proxdist", spec)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert peak / (p * p * 8) <= 11.8
