@@ -22,11 +22,11 @@ from datetime import datetime, timezone
 from pathlib import Path
 
 import numpy as np
-import scipy
 
 from . import __version__
 from .matcore import (
     NotPositiveDefiniteError,
+    _openblas_functions,
     load_data_csv,
     load_symmetric_csv,
     sample_covariance,
@@ -224,19 +224,15 @@ def _single_blas_thread():
     ``scipy_openblas_{get,set}_num_threads[64_]`` symbols is left alone.
     """
     restore = []
-    for package in (np, scipy):
-        libs = Path(package.__file__).parent.parent / f"{package.__name__}.libs"
-        for path in sorted(libs.glob("libscipy_openblas*.so")):
-            lib = ctypes.CDLL(str(path))
-            for suffix in ("64_", ""):
-                get = getattr(lib, f"scipy_openblas_get_num_threads{suffix}", None)
-                set_ = getattr(lib, f"scipy_openblas_set_num_threads{suffix}", None)
-                if get is not None and set_ is not None:
-                    get.restype, get.argtypes = ctypes.c_int, []
-                    set_.restype, set_.argtypes = None, [ctypes.c_int]
-                    restore.append((set_, get()))
-                    set_(1)
-                    break
+    for package in ("numpy", "scipy"):
+        found = _openblas_functions(
+            package, "openblas_get_num_threads", "openblas_set_num_threads"
+        )
+        for (get, set_), _ in found:
+            get.restype, get.argtypes = ctypes.c_int, []
+            set_.restype, set_.argtypes = None, [ctypes.c_int]
+            restore.append((set_, get()))
+            set_(1)
     try:
         yield
     finally:

@@ -93,7 +93,12 @@ def default_grid(method: str, S: np.ndarray, size: int = 40) -> np.ndarray:
     S = np.asarray(S, dtype=float)
     p = S.shape[0]
     if method == "proxdist":
-        return np.unique(np.rint(np.linspace(0, p * (p - 1) // 2, size)).astype(int))
+        # the rounded levels never decrease, so the first of each run of
+        # equal ones are the distinct levels; np.unique would load numpy.ma
+        levels = np.rint(np.linspace(0, p * (p - 1) // 2, size)).astype(int)
+        first = np.ones(levels.size, dtype=bool)
+        np.not_equal(levels[1:], levels[:-1], out=first[1:])
+        return levels[first]
     off = np.abs(S - np.diag(np.diag(S)))
     return np.linspace(0.0, float(off.max()), size)
 

@@ -369,3 +369,30 @@ def test_console_script_help():
     assert listed, proc.stdout
     commands = set(listed.group(1).split(","))
     assert {"simulate", "estimate", "cv", "eval", "bench", "rerun"} <= commands
+
+
+def test_single_blas_thread_sets_and_restores_the_bundled_openblas():
+    import ctypes
+
+    from sparsecov import matcore
+
+    counters = []
+    for package in ("numpy", "scipy"):
+        for (get, set_), _ in matcore._openblas_functions(
+            package, "openblas_get_num_threads", "openblas_set_num_threads"
+        ):
+            get.restype, get.argtypes = ctypes.c_int, []
+            set_.restype, set_.argtypes = None, [ctypes.c_int]
+            counters.append((get, set_))
+    if not counters:
+        pytest.skip("neither numpy nor scipy bundles OpenBLAS")
+    before = [get() for get, _ in counters]
+    try:
+        for _, set_ in counters:
+            set_(2)
+        with cli._single_blas_thread():
+            assert [get() for get, _ in counters] == [1] * len(counters)
+        assert [get() for get, _ in counters] == [2] * len(counters)
+    finally:
+        for (_, set_), threads in zip(counters, before):
+            set_(threads)

@@ -5,6 +5,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 import sparsecov as sc
+from sparsecov import matcore
 
 
 def test_cholesky_known_factor():
@@ -37,6 +38,11 @@ def test_as_symmetric_accepts_roundoff_drift():
     out = sc.as_symmetric(Z)
     assert out is not Z
     assert not np.signbit(out).any()
+    # entries near the largest float average without overflowing
+    big = 1.5e308
+    out = sc.as_symmetric(np.array([[1.0, big], [np.nextafter(big, 0.0), 1.0]]))
+    assert np.all(np.isfinite(out))
+    assert out[0, 1] == out[1, 0] == big / 2 + np.nextafter(big, 0.0) / 2
 
 
 def test_as_symmetric_rejects_true_asymmetry():
@@ -143,6 +149,86 @@ def test_loss_and_inverse_from_one_factor(p):
     assert A.flags.c_contiguous
     expected = np.linalg.inv(M)
     assert np.max(np.abs(A - expected)) <= 1e-12 * np.max(np.abs(expected))
+
+
+def _spd(p, seed=0):
+    B = np.random.default_rng(seed).standard_normal((p, p))
+    M = B @ B.T + p * np.eye(p)
+    return (M + M.T) / 2
+
+
+def _bits(A):
+    return A.view(np.uint64).tobytes(order="A")
+
+
+def _reference_factor_and_inverse(M):
+    """What the package computed through scipy's LAPACK wrappers."""
+    from scipy.linalg.lapack import dpotrf, dpotri
+
+    L, info = dpotrf(M, lower=1, clean=1, overwrite_a=0)
+    assert info == 0
+    if not M.size:  # dpotri rejects a 0 x 0 matrix, whose inverse is empty
+        return L, M.copy()
+    X, info = dpotri(L.copy(order="F"), lower=1, overwrite_c=1)
+    assert info == 0
+    return L, np.tril(X) + np.tril(X, -1).T
+
+
+def _pivot(M):
+    with pytest.raises(sc.NotPositiveDefiniteError) as err:
+        sc.cholesky_pd(M)
+    return int(str(err.value).split("pivot ")[1].split()[0])
+
+
+@pytest.fixture(params=["bundled OpenBLAS", "scipy.linalg.lapack"])
+def lapack_backend(request, monkeypatch):
+    """Install each LAPACK backend in turn."""
+    if request.param == "bundled OpenBLAS":
+        backend = matcore._openblas_lapack()
+        if backend is None:
+            pytest.skip("this scipy bundles no OpenBLAS")
+    else:
+        # the locator finds nothing, as on a conda or system scipy
+        monkeypatch.setattr(matcore, "_openblas_libraries", lambda package: [])
+        assert matcore._openblas_lapack() is None
+        backend = matcore._scipy_lapack()
+    monkeypatch.setattr(matcore, "_potrf", backend[0])
+    monkeypatch.setattr(matcore, "_potri", backend[1])
+    return request.param
+
+
+@pytest.mark.parametrize("p", [0, 1, 2, 20, 57, 200])
+def test_lapack_backends_match_scipy_bit_for_bit(lapack_backend, p):
+    M = _spd(p)
+    L_ref, inverse_ref = _reference_factor_and_inverse(M)
+    L = sc.cholesky_pd(M)
+    assert L.flags.f_contiguous and _bits(L) == _bits(L_ref)
+    A = sc.inverse_pd(M)
+    assert A.flags.c_contiguous and _bits(A) == _bits(inverse_ref)
+    assert sc.log_det_pd(M) == float(2.0 * np.sum(np.log(np.diag(L_ref))))
+    if p >= 2:
+        from scipy.linalg.lapack import dpotrf
+
+        for k in (0, p // 2, p - 1):
+            N = M.copy()
+            N[k, k] = -1.0
+            assert _pivot(N) == dpotrf(N, lower=1)[1] - 1 == k
+
+
+def test_fallback_backend_fits_bit_for_bit(monkeypatch):
+    # both backends make the same LAPACK calls on the same memory
+    S = _spd(12, seed=3) / 12
+    c = sc.SparsityConstraint(8)
+    default = sc.fit(S, c)
+    monkeypatch.setattr(matcore, "_openblas_libraries", lambda package: [])
+    assert matcore._openblas_lapack() is None
+    potrf, potri = matcore._scipy_lapack()
+    monkeypatch.setattr(matcore, "_potrf", potrf)
+    monkeypatch.setattr(matcore, "_potri", potri)
+    fallback = sc.fit(S, c)
+    assert default.converged
+    assert _bits(fallback.sigma_hat) == _bits(default.sigma_hat)
+    assert fallback.objective_trace == default.objective_trace
 
 
 def test_spectral_decompose_reconstructs():

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 import sparsecov
+from sparsecov import matcore
 
 MODULES = sorted(Path(sparsecov.__file__).parent.glob("*.py"))
 
@@ -43,26 +44,61 @@ def test_every_import_is_used_or_exported(path):
     assert not unused, f"{path.name} imports names it never uses: {sorted(unused)}"
 
 
-def test_import_leaves_scipy_sparse_unloaded():
-    # scipy.sparse adds about 11 ms to an import; only the finish's sparse
-    # Hessian kernel needs it, and imports it when it first runs
+def _loaded_in_fresh_interpreter(code: str) -> list[str]:
+    """The scipy and numpy.ma modules loaded after ``code`` runs in a new
+    interpreter that imports ``sparsecov`` from this checkout."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         filter(None, [str(Path(sparsecov.__file__).parents[1]), env.get("PYTHONPATH")])
     )
+    script = (
+        f"{code}\nimport sys\n"
+        "print(sorted(m for m in sys.modules if m.partition('.')[0] == 'scipy' "
+        "or m == 'numpy.ma' or m.startswith('numpy.ma.')))"
+    )
     proc = subprocess.run(
-        [
-            sys.executable,
-            "-c",
-            "import sys, sparsecov; print('scipy.sparse' in sys.modules)",
-        ],
-        capture_output=True,
-        text=True,
-        timeout=60,
-        env=env,
+        [sys.executable, "-c", script], capture_output=True, text=True, timeout=60, env=env
     )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "False"
+    return ast.literal_eval(proc.stdout.strip().splitlines()[-1])
+
+
+# Where scipy bundles no usable OpenBLAS (conda, system packages), the
+# package calls LAPACK through scipy.linalg, which loads scipy and numpy.ma.
+BUNDLED = matcore._openblas_lapack() is not None
+
+
+def test_import_leaves_scipy_sparse_unloaded():
+    # only the finish's sparse Hessian kernel needs scipy.sparse, which
+    # takes about 0.2 s to import, and imports it when it first runs;
+    # matcore calls LAPACK in scipy's bundled OpenBLAS without loading
+    # scipy.linalg, which took 0.3 s of a 0.45 s import
+    loaded = _loaded_in_fresh_interpreter("import sparsecov")
+    assert "scipy.sparse" not in loaded
+    if BUNDLED:
+        assert loaded == []
+
+
+@pytest.mark.skipif(not BUNDLED, reason="this scipy bundles no OpenBLAS")
+def test_small_fit_and_grid_load_no_scipy_or_numpy_ma():
+    code = (
+        "import numpy as np, sparsecov\n"
+        "X = np.random.default_rng(0).standard_normal((60, 20))\n"
+        "S = sparsecov.sample_covariance(X)\n"
+        "grid = sparsecov.default_grid('proxdist', S, 10)\n"
+        "assert sparsecov.fit(S, sparsecov.SparsityConstraint(int(grid[1]))).converged\n"
+    )
+    assert _loaded_in_fresh_interpreter(code) == []
+
+
+@pytest.mark.skipif(not BUNDLED, reason="this scipy bundles no OpenBLAS")
+def test_cli_help_loads_no_scipy():
+    code = (
+        "import contextlib, io, sparsecov.cli\n"
+        "with contextlib.suppress(SystemExit), contextlib.redirect_stdout(io.StringIO()):\n"
+        "    sparsecov.cli.main(['--help'])\n"
+    )
+    assert _loaded_in_fresh_interpreter(code) == []
 
 
 def _inputs():

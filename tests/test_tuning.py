@@ -48,6 +48,16 @@ def test_default_grid_shapes():
         sc.default_grid("lasso", S)
 
 
+def test_default_grid_levels_are_those_np_unique_keeps():
+    for p in (0, 1, 2, 3, 6, 20, 57, 200):
+        S = np.eye(p)
+        for size in (0, 1, 2, 3, 10, 40, 41, 1000):
+            levels = np.rint(np.linspace(0, p * (p - 1) // 2, size)).astype(int)
+            grid = sc.default_grid("proxdist", S, size)
+            assert grid.dtype == levels.dtype
+            assert np.array_equal(grid, np.unique(levels))
+
+
 def test_cv_spec_validation():
     with pytest.raises(ValueError):
         sc.CvSpec(grid=np.array([]))
