@@ -126,16 +126,29 @@ def sample_covariance(data) -> np.ndarray:
     -------
     ndarray, shape (p, p)
         Symmetric positive semidefinite matrix.
+
+    Raises
+    ------
+    ValueError
+        If the data are not a nonempty finite matrix, or if their scale
+        overflows float64 in the covariance.
     """
     X = np.asarray(data, dtype=float)
     if X.ndim == 1:
         X = X[np.newaxis, :]
     if X.ndim != 2 or X.size == 0:
         raise ValueError("data must be a nonempty n-by-p matrix")
-    if not np.all(np.isfinite(X)):
+    if not np.isfinite(X).all():
         raise ValueError("data contains non-finite entries")
-    S = X.T @ X / X.shape[0]
-    return (S + S.T) / 2.0
+    with np.errstate(over="ignore"):
+        S = X.T @ X / X.shape[0]
+        S = (S + S.T) / 2.0
+    if not np.isfinite(S).all():
+        raise ValueError(
+            "the data's scale overflows float64 in the sample covariance; "
+            "rescale the data"
+        )
+    return S
 
 
 def _openblas_libraries(package: str) -> list[Path]:

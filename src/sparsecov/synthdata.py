@@ -5,7 +5,8 @@ moving_average (one off-diagonal band of BAND_VALUE), cliques (diagonal
 blocks of BLOCK_SIZE at BLOCK_VALUE), and random_sparse (a fixed count of
 random strict-upper entries, magnitudes uniform in MAGNITUDE_RANGE with
 random signs).  The deterministic designs are positive definite by
-construction; random_sparse redraws until it is.
+construction; random_sparse redraws until ``matcore.cholesky_pd``
+succeeds, which is the package's one definition of positive definite.
 
 Randomness comes from PCG64 seeded through SeedSequence with the stream
 id as spawn key, with normal draws from the generator's standard
@@ -23,7 +24,12 @@ import numpy as np
 
 from .baselines import ThresholdSpec, threshold
 from .evaluation import MetricReport, compute_report
-from .matcore import as_symmetric, cholesky_pd, sample_covariance
+from .matcore import (
+    NotPositiveDefiniteError,
+    as_symmetric,
+    cholesky_pd,
+    sample_covariance,
+)
 from .proxdist import FitConfig, fit
 from .sparsity import SparsityConstraint
 from .tuning import CvSpec, cross_validate, default_grid
@@ -112,8 +118,12 @@ def _random_sparse(d: SimDesign) -> np.ndarray:
         vals = rng.uniform(lo, hi, size=m) * (2 * rng.integers(0, 2, size=m) - 1)
         M[iu[0][sel], iu[1][sel]] = vals
         M[iu[1][sel], iu[0][sel]] = vals
-        if np.linalg.eigvalsh(M)[0] > 0:
-            return M
+        # M is exactly symmetric, since both triangles hold the same vals
+        try:
+            cholesky_pd(M)
+        except NotPositiveDefiniteError:
+            continue
+        return M
     raise ValueError(
         f"no positive definite draw in {MAX_REDRAWS} attempts; "
         "reduce sparsity_frac"
@@ -124,7 +134,9 @@ def make_design(d: SimDesign) -> np.ndarray:
     """Construct the ground-truth covariance matrix for a design.
 
     Every design has unit diagonal and is positive definite: the
-    deterministic kinds by construction, random_sparse by redrawing.
+    deterministic kinds by construction, random_sparse by redrawing
+    until ``cholesky_pd`` succeeds, which is the package's one
+    definition of positive definite.
 
     Raises
     ------

@@ -70,6 +70,16 @@ def test_sample_covariance_matches_outer_product_sum():
     assert_allclose(sc.sample_covariance(data), expected, atol=1e-14)
 
 
+def test_sample_covariance_rejects_data_whose_scale_overflows():
+    # finite data whose squares overflow: raised as the data's scale, with
+    # no overflow warning (CI runs with -W error::RuntimeWarning)
+    with pytest.raises(ValueError, match="scale overflows float64"):
+        sc.sample_covariance([[1e155, 1.0], [1e155, 2.0]])
+    # just below the limit the result is finite and unscaled
+    S = sc.sample_covariance([[1e153, 1.0], [1e153, 2.0]])
+    assert_allclose(S, [[1e306, 1.5e153], [1.5e153, 2.5]], rtol=1e-15)
+
+
 def test_is_positive_definite():
     assert sc.is_positive_definite(np.eye(3))
     assert not sc.is_positive_definite(np.diag([1.0, -1.0]))

@@ -5,6 +5,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 import sparsecov as sc
+from sparsecov import synthdata
 
 
 def test_rng_stream_validation():
@@ -74,6 +75,66 @@ def test_random_sparse_exact_count_and_range():
     assert np.all((np.abs(nonzero) >= 0.3) & (np.abs(nonzero) <= 0.6))
     assert_allclose(np.diag(M), np.ones(20))
     assert sc.is_positive_definite(M)
+
+
+def _eigenvalue_gated_design(d):
+    """random_sparse gated by its smallest eigenvalue: the same stream and
+    the same three draws per attempt, accepted once that eigenvalue is
+    positive.  None if no draw is accepted."""
+    rng = sc.RngStream(d.seed).generator()
+    n_upper = d.p * (d.p - 1) // 2
+    m = math.ceil(d.sparsity_frac * n_upper)
+    iu = np.triu_indices(d.p, k=1)
+    for _ in range(synthdata.MAX_REDRAWS):
+        M = np.eye(d.p)
+        sel = rng.choice(n_upper, size=m, replace=False)
+        vals = rng.uniform(0.3, 0.6, size=m) * (2 * rng.integers(0, 2, size=m) - 1)
+        M[iu[0][sel], iu[1][sel]] = vals
+        M[iu[1][sel], iu[0][sel]] = vals
+        if np.linalg.eigvalsh(M)[0] > 0:
+            return M
+    return None
+
+
+def _no_eigensolver(*args, **kwargs):
+    raise AssertionError("make_design called an eigensolver")
+
+
+def test_random_sparse_matches_the_eigenvalue_gate_bit_for_bit(monkeypatch):
+    designs = [
+        sc.SimDesign(kind="random_sparse", p=p, sparsity_frac=frac, seed=seed)
+        for p in (5, 10, 20, 50)
+        for frac in (0.01, 0.02, 0.05, 0.1)
+        for seed in range(6)
+    ]
+    designs += [
+        # the benchmark's rank-deficient fit and acceptance criterion 6
+        sc.SimDesign(kind="random_sparse", p=200, sparsity_frac=0.005, seed=0),
+        sc.SimDesign(kind="random_sparse", p=20, sparsity_frac=0.02, seed=2025),
+    ]
+    expected = [_eigenvalue_gated_design(d) for d in designs]
+    # the Cholesky gate alone decides, with no eigensolver behind it
+    monkeypatch.setattr(np.linalg, "eigvalsh", _no_eigensolver)
+    monkeypatch.setattr(np.linalg, "eigh", _no_eigensolver)
+    exhausted = 0
+    for d, M in zip(designs, expected):
+        if M is None:
+            exhausted += 1
+            with pytest.raises(ValueError, match="no positive definite draw"):
+                sc.make_design(d)
+        else:
+            assert np.array_equal(sc.make_design(d), M), d
+    assert 0 < exhausted < len(designs)
+
+
+def test_random_sparse_exhaustion_raises_a_plain_value_error():
+    # every strict-upper entry is drawn, so no draw at p = 30 is positive
+    # definite; NotPositiveDefiniteError subclasses ValueError, so its type
+    # is checked exactly
+    design = sc.SimDesign(kind="random_sparse", p=30, sparsity_frac=1.0, seed=0)
+    with pytest.raises(ValueError, match="no positive definite draw in 1000 attempts") as err:
+        sc.make_design(design)
+    assert type(err.value) is ValueError
 
 
 def test_make_design_deterministic_per_seed():
