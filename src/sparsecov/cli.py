@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import ctypes
+import importlib.util
 import json
 import sys
 import time
@@ -26,7 +27,6 @@ import numpy as np
 from . import __version__
 from .matcore import (
     NotPositiveDefiniteError,
-    _openblas_functions,
     load_data_csv,
     load_symmetric_csv,
     sample_covariance,
@@ -214,6 +214,40 @@ def _run_eval(params: dict, out: str) -> None:
     _write_manifest(out_dir, "eval", params, 0)
 
 
+def _openblas_thread_counters(package: str) -> list[tuple]:
+    """``(get, set)``, ``scipy_openblas_{get,set}_num_threads<suffix>``, of
+    each OpenBLAS copy bundled in ``package``'s wheel that exports both,
+    found without importing the package.
+
+    numpy's and scipy's wheels bundle ``libscipy_openblas*`` beside the
+    package, in ``<package>.libs``, on Linux and Windows, and inside it, in
+    ``<package>/.dylibs``, on macOS; a conda or system install bundles none.
+    The suffix is ``64_`` in an ILP64 build and empty in an LP64 one.
+    """
+    spec = importlib.util.find_spec(package)
+    if spec is None or not spec.submodule_search_locations:
+        return []
+    root = Path(list(spec.submodule_search_locations)[0])
+    found = []
+    for folder in (root.parent / f"{package}.libs", root / ".dylibs"):
+        for path in sorted(folder.glob("libscipy_openblas*")):
+            if path.suffix not in (".so", ".dylib", ".dll"):
+                continue
+            try:
+                lib = ctypes.CDLL(str(path))
+            except OSError:
+                continue
+            for suffix in ("64_", ""):
+                get = getattr(lib, f"scipy_openblas_get_num_threads{suffix}", None)
+                set_ = getattr(lib, f"scipy_openblas_set_num_threads{suffix}", None)
+                if get is not None and set_ is not None:
+                    get.restype, get.argtypes = ctypes.c_int, []
+                    set_.restype, set_.argtypes = None, [ctypes.c_int]
+                    found.append((get, set_))
+                    break
+    return found
+
+
 @contextmanager
 def _single_blas_thread():
     """Run the block with the OpenBLAS copies bundled in numpy and scipy on
@@ -225,12 +259,7 @@ def _single_blas_thread():
     """
     restore = []
     for package in ("numpy", "scipy"):
-        found = _openblas_functions(
-            package, "openblas_get_num_threads", "openblas_set_num_threads"
-        )
-        for (get, set_), _ in found:
-            get.restype, get.argtypes = ctypes.c_int, []
-            set_.restype, set_.argtypes = None, [ctypes.c_int]
+        for get, set_ in _openblas_thread_counters(package):
             restore.append((set_, get()))
             set_(1)
     try:

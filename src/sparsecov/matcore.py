@@ -12,9 +12,10 @@ Conventions used throughout the package:
 
 from __future__ import annotations
 
-import ctypes
 import functools
+import importlib.machinery
 import importlib.util
+import sys
 import threading
 from pathlib import Path
 from typing import NamedTuple
@@ -46,9 +47,8 @@ SYMMETRY_RTOL = 1e-12
 # takes 3.4 us, and 88 us at p = 200; in blocks it is 7 and 77 us cheaper.
 MIRROR_BLOCK = 64
 
-# Per-thread scratch: the ctypes backend's LAPACK integers and the mirror's
-# diagonal block.  Threads must not share them, since LAPACK and numpy's
-# copies run with the interpreter lock released.
+# Per-thread scratch for the mirror's diagonal block.  Threads must not
+# share it, since numpy's copies run with the interpreter lock released.
 _workspace = threading.local()
 
 
@@ -151,120 +151,64 @@ def sample_covariance(data) -> np.ndarray:
     return S
 
 
-def _openblas_libraries(package: str) -> list[Path]:
-    """The OpenBLAS copies bundled in ``package``'s wheel, found without
-    importing the package.
+_FLAPACK = "scipy.linalg._flapack"
 
-    numpy's and scipy's wheels bundle ``libscipy_openblas*`` beside the
-    package, in ``<package>.libs``, on Linux and Windows, and inside it, in
-    ``<package>/.dylibs``, on macOS.  A conda or system install bundles none.
+
+def _flapack_from_file():
+    """scipy's f2py LAPACK module ``scipy.linalg._flapack``, executed from its
+    file without importing ``scipy.linalg``, and left out of ``sys.modules``.
+
+    The loader of a single-phase extension module registers it there
+    itself; left registered, it would keep a later ``import scipy.linalg``
+    from binding its own ``_flapack`` as an attribute of the package.
     """
-    spec = importlib.util.find_spec(package)
-    if spec is None or not spec.submodule_search_locations:
-        return []
-    root = Path(list(spec.submodule_search_locations)[0])
-    return [
-        path
-        for folder in (root.parent / f"{package}.libs", root / ".dylibs")
-        for path in sorted(folder.glob("libscipy_openblas*"))
-        if path.suffix in (".so", ".dylib", ".dll")
-    ]
+    scipy = importlib.util.find_spec("scipy")
+    roots = scipy.submodule_search_locations if scipy else []
+    folders = [str(Path(root) / "linalg") for root in roots]
+    spec = importlib.machinery.PathFinder.find_spec(_FLAPACK, folders)
+    if spec is None:
+        raise ModuleNotFoundError(f"No module named {_FLAPACK!r}", name=_FLAPACK)
+    module = importlib.util.module_from_spec(spec)
+    try:
+        spec.loader.exec_module(module)
+    finally:
+        sys.modules.pop(_FLAPACK, None)
+    return module
 
 
-def _openblas_functions(package: str, *names: str) -> list[tuple[list, type]]:
-    """``scipy_<name><suffix>`` for every name, from each OpenBLAS copy bundled
-    in ``package``'s wheel that exports them all, with the integer type of
-    its LAPACK interface: the suffix ``64_`` marks an ILP64 build, none an
-    LP64 one."""
-    found = []
-    for path in _openblas_libraries(package):
-        try:
-            lib = ctypes.CDLL(str(path))
-        except OSError:
-            continue
-        for suffix, integer in (("64_", ctypes.c_int64), ("", ctypes.c_int)):
-            functions = [getattr(lib, f"scipy_{name}{suffix}", None) for name in names]
-            if None not in functions:
-                found.append((functions, integer))
-                break
-    return found
+def _load_flapack():
+    """``scipy.linalg._flapack``: the imported module if there is one, else
+    the module loaded from its file.
 
-
-def _openblas_lapack():
-    """``(potrf, potri)`` bound with ctypes to the OpenBLAS in scipy's wheel,
-    the library that scipy's own LAPACK wrappers call; None without one.
-
-    They make the calls those wrappers make, on the same memory, so their
-    results are the wrappers' bit for bit; but they import no scipy
-    module, where ``scipy.linalg`` took 0.3 s of a 0.45 s ``import
+    Importing ``scipy.linalg`` for it took 0.3 s of a 0.45 s ``import
     sparsecov`` on a 2-CPU x86-64 host.
     """
-    found = _openblas_functions("scipy", "dpotrf_", "dpotri_", "dlaset_")
-    if not found:
-        return None
-    (dpotrf, dpotri, dlaset), integer = found[0]
-    # No argtypes: every argument below is already what the parameter
-    # takes (bytes for a character, byref for a pointer, c_size_t for the
-    # hidden length of a character), and converting each on every call
-    # cost 2.5 us of a 9 us factor-and-invert at p = 20 (2-CPU x86-64 host).
-    for function in (dpotrf, dpotri, dlaset):
-        function.restype = None
-    byref, from_buffer = ctypes.byref, ctypes.c_char.from_buffer
-    width = ctypes.sizeof(integer)
-    zero = byref(ctypes.c_double(0.0))
-    one = ctypes.c_size_t(1)
-
-    def integers(p: int) -> tuple:
-        """This thread's integers ``[p, p - 1, info]``, and references to each."""
-        try:
-            refs = _workspace.lapack
-        except AttributeError:
-            ints = (integer * 3)()
-            refs = _workspace.lapack = (
-                ints, byref(ints), byref(ints, width), byref(ints, 2 * width)
-            )
-        refs[0][0] = p
-        refs[0][1] = p - 1
-        return refs
-
-    def potrf(a: np.ndarray) -> int:
-        ints, n, m, info = integers(a.shape[0])
-        buffer = from_buffer(a)
-        dpotrf(b"L", n, byref(buffer), n, info, one)
-        if ints[2] == 0:
-            # the strict upper triangle is the upper triangle of the
-            # (p - 1)-square matrix from the second column on
-            dlaset(b"U", m, m, zero, zero, byref(buffer, a.strides[0]), n, one)
-        return ints[2]
-
-    def potri(a: np.ndarray) -> int:
-        ints, n, _, info = integers(a.shape[0])
-        dpotri(b"L", n, byref(from_buffer(a)), n, info, one)
-        return ints[2]
-
-    return potrf, potri
+    if _FLAPACK in sys.modules:
+        return sys.modules[_FLAPACK]
+    try:
+        return _flapack_from_file()
+    except ImportError:
+        # scipy's delvewheel-built Windows wheels put the DLLs the module
+        # links against on the search path in scipy/__init__, so there the
+        # file may load only once the top-level package has run
+        importlib.import_module("scipy")
+        return _flapack_from_file()
 
 
-def _scipy_lapack():
-    """``(potrf, potri)`` through ``scipy.linalg.lapack``, for a scipy that
-    bundles no OpenBLAS, as conda and system packages do."""
-    from scipy.linalg.lapack import dpotrf, dpotri
-
-    def potrf(a: np.ndarray) -> int:
-        return dpotrf(a.T, lower=1, clean=1, overwrite_a=1)[1]
-
-    def potri(a: np.ndarray) -> int:
-        return dpotri(a.T, lower=1, overwrite_c=1)[1]
-
-    return potrf, potri
+_flapack = _load_flapack()
 
 
-# LAPACK's Cholesky factorization and inverse from the factor, chosen once.
-# Each works in place on a nonempty square C-contiguous float64 array ``a``,
-# whose memory LAPACK reads as the Fortran-order matrix ``a.T``, on its
-# lower triangle, and returns LAPACK's ``info``.  ``potrf`` zeroes the
-# strict upper triangle of ``a.T`` when it succeeds.
-_potrf, _potri = _openblas_lapack() or _scipy_lapack()
+# LAPACK's Cholesky factorization and inverse from the factor.  Each works
+# in place on a nonempty square C-contiguous float64 array ``a``, whose
+# memory LAPACK reads as the Fortran-order matrix ``a.T``, on its lower
+# triangle, and returns LAPACK's ``info``.  ``_potrf`` zeroes the strict
+# upper triangle of ``a.T`` when it succeeds.
+def _potrf(a: np.ndarray) -> int:
+    return _flapack.dpotrf(a.T, lower=1, clean=1, overwrite_a=1)[1]
+
+
+def _potri(a: np.ndarray) -> int:
+    return _flapack.dpotri(a.T, lower=1, overwrite_c=1)[1]
 
 
 def cholesky_pd(M: np.ndarray) -> np.ndarray:

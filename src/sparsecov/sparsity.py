@@ -32,7 +32,11 @@ class SparsityConstraint:
     mode: str = "covariance"
 
     def __post_init__(self):
-        if int(self.k) != self.k or self.k < 0:
+        try:
+            whole = int(self.k) == self.k
+        except (OverflowError, ValueError):  # an infinite or NaN k
+            whole = False
+        if not whole or self.k < 0:
             raise ValueError(f"k must be a nonnegative integer, got {self.k}")
         object.__setattr__(self, "k", int(self.k))
         if self.mode not in MODES:

@@ -372,18 +372,11 @@ def test_console_script_help():
 
 
 def test_single_blas_thread_sets_and_restores_the_bundled_openblas():
-    import ctypes
-
-    from sparsecov import matcore
-
-    counters = []
-    for package in ("numpy", "scipy"):
-        for (get, set_), _ in matcore._openblas_functions(
-            package, "openblas_get_num_threads", "openblas_set_num_threads"
-        ):
-            get.restype, get.argtypes = ctypes.c_int, []
-            set_.restype, set_.argtypes = None, [ctypes.c_int]
-            counters.append((get, set_))
+    counters = [
+        counter
+        for package in ("numpy", "scipy")
+        for counter in cli._openblas_thread_counters(package)
+    ]
     if not counters:
         pytest.skip("neither numpy nor scipy bundles OpenBLAS")
     before = [get() for get, _ in counters]

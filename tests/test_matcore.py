@@ -5,7 +5,6 @@ import pytest
 from numpy.testing import assert_allclose
 
 import sparsecov as sc
-from sparsecov import matcore
 
 
 def test_cholesky_known_factor():
@@ -190,25 +189,8 @@ def _pivot(M):
     return int(str(err.value).split("pivot ")[1].split()[0])
 
 
-@pytest.fixture(params=["bundled OpenBLAS", "scipy.linalg.lapack"])
-def lapack_backend(request, monkeypatch):
-    """Install each LAPACK backend in turn."""
-    if request.param == "bundled OpenBLAS":
-        backend = matcore._openblas_lapack()
-        if backend is None:
-            pytest.skip("this scipy bundles no OpenBLAS")
-    else:
-        # the locator finds nothing, as on a conda or system scipy
-        monkeypatch.setattr(matcore, "_openblas_libraries", lambda package: [])
-        assert matcore._openblas_lapack() is None
-        backend = matcore._scipy_lapack()
-    monkeypatch.setattr(matcore, "_potrf", backend[0])
-    monkeypatch.setattr(matcore, "_potri", backend[1])
-    return request.param
-
-
 @pytest.mark.parametrize("p", [0, 1, 2, 20, 57, 200])
-def test_lapack_backends_match_scipy_bit_for_bit(lapack_backend, p):
+def test_lapack_backends_match_scipy_bit_for_bit(p):
     M = _spd(p)
     L_ref, inverse_ref = _reference_factor_and_inverse(M)
     L = sc.cholesky_pd(M)
@@ -223,22 +205,6 @@ def test_lapack_backends_match_scipy_bit_for_bit(lapack_backend, p):
             N = M.copy()
             N[k, k] = -1.0
             assert _pivot(N) == dpotrf(N, lower=1)[1] - 1 == k
-
-
-def test_fallback_backend_fits_bit_for_bit(monkeypatch):
-    # both backends make the same LAPACK calls on the same memory
-    S = _spd(12, seed=3) / 12
-    c = sc.SparsityConstraint(8)
-    default = sc.fit(S, c)
-    monkeypatch.setattr(matcore, "_openblas_libraries", lambda package: [])
-    assert matcore._openblas_lapack() is None
-    potrf, potri = matcore._scipy_lapack()
-    monkeypatch.setattr(matcore, "_potrf", potrf)
-    monkeypatch.setattr(matcore, "_potri", potri)
-    fallback = sc.fit(S, c)
-    assert default.converged
-    assert _bits(fallback.sigma_hat) == _bits(default.sigma_hat)
-    assert fallback.objective_trace == default.objective_trace
 
 
 def test_spectral_decompose_reconstructs():

@@ -9,7 +9,6 @@ import numpy as np
 import pytest
 
 import sparsecov
-from sparsecov import matcore
 
 MODULES = sorted(Path(sparsecov.__file__).parent.glob("*.py"))
 
@@ -63,23 +62,14 @@ def _loaded_in_fresh_interpreter(code: str) -> list[str]:
     return ast.literal_eval(proc.stdout.strip().splitlines()[-1])
 
 
-# Where scipy bundles no usable OpenBLAS (conda, system packages), the
-# package calls LAPACK through scipy.linalg, which loads scipy and numpy.ma.
-BUNDLED = matcore._openblas_lapack() is not None
-
-
 def test_import_leaves_scipy_sparse_unloaded():
-    # only the finish's sparse Hessian kernel needs scipy.sparse, which
-    # takes about 0.2 s to import, and imports it when it first runs;
-    # matcore calls LAPACK in scipy's bundled OpenBLAS without loading
-    # scipy.linalg, which took 0.3 s of a 0.45 s import
-    loaded = _loaded_in_fresh_interpreter("import sparsecov")
-    assert "scipy.sparse" not in loaded
-    if BUNDLED:
-        assert loaded == []
+    # matcore loads scipy's LAPACK wrappers from their file, without
+    # scipy.linalg, which took 0.3 s of a 0.45 s import; only the finish's
+    # sparse Hessian kernel needs scipy.sparse, which takes about 0.2 s to
+    # import, and imports it when it first runs
+    assert _loaded_in_fresh_interpreter("import sparsecov") == []
 
 
-@pytest.mark.skipif(not BUNDLED, reason="this scipy bundles no OpenBLAS")
 def test_small_fit_and_grid_load_no_scipy_or_numpy_ma():
     code = (
         "import numpy as np, sparsecov\n"
@@ -91,7 +81,6 @@ def test_small_fit_and_grid_load_no_scipy_or_numpy_ma():
     assert _loaded_in_fresh_interpreter(code) == []
 
 
-@pytest.mark.skipif(not BUNDLED, reason="this scipy bundles no OpenBLAS")
 def test_cli_help_loads_no_scipy():
     code = (
         "import contextlib, io, sparsecov.cli\n"
@@ -99,6 +88,57 @@ def test_cli_help_loads_no_scipy():
         "    sparsecov.cli.main(['--help'])\n"
     )
     assert _loaded_in_fresh_interpreter(code) == []
+
+
+# The package's factor and inverse against scipy.linalg.lapack's, bit for
+# bit, after scipy.linalg has bound its own _flapack.
+_MATCHES_SCIPY = """
+import numpy as np
+from scipy.linalg.lapack import dpotrf, dpotri
+assert scipy.linalg._flapack.dpotrf is dpotrf
+B = np.random.default_rng(0).standard_normal((20, 20))
+M = B @ B.T + 20 * np.eye(20)
+M = (M + M.T) / 2
+L, info = dpotrf(M, lower=1, clean=1)
+assert info == 0
+X, info = dpotri(L, lower=1)
+assert info == 0
+X = np.tril(X) + np.tril(X, -1).T
+bits = lambda A: A.view(np.uint64).tobytes(order="A")
+assert bits(sc.cholesky_pd(M)) == bits(L)
+assert bits(sc.inverse_pd(M)) == bits(X)
+"""
+
+
+@pytest.mark.parametrize("first", ["scipy.linalg", "sparsecov"])
+def test_scipy_linalg_imports_before_and_after_the_package(first):
+    imports = ["import scipy.linalg", "import sparsecov as sc"]
+    if first == "sparsecov":
+        imports.reverse()
+    loaded = _loaded_in_fresh_interpreter("\n".join(imports) + _MATCHES_SCIPY)
+    assert "scipy.linalg._flapack" in loaded
+
+
+def test_lapack_file_load_retries_after_importing_scipy():
+    # as on a Windows wheel whose DLLs scipy/__init__ puts on the search path
+    code = (
+        "import importlib.machinery, sys\n"
+        "Loader = importlib.machinery.ExtensionFileLoader\n"
+        "create, failed = Loader.create_module, []\n"
+        "def create_once(self, spec):\n"
+        "    if spec.name == 'scipy.linalg._flapack' and not failed:\n"
+        "        failed.append('scipy' in sys.modules)\n"
+        "        raise ImportError('DLL load failed')\n"
+        "    return create(self, spec)\n"
+        "Loader.create_module = create_once\n"
+        "import numpy as np, sparsecov as sc\n"
+        "assert failed == [False]\n"
+        "L = sc.cholesky_pd(np.array([[4.0, 2.0], [2.0, 3.0]]))\n"
+        "assert L[0, 0] == 2.0 and L[1, 0] == 1.0 and L[0, 1] == 0.0\n"
+    )
+    loaded = _loaded_in_fresh_interpreter(code)
+    assert "scipy" in loaded
+    assert not any(m.startswith("scipy.linalg") for m in loaded)
 
 
 def _inputs():

@@ -6,8 +6,9 @@ import sparsecov as sc
 
 
 def test_constraint_validation():
-    with pytest.raises(ValueError):
-        sc.SparsityConstraint(-1)
+    for k in (-1, 2.5, float("inf"), float("-inf"), float("nan")):
+        with pytest.raises(ValueError, match="nonnegative integer"):
+            sc.SparsityConstraint(k)
     with pytest.raises(ValueError):
         sc.SparsityConstraint(2, mode="precision")
     c = sc.SparsityConstraint(3)
