@@ -1,10 +1,12 @@
 import math
+import sys
 
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
 import sparsecov as sc
+from sparsecov import matcore
 
 
 def test_cholesky_known_factor():
@@ -189,8 +191,31 @@ def _pivot(M):
     return int(str(err.value).split("pivot ")[1].split()[0])
 
 
+@pytest.fixture(params=["bundled OpenBLAS", "scipy.linalg.lapack"])
+def lapack_backend(request, monkeypatch):
+    """Install each source of the LAPACK wrappers in turn.
+
+    The package calls scipy's f2py module ``scipy.linalg._flapack``, which
+    wraps the LAPACK scipy links (OpenBLAS in its wheels).  It loads that
+    module from its file when ``scipy.linalg`` is not imported, and takes
+    the one ``scipy.linalg.lapack`` imported when it is.
+    """
+    if request.param == "bundled OpenBLAS":
+        # the file load takes the module out of sys.modules again; keep
+        # whatever scipy.linalg registered there
+        monkeypatch.delitem(sys.modules, matcore._FLAPACK, raising=False)
+        module = matcore._flapack_from_file()
+        assert matcore._FLAPACK not in sys.modules
+    else:
+        from scipy.linalg import lapack
+
+        module = lapack._flapack
+    monkeypatch.setattr(matcore, "_flapack", module)
+    return request.param
+
+
 @pytest.mark.parametrize("p", [0, 1, 2, 20, 57, 200])
-def test_lapack_backends_match_scipy_bit_for_bit(p):
+def test_lapack_backends_match_scipy_bit_for_bit(lapack_backend, p):
     M = _spd(p)
     L_ref, inverse_ref = _reference_factor_and_inverse(M)
     L = sc.cholesky_pd(M)
