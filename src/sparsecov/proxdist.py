@@ -187,6 +187,18 @@ def _inverse_and_loss(sigma: np.ndarray, S: np.ndarray) -> tuple[np.ndarray, flo
     return inv, logdet + float(np.vdot(inv, S))
 
 
+def _asa(A: np.ndarray, S: np.ndarray) -> np.ndarray:
+    """``A S A`` in a new array, exactly symmetric: the triple product drifts
+    from symmetry by O(eps), and this is the one place that averages it
+    out, so that what reads it needs no symmetrization of its own."""
+    AS = A @ S
+    M = AS @ A
+    np.copyto(AS, M.T)  # A S is spent; M^T + M is M + M^T
+    AS += M
+    AS *= 0.5
+    return AS
+
+
 class _Iterate:
     """A positive definite iterate with what an MM step reads from it.
 
@@ -196,22 +208,21 @@ class _Iterate:
     ``dist(Sigma, C)^2``.  With ``c`` None, ``sigma`` is a point on the
     sparse set, as every point of the finish is: ``proj`` is ``sigma``
     itself and ``dist2`` is 0.0.  Nothing else factors or solves against
-    ``Sigma``.  ``A S A`` is formed on first use, since a rejected
-    candidate never needs it, and made exactly symmetric there, so that
-    what reads it needs no symmetrization of its own.  ``sigma`` must be
-    exactly symmetric; construction raises NotPositiveDefiniteError if
-    it is not PD.
+    ``Sigma``.  ``sigma`` must be exactly symmetric; construction raises
+    NotPositiveDefiniteError if it is not PD.
 
-    An iterate holds its matrices only until its step is formed, so that
-    a fit's working set stays near 7.5 p x p matrices: ``c_k`` and the
-    finish's Hessian take ``A S A`` (:meth:`take_asa`) to overwrite, and
-    :func:`_step` sets ``inv`` and ``proj`` to None before the line
-    search, which reads ``sigma``, ``loss`` and ``dist2`` alone.  A
-    schedule step that backtracking rejects rebuilds its iterate from
-    ``sigma``, bit for bit, at the cost of one more factorization.
+    An iterate holds no ``A S A``, since a rejected candidate never needs
+    it: each step forms it once with :func:`_asa` and owns that buffer,
+    which ``c_k`` and the finish's Hessian overwrite.  An iterate holds its
+    other matrices only until its step is formed, so that a fit's working
+    set stays near 7.5 p x p matrices: :func:`_step` sets ``inv`` and
+    ``proj`` to None before the line search, which reads ``sigma``,
+    ``loss`` and ``dist2`` alone.  A schedule step that backtracking
+    rejects rebuilds its iterate from ``sigma``, bit for bit, at the cost
+    of one more factorization.
     """
 
-    __slots__ = ("sigma", "inv", "loss", "proj", "dist2", "_asa")
+    __slots__ = ("sigma", "inv", "loss", "proj", "dist2")
 
     def __init__(self, sigma: np.ndarray, S: np.ndarray, c: SparsityConstraint | None):
         self.sigma = sigma
@@ -223,33 +234,14 @@ class _Iterate:
             diff = np.subtract(sigma, self.proj)
             diff *= diff
             self.dist2 = float(np.sum(diff))
-        self._asa = None
 
     def objective(self, rho: float) -> float:
         return self.loss + 0.5 * rho * self.dist2
 
-    def asa(self, S: np.ndarray) -> np.ndarray:
-        """``A S A``, exactly symmetric: the triple product drifts from
-        symmetry by O(eps), and this is the one place that averages it out."""
-        if self._asa is None:
-            self._asa = AS = self.inv @ S
-            M = AS @ self.inv
-            np.copyto(AS, M.T)  # A S is spent; M^T + M is M + M^T
-            AS += M
-            AS *= 0.5
-        return self._asa
-
-    def take_asa(self, S: np.ndarray) -> np.ndarray:
-        """:meth:`asa` for the caller to overwrite: the iterate lets go of
-        it, and forms it again if it is asked for it."""
-        M = self.asa(S)
-        self._asa = None
-        return M
-
     def gradient(self, S: np.ndarray, rho: float) -> np.ndarray:
         """Gradient of ``h_rho`` here, ``A - A S A + rho (Sigma - P(Sigma))``,
         exactly symmetric as its terms are."""
-        return self.inv - self.asa(S) + rho * (self.sigma - self.proj)
+        return self.inv - _asa(self.inv, S) + rho * (self.sigma - self.proj)
 
 
 def _check_inputs(
@@ -358,12 +350,12 @@ def _step(
 ) -> tuple[_Iterate | None, int]:
     """One MM step from ``it``, with :func:`_line_search`'s return value.
 
-    ``c_k = A S A + rho P(Sigma)`` is formed in the ``A S A`` buffer, and
+    ``c_k = A S A + rho P(Sigma)`` is formed in a new ``A S A`` buffer, and
     then ``it`` lets go of its inverse and projection, which the line
     search does not read.  A caller whose step is rejected rebuilds them
     from ``it.sigma``.
     """
-    c_k = it.take_asa(S)
+    c_k = _asa(it.inv, S)
     c_k += rho * it.proj
     it.inv = it.proj = None
     direction = _solve(it.sigma, c_k, rho)
@@ -435,9 +427,9 @@ class _Hessian:
     off them, with ``A = Sigma^{-1}`` and ``M = A S A``: the three terms
     are the second derivatives of ``ln det Sigma`` and
     ``tr(Sigma^{-1} S)``, and they equal ``Y + Y^T`` with ``Y = A V N`` and
-    ``N = M - A/2``, exactly symmetric since :meth:`_Iterate.asa` and ``A``
-    are.  ``N`` is formed in the buffer of ``M``, which the operator takes
-    from the iterate (:meth:`_Iterate.take_asa`).  A product maps a vector
+    ``N = M - A/2``, exactly symmetric since ``M`` (from :func:`_asa`) and
+    ``A`` are.  The caller hands over ``asa``, ``M`` in a buffer it no
+    longer reads, and ``N`` is formed in it.  A product maps a vector
     of free entries (:class:`_FreeEntries`) to one, so ``H[V]`` is exactly
     symmetric by construction.
 
@@ -458,9 +450,9 @@ class _Hessian:
 
     __slots__ = ("A", "N", "sigma", "free", "_v", "_flat", "_tmp")
 
-    def __init__(self, it: _Iterate, S: np.ndarray, free: _FreeEntries):
+    def __init__(self, it: _Iterate, asa: np.ndarray, free: _FreeEntries):
         self.A = it.inv
-        self.N = it.take_asa(S)
+        self.N = asa
         self.N -= 0.5 * it.inv
         self.sigma = it.sigma
         self.free = free
@@ -505,13 +497,16 @@ class _Hessian:
 
 
 def _newton_direction(
-    it: _Iterate, S: np.ndarray, g: np.ndarray, free: _FreeEntries
+    it: _Iterate, asa: np.ndarray, g: np.ndarray, g_norm: float, a_norm: float,
+    free: _FreeEntries,
 ) -> tuple[np.ndarray, int]:
     """Truncated Newton direction for the loss over the ``free`` entries at
     ``it``, given ``g``, the loss gradient there; returns (direction,
     Hessian products).  ``g`` and the direction are vectors of the m free
     entries (:class:`_FreeEntries`); write ``G`` and ``D`` for their
-    matrices.
+    matrices.  The caller's gradient test has formed ``A S A`` and both
+    norms: ``asa`` is that buffer, which :class:`_Hessian` overwrites,
+    ``g_norm`` is ``||G||_F`` and ``a_norm`` is ``||A||_F``.
 
     Conjugate gradients on ``H[D] = -G`` in the Frobenius inner product
     (Nocedal & Wright, Algorithms 5.3 and 7.1), run on the vectors
@@ -536,16 +531,13 @@ def _newton_direction(
     random-sparse fits with p = 20-50 and n = 0.4p, a cap of m cut the
     products by 37% but left one of the 4 converging fits unconverged.
     """
-    hess = _Hessian(it, S, free)
-    a_norm = float(np.linalg.norm(it.inv))
+    hess = _Hessian(it, asa, free)
     r = g.copy()  # residual H[D] + G
-    rr = free.inner(r, r)
-    g_norm = math.sqrt(rr)
     tol = min(0.5, math.sqrt(g_norm / a_norm)) * g_norm
     if tol < AIM_WINDOW * STATIONARITY_RTOL * a_norm:
         tol = min(tol, 0.5 * STATIONARITY_RTOL * a_norm)
     D = np.zeros_like(r)
-    p = S.shape[0]
+    p = free.mask.shape[0]
     for j in range(p * (p + 1) // 2):
         y = hess.fisher_inverse(r)
         ry_next = free.inner(r, y)
@@ -721,25 +713,31 @@ def fit(
     # repeats the schedule's last rho, at which a point on the set scores
     # its loss.
     rho = rho_trace[-1]
-    mask = support  # of the schedule's last iterate
-    if c.mode == "correlation":
-        np.fill_diagonal(mask, False)
-    free = _FreeEntries(mask)
     schedule_steps = len(objective_trace)
-    moved = it.dist2 > 0.0 and schedule_steps < cfg.max_outer
+    budget = cfg.max_outer - schedule_steps
+    if budget:
+        mask = support  # of the schedule's last iterate
+        if c.mode == "correlation":
+            np.fill_diagonal(mask, False)
+        free = _FreeEntries(mask)
+    moved = it.dist2 > 0.0 and budget > 0
     if moved:
         # the schedule's iterate goes with the switch; the start reads its
         # projection alone
         it_next = it.inv = None
         it = _finish_start(it, S, c)
     converged = False
-    for _ in range(cfg.max_outer - schedule_steps):
+    for _ in range(budget):
         # the loss gradient A - A S A on the free entries
-        g = free.vector(it.inv) - free.vector(it.asa(S))
-        if math.sqrt(free.inner(g, g)) <= STATIONARITY_RTOL * np.linalg.norm(it.inv):
+        asa = _asa(it.inv, S)
+        g = free.vector(it.inv) - free.vector(asa)
+        g_norm = math.sqrt(free.inner(g, g))
+        a_norm = float(np.linalg.norm(it.inv))
+        if g_norm <= STATIONARITY_RTOL * a_norm:
             converged = True
             break
-        d, products = _newton_direction(it, S, g, free)
+        d, products = _newton_direction(it, asa, g, g_norm, a_norm, free)
+        del asa  # spent as the Hessian's N, which goes before the line search
         # a model decrease at round-off level is one no line search can
         # certify, so the iterate is as stationary as the arithmetic allows;
         # each halving halves the decrease, so the search stops where it

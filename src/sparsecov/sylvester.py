@@ -126,7 +126,9 @@ def _solve(sigma_k: np.ndarray, c_k: np.ndarray, rho: float) -> np.ndarray:
     lam, Q = spectral_decompose(sigma_k)
     a = np.matmul(Q.T, c_k)
     b = np.matmul(a, Q)
-    denom = np.outer(lam, lam, out=a)
+    denom = a  # lam_i lam_j, without np.outer's buffers for its operands
+    denom[...] = lam
+    denom *= lam[:, None]
     np.divide(1.0, denom, out=denom)
     denom += rho
     if not np.all(denom > 0):

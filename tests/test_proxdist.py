@@ -270,6 +270,57 @@ def test_refinement_shares_the_iteration_budget(monkeypatch):
     assert capped.objective_trace == full.objective_trace[:schedule]
 
 
+def _criterion6_training_fold():
+    # one training fold of the criterion-6 design at p = 20
+    design = sc.SimDesign(kind="random_sparse", p=20, sparsity_frac=0.02, seed=2025)
+    data = sc.sample_mvn(sc.make_design(design), 100, sc.RngStream(seed=2025, stream_id=1))
+    return sc.sample_covariance(data[:80])
+
+
+def test_each_step_forms_a_s_a_once(monkeypatch):
+    # A S A is formed once per schedule step, for c_k, and once per gradient
+    # test of the finish, whose Newton direction reads that same buffer; a
+    # finish left no budget builds no free entries
+    asa, free_entries = proxdist._asa, proxdist._FreeEntries
+    formed, built = [], []
+
+    def counted_asa(A, S):
+        formed.append(1)
+        return asa(A, S)
+
+    def counted_free_entries(mask):
+        built.append(1)
+        return free_entries(mask)
+
+    monkeypatch.setattr(proxdist, "_asa", counted_asa)
+    monkeypatch.setattr(proxdist, "_FreeEntries", counted_free_entries)
+    fold = _criterion6_training_fold()
+    for S, c in ((fold, sc.SparsityConstraint(21)), _bench_instance()):
+        formed.clear()
+        built.clear()
+        events = []
+        result = sc.fit(S, c, callback=events.append)
+        assert result.converged
+        rhos = [ev["rho"] for ev in events]
+        schedule = next(i for i in range(1, len(rhos)) if rhos[i] == rhos[i - 1])
+        newton_steps = sum(1 for ev in events if ev["cg_products"])
+        # each accepted Newton step, and the gradient test that ends the fit
+        assert newton_steps >= 1
+        assert len(formed) == schedule + newton_steps + 1
+        assert len(built) == 1
+        with monkeypatch.context() as m:
+            m.setattr(sc.FitConfig, "max_outer", schedule)
+            formed.clear()
+            built.clear()
+            capped = sc.fit(S, c)
+        assert capped.iterations == schedule
+        assert len(formed) == schedule
+        assert not built
+    formed.clear()
+    sc.surrogate_gradient(fold, fold, fold, sc.SparsityConstraint(21), 1.0)
+    assert len(formed) == 1
+
+
 def _bench_instance():
     # the criterion-11 instance at p = 200
     p = 200
@@ -393,17 +444,15 @@ def test_finish_kernel_selection_on_the_benchmark_sizes(monkeypatch):
     kernels = []
     newton = proxdist._newton_direction
 
-    def recorded(it, S_used, g, free):
+    def recorded(it, asa, g, g_norm, a_norm, free):
         kernels.append(free.sparse)
-        return newton(it, S_used, g, free)
+        return newton(it, asa, g, g_norm, a_norm, free)
 
     monkeypatch.setattr(proxdist, "_newton_direction", recorded)
     S, c = _bench_instance()
     sc.fit(S, c)
     assert kernels and all(kernels)
-    design = sc.SimDesign(kind="random_sparse", p=20, sparsity_frac=0.02, seed=2025)
-    data = sc.sample_mvn(sc.make_design(design), 100, sc.RngStream(seed=2025, stream_id=1))
-    S_train = sc.sample_covariance(data[:80])
+    S_train = _criterion6_training_fold()
     for k in (4, 21):  # the design's 4 pairs, and a cell of the 10-point grid
         kernels.clear()
         sc.fit(S_train, sc.SparsityConstraint(k))
@@ -462,7 +511,7 @@ def test_newton_operator_matches_fd_of_gradient(monkeypatch):
                 it = proxdist._Iterate(Sigma, S, c)
                 free = proxdist._FreeEntries(mask)
                 assert free.sparse == (kernel == "sparse")
-                hess = proxdist._Hessian(it, S, free)
+                hess = proxdist._Hessian(it, proxdist._asa(it.inv, S), free)
                 for _ in range(3):
                     v = rng.standard_normal(free.upper.size)
                     V = free.matrix(v)
@@ -488,6 +537,14 @@ def _iterate_near_its_optimum(rng, p, mode):
     return proxdist._Iterate(Sigma, S, sc.SparsityConstraint(0, mode)), S, mask
 
 
+def _newton_direction_at(it, S, g, free):
+    # the finish's Newton direction with what its gradient test forms:
+    # A S A, ||G|| and ||A||
+    g_norm = math.sqrt(free.inner(g, g))
+    a_norm = float(np.linalg.norm(it.inv))
+    return proxdist._newton_direction(it, proxdist._asa(it.inv, S), g, g_norm, a_norm, free)
+
+
 @pytest.mark.parametrize("p", [30, 60])
 @pytest.mark.parametrize("mode", ["covariance", "correlation"])
 def test_hessian_kernels_agree(monkeypatch, mode, p):
@@ -498,7 +555,7 @@ def test_hessian_kernels_agree(monkeypatch, mode, p):
     products = []
     for _ in range(3):
         it, S, mask = _iterate_near_its_optimum(rng, p, mode)
-        M, G = it.asa(S), it.gradient(S, 1.0)
+        M, G = proxdist._asa(it.inv, S), it.gradient(S, 1.0)
         assert np.array_equal(M, M.T) and np.array_equal(G, G.T)
         if mode == "correlation":
             assert not mask.any(axis=1).all()  # empty CSR rows
@@ -508,8 +565,8 @@ def test_hessian_kernels_agree(monkeypatch, mode, p):
             _use_kernel(monkeypatch, kernel)
             free = proxdist._FreeEntries(mask)
             assert free.sparse == (kernel == "sparse")
-            hess = proxdist._Hessian(it, S, free)
-            D, count = proxdist._newton_direction(it, S, free.vector(it.gradient(S, 0.0)), free)
+            hess = proxdist._Hessian(it, proxdist._asa(it.inv, S), free)
+            D, count = _newton_direction_at(it, S, free.vector(it.gradient(S, 0.0)), free)
             out[kernel] = hess(v), D
         products.append(count)
         for rtol, dense, sparse in zip((1e-12, 1e-10), out["dense"], out["sparse"]):
@@ -531,7 +588,8 @@ def test_fisher_preconditioner_is_sigma_v_sigma(monkeypatch, mode, p):
             _use_kernel(monkeypatch, kernel)
             free = proxdist._FreeEntries(mask)
             assert free.sparse == (kernel == "sparse")
-            fisher_inverse = proxdist._Hessian(it, S, free).fisher_inverse
+            hess = proxdist._Hessian(it, proxdist._asa(it.inv, S), free)
+            fisher_inverse = hess.fisher_inverse
             Pu, Pv = fisher_inverse(u), fisher_inverse(v)
             reference = free.vector(it.sigma @ free.matrix(v) @ it.sigma)
             scale = free.inner(Pv, reference) / free.inner(reference, reference)
@@ -557,7 +615,7 @@ def test_dense_kernel_does_not_depend_on_the_inverse_layout(monkeypatch, mode):
     M = A @ S @ A
     free = proxdist._FreeEntries(mask)
     assert not free.sparse
-    hess = proxdist._Hessian(it, S, free)
+    hess = proxdist._Hessian(it, proxdist._asa(it.inv, S), free)
     for _ in range(3):
         v = rng.standard_normal(free.upper.size)
         V = free.matrix(v)
@@ -569,17 +627,16 @@ def test_dense_kernel_does_not_depend_on_the_inverse_layout(monkeypatch, mode):
             assert np.max(np.abs(got - expected)) <= 1e-12 * np.max(np.abs(expected))
 
 
-def _plain_cg_direction(it, S, g, free):
+def _plain_cg_direction(it, asa, g, g_norm, a_norm, free):
     # the finish's conjugate gradients without the preconditioner or the
     # aimed stop, ended on the forcing term alone
-    hess = proxdist._Hessian(it, S, free)
+    hess = proxdist._Hessian(it, asa, free)
     r = g.copy()
     rr = free.inner(r, r)
-    g_norm = math.sqrt(rr)
-    tol = min(0.5, math.sqrt(g_norm / float(np.linalg.norm(it.inv)))) * g_norm
+    tol = min(0.5, math.sqrt(g_norm / a_norm)) * g_norm
     D = np.zeros_like(r)
     d = -r
-    p = S.shape[0]
+    p = free.mask.shape[0]
     for j in range(p * (p + 1) // 2):
         Hd = hess(d)
         curvature = free.inner(d, Hd)
@@ -614,9 +671,9 @@ def test_every_finish_direction_is_preconditioned(monkeypatch, kernel):
         calls.append(1)
         return fisher_inverse(hess, v)
 
-    def counted_newton(it, S_used, g, free):
+    def counted_newton(it, asa, g, g_norm, a_norm, free):
         calls.clear()
-        D, products = newton(it, S_used, g, free)
+        D, products = newton(it, asa, g, g_norm, a_norm, free)
         directions.append((len(calls), products))
         return D, products
 
@@ -670,7 +727,7 @@ def test_newton_direction_on_zero_curvature_is_steepest_descent():
     it = proxdist._Iterate(np.eye(3), S, c)
     free = proxdist._FreeEntries(np.eye(3, dtype=bool))
     g = free.vector(it.gradient(S, 0.0))
-    D, products = proxdist._newton_direction(it, S, g, free)
+    D, products = _newton_direction_at(it, S, g, free)
     assert np.array_equal(D, -2.0 * g)
     assert products == 1
 
@@ -695,20 +752,21 @@ def test_refinement_directions_are_symmetric_descent_directions(monkeypatch, mod
     directions = []
     newton = proxdist._newton_direction
 
-    def recorded(it, S_used, g, free):
-        D, products = newton(it, S_used, g, free)
-        directions.append((it, S_used, g, free, D, products))
+    def recorded(it, asa, g, g_norm, a_norm, free):
+        M = asa.copy()  # the Hessian overwrites asa
+        D, products = newton(it, asa, g, g_norm, a_norm, free)
+        directions.append((it, M, g, free, D, products))
         return D, products
 
     monkeypatch.setattr(proxdist, "_newton_direction", recorded)
     events = []
     sc.fit(S, c, callback=events.append)
     assert len(directions) >= 2
-    for it, S_used, g, free, D, products in directions:
+    for it, M, g, free, D, products in directions:
         assert free.sparse == (kernel == "sparse")
         assert free.inner(D, g) < 0.0
         g_norm = math.sqrt(free.inner(g, g))
-        residual = proxdist._Hessian(it, S_used, free)(D) + g
+        residual = proxdist._Hessian(it, M, free)(D) + g
         forcing = min(0.5, math.sqrt(g_norm / np.linalg.norm(it.inv))) * g_norm
         assert math.sqrt(free.inner(residual, residual)) <= 1.001 * forcing
         assert 1 <= products <= p * (p + 1) // 2
@@ -736,8 +794,8 @@ def test_finish_directions_stay_on_the_support(monkeypatch, mode):
     directions = []
     newton = proxdist._newton_direction
 
-    def recorded(it, S_used, g, free):
-        D, products = newton(it, S_used, g, free)
+    def recorded(it, asa, g, g_norm, a_norm, free):
+        D, products = newton(it, asa, g, g_norm, a_norm, free)
         directions.append((free.mask.copy(), free.matrix(D)))
         return D, products
 
@@ -763,8 +821,8 @@ def test_finish_that_takes_no_step_records_its_start(monkeypatch):
     c = sc.SparsityConstraint(12)
     newton = proxdist._newton_direction
 
-    def scaled(it, S_used, g, free):
-        D, products = newton(it, S_used, g, free)
+    def scaled(it, asa, g, g_norm, a_norm, free):
+        D, products = newton(it, asa, g, g_norm, a_norm, free)
         bound = proxdist.DECREASE_RTOL * abs(it.loss)
         return D * (0.5 * bound / -free.inner(D, g)), products
 
@@ -792,8 +850,8 @@ def test_refinement_stops_on_a_roundoff_model_decrease(monkeypatch, factor):
     c = sc.SparsityConstraint(12)
     newton = proxdist._newton_direction
 
-    def scaled(it, S_used, g, free):
-        D, products = newton(it, S_used, g, free)
+    def scaled(it, asa, g, g_norm, a_norm, free):
+        D, products = newton(it, asa, g, g_norm, a_norm, free)
         bound = proxdist.DECREASE_RTOL * abs(it.loss)
         return D * (factor * bound / -free.inner(D, g)), products
 

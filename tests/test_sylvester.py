@@ -1,8 +1,12 @@
+import gc
+import tracemalloc
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
 import sparsecov as sc
+from sparsecov import sylvester
 from sparsecov.sylvester import KRONECKER_MAX_DIM
 
 
@@ -97,3 +101,21 @@ def test_system_inverse_repeatable_and_correct():
     A2 = system.inverse()
     assert np.array_equal(A1, A2)
     assert_allclose(A1 @ system.sigma_k, np.eye(4), atol=1e-12)
+
+
+def test_solve_working_set_at_p60():
+    # the eigenvectors, the two buffers the GEMMs alternate between, and
+    # eigh's workspace; the denominators lam_i lam_j are formed in place,
+    # so numpy allocates at most one buffer for a broadcast operand
+    rng = np.random.default_rng(60)
+    system = _system(rng, 60, 1.0)
+    sylvester._solve(system.sigma_k, system.c_k, system.rho)  # warm
+    gc.collect()
+    tracemalloc.start()
+    try:
+        X = sylvester._solve(system.sigma_k, system.c_k, system.rho)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert np.array_equal(X, sc.solve_spectral(system))
+    assert peak / X.nbytes <= 4.5
