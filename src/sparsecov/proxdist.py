@@ -46,6 +46,7 @@ import numpy as np
 from .matcore import (
     NotPositiveDefiniteError,
     _inverse_from_cholesky,
+    _log_det_from_cholesky,
     as_symmetric,
     cholesky_pd,
 )
@@ -101,7 +102,12 @@ LOCK_STEPS = 5
 # p = 300.
 SPARSE_PRODUCT_RATIO = 40
 # Floats per gathered block of the sparse Hessian product (256 KB): blocks
-# twice as large ran its dot products 3x slower at p = 200.
+# twice as large ran its dot products 3x slower at p = 200.  A block also
+# holds at most p^2 / 2 floats, so that the two blocks a pass of dot
+# products reads hold at most one p x p matrix between them.  Bounded by
+# PRODUCT_CHUNK alone, they set the fit's peak below p = 200: p = 100
+# finishes peaked 1.5-2.6 p x p matrices above their schedules, and 0.3-0.6
+# above with blocks of p^2 floats; with p^2 / 2 they stay 0.4-0.5 below.
 PRODUCT_CHUNK = 32768
 # A Newton solve whose forcing tolerance falls below AIM_WINDOW times the
 # gradient test's bound STATIONARITY_RTOL * ||A||_F runs on to half that
@@ -182,7 +188,7 @@ def _inverse_and_loss(sigma: np.ndarray, S: np.ndarray) -> tuple[np.ndarray, flo
     their entrywise product, so the loss needs no solve against ``S``.
     """
     L = cholesky_pd(sigma)
-    logdet = 2.0 * float(np.sum(np.log(np.diag(L))))  # before L is overwritten
+    logdet = _log_det_from_cholesky(L)  # before L is overwritten
     inv = _inverse_from_cholesky(L)
     return inv, logdet + float(np.vdot(inv, S))
 
@@ -191,8 +197,8 @@ def _asa(A: np.ndarray, S: np.ndarray) -> np.ndarray:
     """``A S A`` in a new array, exactly symmetric: the triple product drifts
     from symmetry by O(eps), and this is the one place that averages it
     out, so that what reads it needs no symmetrization of its own."""
-    AS = A @ S
-    M = AS @ A
+    AS = A.dot(S)
+    M = AS.dot(A)
     np.copyto(AS, M.T)  # A S is spent; M^T + M is M + M^T
     AS += M
     AS *= 0.5
@@ -233,7 +239,7 @@ class _Iterate:
             self.proj = _project(sigma, c)
             diff = np.subtract(sigma, self.proj)
             diff *= diff
-            self.dist2 = float(np.sum(diff))
+            self.dist2 = float(diff.sum())
 
     def objective(self, rho: float) -> float:
         return self.loss + 0.5 * rho * self.dist2
@@ -375,35 +381,44 @@ class _FreeEntries:
     :meth:`inner` is the Frobenius inner product of the matrices.
 
     ``sparse`` selects :class:`_Hessian`'s product kernel: the sparse one
-    once ``m <= p^2 / SPARSE_PRODUCT_RATIO``.  For it, ``csr`` holds such a
-    matrix in CSR form, both triangles, its index structure built here
-    once: each product writes the vector's entries ``csr_entry`` into
-    ``csr.data``.
+    once ``m <= p^2 / SPARSE_PRODUCT_RATIO``.  For it, ``rows`` and
+    ``cols`` hold the free entries' row and column indices, and ``csr``
+    holds such a matrix in CSR form, both triangles, its index structure
+    built here once: each product writes the vector's entries
+    ``csr_entry`` into ``csr.data``.
     """
 
-    __slots__ = ("mask", "upper", "lower", "weights", "sparse", "csr", "csr_entry")
+    __slots__ = (
+        "mask", "upper", "lower", "rows", "cols", "weights", "sparse", "csr", "csr_entry"
+    )
 
     def __init__(self, mask: np.ndarray):
         p = mask.shape[0]
         self.mask = mask
-        self.upper = np.flatnonzero(np.triu(mask))
-        rows, cols = np.divmod(self.upper, p)
-        self.lower = cols * p + rows
-        self.weights = np.where(rows == cols, 1.0, 2.0)
+        nz = np.flatnonzero(mask)  # row-major, as CSR stores them
+        rows, cols = np.divmod(nz, p)
+        upper = rows <= cols
+        self.upper = nz[upper]
+        free_rows, free_cols = rows[upper], cols[upper]
+        self.lower = free_cols * p + free_rows
+        self.weights = np.where(free_rows == free_cols, 1.0, 2.0)
         m = self.upper.size
         self.sparse = SPARSE_PRODUCT_RATIO * m <= p * p
         if self.sparse:
-            # imported here: scipy.sparse takes about 0.2 s to import on a
-            # 2-CPU x86-64 host, and only fits on small supports use it
+            self.rows, self.cols = free_rows, free_cols
+            # imported here: scipy.sparse takes 0.15-0.30 s to import on a
+            # 2-CPU x86-64 host, and only fits on small supports use it.
+            # It stays: a numpy V N that matches its product bit for bit
+            # (each row accumulated in column order from zeros) took
+            # 0.84 ms against its 0.10 ms at p = 200, m = 598.
             from scipy.sparse import csr_array
 
             entry = np.zeros(p * p, dtype=np.intp)
             entry[self.upper] = entry[self.lower] = np.arange(m)
-            nz = np.flatnonzero(mask)  # row-major, as CSR stores them
             self.csr_entry = entry[nz]
             indptr = np.zeros(p + 1, dtype=np.intp)
             np.cumsum(np.count_nonzero(mask, axis=1), out=indptr[1:])
-            self.csr = csr_array((np.zeros(nz.size), nz % p, indptr), shape=(p, p))
+            self.csr = csr_array((np.zeros(nz.size), cols, indptr), shape=(p, p))
 
     def vector(self, M: np.ndarray) -> np.ndarray:
         """The free upper-triangle entries of ``M``."""
@@ -412,12 +427,13 @@ class _FreeEntries:
     def matrix(self, v: np.ndarray) -> np.ndarray:
         """The exactly symmetric matrix of ``v``, zero off the free entries."""
         M = np.zeros(self.mask.shape)
-        M.flat[self.upper] = M.flat[self.lower] = v
+        flat = M.reshape(-1)
+        flat[self.upper] = flat[self.lower] = v
         return M
 
     def inner(self, u: np.ndarray, v: np.ndarray) -> float:
         """The Frobenius inner product of the matrices of ``u`` and ``v``."""
-        return float(np.dot(self.weights * u, v))
+        return float((self.weights * u).dot(v))
 
 
 class _Hessian:
@@ -438,7 +454,8 @@ class _Hessian:
     ``W = V N`` from ``V`` in CSR form, in p flops per nonzero of ``V``,
     then ``Y_ij = <A[i, :], W[:, j]>`` at the free entries alone, as
     row-wise dot products of gathered rows of ``A`` and ``W^T``, in chunks
-    of at most ``PRODUCT_CHUNK`` gathered floats: O(p m) against 2 p^3.
+    of at most ``PRODUCT_CHUNK`` and at most ``p^2 / 2`` gathered floats:
+    O(p m) against 2 p^3.
     Neither keeps a gather between products, and an operator, which holds
     ``A`` and ``N``, serves one Newton direction, whose conjugate gradient
     solve reads ``H`` through products alone.  The preconditioner
@@ -481,9 +498,9 @@ class _Hessian:
             Wt = (f.csr @ N).T.copy()  # row j holds W[:, j]
             p = Wt.shape[0]
             out = np.empty_like(v)
-            step = max(1, PRODUCT_CHUNK // p)
+            step = max(1, min(PRODUCT_CHUNK, p * p // 2) // p)
             for lo in range(0, v.size, step):
-                i, j = np.divmod(f.upper[lo : lo + step], p)
+                i, j = f.rows[lo : lo + step], f.cols[lo : lo + step]
                 out[lo : lo + step] = np.einsum(
                     "kr,kr->k", A[i], Wt[j]
                 ) + np.einsum("kr,kr->k", A[j], Wt[i])
@@ -491,8 +508,8 @@ class _Hessian:
         V, flat = self._v, self._flat
         V.fill(0.0)
         flat[f.upper] = flat[f.lower] = v
-        np.matmul(A, V, out=self._tmp)
-        np.matmul(self._tmp, N, out=V)  # Y
+        A.dot(V, out=self._tmp)
+        self._tmp.dot(N, out=V)  # Y
         return flat[f.upper] + flat[f.lower]
 
 
@@ -536,7 +553,7 @@ def _newton_direction(
     tol = min(0.5, math.sqrt(g_norm / a_norm)) * g_norm
     if tol < AIM_WINDOW * STATIONARITY_RTOL * a_norm:
         tol = min(tol, 0.5 * STATIONARITY_RTOL * a_norm)
-    D = np.zeros_like(r)
+    D = np.zeros(r.size)
     p = free.mask.shape[0]
     for j in range(p * (p + 1) // 2):
         y = hess.fisher_inverse(r)
@@ -658,13 +675,13 @@ def fit(
     """
     (S,) = _check_inputs((S,), c)
     S, ridge_delta = _resolve_ridge(S, cfg)
-    if np.any(np.diag(S) <= 0):
+    if (S.diagonal() <= 0).any():
         raise NotPositiveDefiniteError(
             "S has a nonpositive diagonal entry, so the diagonal start is "
             "singular; set ridge_delta > 0 in FitConfig"
         )
 
-    it = _Iterate(np.diag(np.diag(S)), S, c)
+    it = _Iterate(np.diag(S.diagonal()), S, c)
     rho = RHO0
     objective_trace: list[float] = []
     rho_trace: list[float] = []
@@ -700,7 +717,7 @@ def fit(
         it = it_next
         total_halvings += halvings
         step_support = it.proj != 0.0
-        kept = support is not None and np.array_equal(step_support, support)
+        kept = support is not None and bool((step_support == support).all())
         held = held + 1 if kept else 0
         support = step_support
         if held == LOCK_STEPS:
@@ -732,7 +749,8 @@ def fit(
         asa = _asa(it.inv, S)
         g = free.vector(it.inv) - free.vector(asa)
         g_norm = math.sqrt(free.inner(g, g))
-        a_norm = float(np.linalg.norm(it.inv))
+        flat_inv = it.inv.reshape(-1)  # ||A||_F as np.linalg.norm forms it
+        a_norm = math.sqrt(flat_inv.dot(flat_inv))
         if g_norm <= STATIONARITY_RTOL * a_norm:
             converged = True
             break

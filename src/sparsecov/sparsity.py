@@ -63,24 +63,30 @@ def _project(M: np.ndarray, c: SparsityConstraint) -> np.ndarray:
     in place and formed again after, and let go before the result is
     allocated, so that the projection peaks at 1.5 p x p buffers.
     """
-    upper = _strict_upper(M.shape[0])
+    p = M.shape[0]
+    upper = _strict_upper(p)
     vals = M[upper]
     mags = np.abs(vals)
+    k = c.k
     kth = np.inf
-    if c.k:
-        mags.partition(mags.size - c.k)
-        kth = mags[mags.size - c.k]
+    if k:
+        mags.partition(mags.size - k)
+        kth = mags[mags.size - k]
         np.abs(vals, out=mags)  # the partition reordered them
-    keep = mags > kth
     if kth > 0.0:
-        ties = np.flatnonzero(mags == kth)[: c.k - np.count_nonzero(keep)]
-        keep[ties] = True
+        keep = mags >= kth
+        extra = np.count_nonzero(keep) - k
+        if extra:  # more ties than places: the last ones in row-major order go
+            ties = np.flatnonzero(mags == kth)
+            keep[ties[ties.size - extra :]] = False
+    else:
+        keep = mags > kth
     del mags
     vals[~keep] = 0.0
     out = np.zeros(M.shape)
     out[upper] = vals
     out.T[upper] = vals
-    np.fill_diagonal(out, 1.0 if c.mode == "correlation" else np.diag(M))
+    out.reshape(-1)[:: p + 1] = 1.0 if c.mode == "correlation" else M.diagonal()
     return out
 
 

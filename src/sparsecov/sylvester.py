@@ -124,21 +124,21 @@ def _solve(sigma_k: np.ndarray, c_k: np.ndarray, rho: float) -> np.ndarray:
     the one the second GEMM has spent.  The result is the last of them.
     """
     lam, Q = spectral_decompose(sigma_k)
-    a = np.matmul(Q.T, c_k)
-    b = np.matmul(a, Q)
+    a = Q.T.dot(c_k)
+    b = a.dot(Q)
     denom = a  # lam_i lam_j, without np.outer's buffers for its operands
     denom[...] = lam
     denom *= lam[:, None]
     np.divide(1.0, denom, out=denom)
     denom += rho
-    if not np.all(denom > 0):
+    if not denom.min() > 0.0:  # a NaN entry makes the minimum NaN, which fails
         raise ValueError(
             "solver denominators are not all positive; "
             "sigma_k is numerically singular or indefinite"
         )
     b /= denom
-    np.matmul(Q, b, out=a)
-    np.matmul(a, Q.T, out=b)
+    Q.dot(b, out=a)
+    a.dot(Q.T, out=b)
     np.copyto(a, b.T)  # then a same-order add, which needs no buffer
     a += b
     a /= 2.0

@@ -259,3 +259,69 @@ def test_load_data_csv_shape(tmp_path):
     back = sc.load_data_csv(path)
     assert back.shape == (6, 2)
     assert np.array_equal(back, data)
+
+
+# The sizes the kernels' rewrites are checked at: both sides of the
+# inverse's mirror block (MIRROR_BLOCK = 64), and the cv_study size.
+KERNEL_SIZES = [1, 2, 3, 20, 63, 64, 65, 130]
+
+
+def _block_mirrored_inverse(L):
+    # the inverse mirrored MIRROR_BLOCK columns at a time through a scratch
+    # copy of each diagonal block: the mirror _inverse_from_cholesky runs
+    # above MIRROR_BLOCK, kept here as the reference for the indexed copy
+    a = np.array(L.T)  # C-ordered: the upper triangle of a is L's lower one
+    p, block = a.shape[0], matcore.MIRROR_BLOCK
+    assert matcore._potri(a) == 0
+    for j in range(block, p, block):
+        a[j : j + block, :j] = a[:j, j : j + block].T
+    lower = np.tril(np.ones((block, block), dtype=bool), -1)
+    for j in range(0, p, block):
+        b = min(block, p - j)
+        diagonal = a[j : j + b, j : j + b]
+        np.copyto(diagonal, diagonal.copy().T, where=lower[:b, :b])
+    return a
+
+
+@pytest.mark.parametrize("p", KERNEL_SIZES)
+def test_inverse_mirror_matches_the_block_mirror_bit_for_bit(p):
+    M = _spd(p, seed=p)
+    A = matcore._inverse_from_cholesky(sc.cholesky_pd(M))
+    assert A.flags.c_contiguous
+    assert _bits(A) == _bits(_block_mirrored_inverse(sc.cholesky_pd(M)))
+    assert _bits(A) == _bits(A.T.copy())
+
+
+@pytest.mark.parametrize("p", KERNEL_SIZES)
+def test_log_det_matches_the_sum_of_logs_bit_for_bit(p):
+    # one helper reads 2 sum ln L_ii, and the loss's log-det term is it:
+    # the loss at S = 0 is that term alone
+    M = _spd(p, seed=p) * 10.0 ** (p % 5 - 2)
+    L = sc.cholesky_pd(M)
+    expected = float(2.0 * np.sum(np.log(np.diag(L))))
+    assert matcore._log_det_from_cholesky(L) == expected
+    assert sc.log_det_pd(M) == expected
+    assert sc.negative_loglik_loss(M, np.zeros((p, p))) == expected
+
+
+@pytest.mark.parametrize("p", KERNEL_SIZES)
+def test_frobenius_norm_as_sqrt_of_dot_matches_numpy_bit_for_bit(p):
+    # the finish's ||A||_F is sqrt(x . x) over the flat inverse, which is
+    # how np.linalg.norm forms it
+    A = sc.inverse_pd(_spd(p, seed=p))
+    flat = A.reshape(-1)
+    assert math.sqrt(flat.dot(flat)) == float(np.linalg.norm(A))
+
+
+@pytest.mark.parametrize("p", KERNEL_SIZES)
+def test_dot_matches_matmul_bit_for_bit(p):
+    # the MM step's, the gradient test's and the dense Hessian product's
+    # GEMMs go through ndarray.dot, which skips np.matmul's ufunc
+    # dispatch; both call the same BLAS routine, in every layout they meet
+    rng = np.random.default_rng(p)
+    A, B = rng.standard_normal((2, p, p))
+    for X in (A, A.T):
+        for Y in (B, B.T):
+            out = np.empty((p, p))
+            X.dot(Y, out=out)
+            assert _bits(X.dot(Y)) == _bits(out) == _bits(np.matmul(X, Y))

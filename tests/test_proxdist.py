@@ -411,6 +411,44 @@ def test_fit_working_set_p_above_n(monkeypatch):
     assert matrices <= 8.4
 
 
+def test_sparse_kernel_finish_stays_under_the_schedule_peak(monkeypatch):
+    # a p = 100 random-sparse fit at k = 100 (m = 200 free entries): the
+    # sparse Hessian product's gathered blocks hold at most p^2 / 2 floats,
+    # so the finish's peak stays under the schedule's, 5.7 against 6.2
+    # p x p matrices.  Blocks of PRODUCT_CHUNK floats alone put it at 8.7,
+    # blocks of p^2 floats at 6.7.  Each step's peak is read at its
+    # callback, the last finish segment's after the fit
+    S = _sample_problem(100, 300, 1, frac=0.005)
+    c = sc.SparsityConstraint(100)
+    kernels = []
+    free_entries = proxdist._FreeEntries
+
+    def recorded_free_entries(mask):
+        free = free_entries(mask)
+        kernels.append(free.sparse)
+        return free
+
+    monkeypatch.setattr(proxdist, "_FreeEntries", recorded_free_entries)
+    sc.fit(S, c)  # caches and scipy.sparse's first-use state, untraced
+    rhos, peaks = [], []
+
+    def step_peak(ev):
+        rhos.append(ev["rho"])
+        peaks.append(tracemalloc.get_traced_memory()[1])
+        tracemalloc.reset_peak()
+
+    gc.collect()
+    tracemalloc.start()
+    try:
+        result = sc.fit(S, c, callback=step_peak)
+        peaks.append(tracemalloc.get_traced_memory()[1])
+    finally:
+        tracemalloc.stop()
+    schedule = next(i for i in range(1, len(rhos)) if rhos[i] == rhos[i - 1])
+    assert result.converged and kernels == [True, True]
+    assert max(peaks[schedule:]) <= max(peaks[:schedule])
+
+
 def test_finish_makes_no_projection(monkeypatch):
     # every finish iterate is zero off the free entries and has at most k
     # pairs, so it is its own projection: once the free entries are fixed,
@@ -543,6 +581,60 @@ def _newton_direction_at(it, S, g, free):
     g_norm = math.sqrt(free.inner(g, g))
     a_norm = float(np.linalg.norm(it.inv))
     return proxdist._newton_direction(it, proxdist._asa(it.inv, S), g, g_norm, a_norm, free)
+
+
+@pytest.mark.parametrize("p", [1, 3, 20, 65])
+def test_finish_kernels_match_their_references_bit_for_bit(monkeypatch, p):
+    # the finish's free entries found without np.triu, and its inner
+    # product, A S A and the dense Hessian product's GEMMs through
+    # ndarray.dot, each bit for bit against its np.triu, np.dot, @ or
+    # np.matmul form
+    _use_kernel(monkeypatch, "dense")
+    rng = np.random.default_rng(p)
+    S = sc.sample_covariance(rng.standard_normal((3 * p, p)))
+    mask = rng.random((p, p)) < 0.3
+    mask = mask | mask.T | np.eye(p, dtype=bool)
+    free = proxdist._FreeEntries(mask)
+    upper = np.flatnonzero(np.triu(mask))
+    rows, cols = np.divmod(upper, p)
+    weights = np.where(rows == cols, 1.0, 2.0)
+    assert np.array_equal(free.upper, upper)
+    assert np.array_equal(free.lower, cols * p + rows)
+    assert free.weights.tobytes() == weights.tobytes()
+    u, v = rng.standard_normal((2, upper.size))
+    assert free.inner(u, v) == float(np.dot(weights * u, v))
+
+    it = proxdist._Iterate(S, S, None)
+    A = it.inv
+    M = A @ S @ A
+    asa = proxdist._asa(A, S)
+    assert asa.tobytes() == ((M.T + M) * 0.5).tobytes()
+    N = asa - 0.5 * A
+    hess = proxdist._Hessian(it, asa, free)
+    for left, right, product in ((A, N, hess), (S, S, hess.fisher_inverse)):
+        V = np.zeros((p, p))
+        V.flat[upper] = V.flat[cols * p + rows] = v
+        Y = np.matmul(np.matmul(left, V), right)
+        assert product(v).tobytes() == (Y.flat[upper] + Y.flat[cols * p + rows]).tobytes()
+
+
+def test_gradient_test_reads_numpys_frobenius_norm(monkeypatch):
+    # the finish's ||A||_F, sqrt(x . x) over the flat inverse, is
+    # np.linalg.norm's value bit for bit at every Newton direction
+    newton = proxdist._newton_direction
+    norms = []
+
+    def recorded(it, asa, g, g_norm, a_norm, free):
+        norms.append((a_norm, float(np.linalg.norm(it.inv))))
+        return newton(it, asa, g, g_norm, a_norm, free)
+
+    monkeypatch.setattr(proxdist, "_newton_direction", recorded)
+    rng = np.random.default_rng(5)
+    for p, k in ((3, 1), (20, 12), (65, 60)):
+        S = sc.sample_covariance(rng.standard_normal((3 * p, p)))
+        sc.fit(S, sc.SparsityConstraint(k))
+    assert len(norms) >= 6
+    assert all(ours == numpys for ours, numpys in norms)
 
 
 @pytest.mark.parametrize("p", [30, 60])

@@ -3,6 +3,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 import sparsecov as sc
+from sparsecov import sparsity
 
 
 def test_constraint_validation():
@@ -121,3 +122,47 @@ def test_project_matches_stable_argsort_on_ties_and_zeros():
             for mode in ("covariance", "correlation"):
                 c = sc.SparsityConstraint(k, mode=mode)
                 assert np.array_equal(sc.project(M, c), _reference_project(M, c))
+
+
+def _fill_diagonal_project(M, c):
+    # the projection with every tie settled after the strict comparison and
+    # the diagonal written by np.fill_diagonal: the reference for _project,
+    # bit for bit, signed zeros included
+    upper = np.triu(np.ones(M.shape, dtype=bool), 1)
+    vals = M[upper]
+    mags = np.abs(vals)
+    kth = np.inf
+    if c.k:
+        mags.partition(mags.size - c.k)
+        kth = mags[mags.size - c.k]
+        np.abs(vals, out=mags)
+    keep = mags > kth
+    if kth > 0.0:
+        ties = np.flatnonzero(mags == kth)[: c.k - np.count_nonzero(keep)]
+        keep[ties] = True
+    vals[~keep] = 0.0
+    out = np.zeros(M.shape)
+    out[upper] = vals
+    out.T[upper] = vals
+    np.fill_diagonal(out, 1.0 if c.mode == "correlation" else np.diag(M))
+    return out
+
+
+@pytest.mark.parametrize("p", [1, 2, 3, 20, 63, 64, 65, 130])
+def test_project_matches_its_reference_bit_for_bit(p):
+    # on ties, exact zeros of both signs (the diagonal's included), and in
+    # both modes, at k from 0 to every pair
+    rng = np.random.default_rng(p)
+    tied = np.round(rng.standard_normal((p, p)), 1)
+    tied[rng.random((p, p)) < 0.2] = -0.0
+    smooth = rng.standard_normal((p, p))
+    m = p * (p - 1) // 2
+    for B in (tied, smooth):
+        M = B.copy()
+        below = np.tril_indices(p, -1)
+        M[below] = B.T[below]  # a copy, so that each -0.0 keeps its sign
+        for k in sorted({0, 1, m // 3, m // 2, m - 1, m} & set(range(m + 1))):
+            for mode in ("covariance", "correlation"):
+                c = sc.SparsityConstraint(k, mode=mode)
+                got, ref = sparsity._project(M, c), _fill_diagonal_project(M, c)
+                assert got.tobytes() == ref.tobytes(), (k, mode)

@@ -119,3 +119,30 @@ def test_solve_working_set_at_p60():
         tracemalloc.stop()
     assert np.array_equal(X, sc.solve_spectral(system))
     assert peak / X.nbytes <= 4.5
+
+
+def _matmul_solve(sigma_k, c_k, rho):
+    # the spectral solve with its four GEMMs through np.matmul and its
+    # positivity test through np.all: the reference for _solve
+    lam, Q = np.linalg.eigh(sigma_k)
+    b = np.matmul(np.matmul(Q.T, c_k), Q)
+    denom = 1.0 / np.outer(lam, lam) + rho
+    if not np.all(denom > 0):
+        raise ValueError("solver denominators are not all positive")
+    b = np.matmul(np.matmul(Q, b / denom), Q.T)
+    return (b.T + b) / 2.0
+
+
+@pytest.mark.parametrize("p", [1, 2, 3, 20, 63, 64, 65, 130])
+def test_solve_matches_its_reference_bit_for_bit(p):
+    system = _system(np.random.default_rng(p), p, 0.7)
+    X = sylvester._solve(system.sigma_k, system.c_k, system.rho)
+    assert X.tobytes() == _matmul_solve(system.sigma_k, system.c_k, system.rho).tobytes()
+
+
+@pytest.mark.parametrize("sigma_k, rho", [(np.diag([-1.0, 1.0]), 1.0), (np.eye(2), np.nan)])
+def test_solve_rejects_a_nonpositive_or_nan_denominator(sigma_k, rho):
+    # diag(-1, 1) at rho = 1 has the denominator 1 / (-1 * 1) + 1 = 0 at
+    # (0, 1); a NaN rho makes every denominator NaN
+    with pytest.raises(ValueError, match="not all positive"):
+        sylvester._solve(sigma_k, np.eye(2), rho)
