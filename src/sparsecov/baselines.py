@@ -55,7 +55,7 @@ def threshold(S: np.ndarray, spec: ThresholdSpec) -> np.ndarray:
         out = np.sign(S) * np.maximum(np.abs(S) - spec.lam, 0.0)
     else:
         out = np.where(np.abs(S) > spec.lam, S, 0.0)
-    out[np.diag_indices_from(out)] = np.diag(S)
+    out.reshape(-1)[:: S.shape[0] + 1] = S.diagonal()
     return out
 
 

@@ -29,8 +29,12 @@ Gaussian model, whose inverse ``V -> Sigma V Sigma`` costs one more such
 product (Anderson, Ann. Statist. 1973), and a solve near the gradient
 test aims below it.
 
-:func:`fit` runs that loop and is the only public way to take an MM
-step; :func:`objective`, :func:`surrogate_gradient` and
+One engine, private to this module, runs both phases: it holds the
+current iterate, which nothing else keeps, moves it by the one
+backtracking line search of the schedule and the finish, and records
+every step.  :func:`fit` validates ``S``, applies the ridge and runs that
+engine, and is the only public way to take an MM step;
+:func:`objective`, :func:`surrogate_gradient` and
 :func:`negative_loglik_loss` evaluate what a step reads.  The only
 setting a caller gives is the ridge in :class:`FitConfig`.
 """
@@ -219,13 +223,11 @@ class _Iterate:
 
     An iterate holds no ``A S A``, since a rejected candidate never needs
     it: each step forms it once with :func:`_asa` and owns that buffer,
-    which ``c_k`` and the finish's Hessian overwrite.  An iterate holds its
-    other matrices only until its step is formed, so that a fit's working
-    set stays near 7.5 p x p matrices: :func:`_step` sets ``inv`` and
-    ``proj`` to None before the line search, which reads ``sigma``,
-    ``loss`` and ``dist2`` alone.  A schedule step that backtracking
-    rejects rebuilds its iterate from ``sigma``, bit for bit, at the cost
-    of one more factorization.
+    which ``c_k`` and the finish's Hessian overwrite.  In the schedule an
+    iterate holds its other matrices only until its step is formed, so
+    that a fit's working set stays near 7.5 p x p matrices:
+    :meth:`_Fit.schedule` sets ``inv`` and ``proj`` to None before the line
+    search, which reads ``sigma``, ``loss`` and ``dist2`` alone.
     """
 
     __slots__ = ("sigma", "inv", "loss", "proj", "dist2")
@@ -316,58 +318,6 @@ def surrogate_gradient(
     D = Sigma - Sigma_k
     ADA = it.inv @ D @ it.inv
     return it.gradient(S, rho) + (ADA + ADA.T) / 2.0 + rho * D
-
-
-def _line_search(
-    it: _Iterate,
-    direction: np.ndarray,
-    S: np.ndarray,
-    c: SparsityConstraint | None,
-    rho: float,
-    max_halvings: int,
-) -> tuple[_Iterate | None, int]:
-    """Accept ``it.sigma + 2^{-s} direction`` for the smallest ``s`` that is
-    PD and lowers ``h_rho`` below ``it``'s; returns (next iterate, s), or
-    ``(None, max_halvings)`` if no ``s <= max_halvings`` is accepted.
-
-    ``direction`` must be exactly symmetric, as every MM and Newton
-    direction is, so that each candidate is.
-    """
-    h = it.objective(rho)
-    for s in range(max_halvings + 1):
-        candidate = direction * 0.5**s
-        candidate += it.sigma
-        try:
-            nxt = _Iterate(candidate, S, c)
-        except NotPositiveDefiniteError:
-            continue
-        if nxt.objective(rho) < h:
-            return nxt, s
-        nxt = None  # a rejected candidate goes before the next is built
-    return None, max_halvings
-
-
-def _step(
-    it: _Iterate,
-    S: np.ndarray,
-    c: SparsityConstraint,
-    rho: float,
-    max_halvings: int,
-) -> tuple[_Iterate | None, int]:
-    """One MM step from ``it``, with :func:`_line_search`'s return value.
-
-    ``c_k = A S A + rho P(Sigma)`` is formed in a new ``A S A`` buffer, and
-    then ``it`` lets go of its inverse and projection, which the line
-    search does not read.  A caller whose step is rejected rebuilds them
-    from ``it.sigma``.
-    """
-    c_k = _asa(it.inv, S)
-    c_k += rho * it.proj
-    it.inv = it.proj = None
-    direction = _solve(it.sigma, c_k, rho)
-    del c_k
-    direction -= it.sigma
-    return _line_search(it, direction, S, c, rho, max_halvings)
 
 
 class _FreeEntries:
@@ -604,19 +554,171 @@ def _resolve_ridge(S: np.ndarray, cfg: FitConfig) -> tuple[np.ndarray, float]:
     return S_used, delta
 
 
-def _finish_start(it: _Iterate, S: np.ndarray, c: SparsityConstraint) -> _Iterate:
-    """Where the finish at rho = inf starts: ``P(Sigma)`` if it is PD, else
-    ``Diag(S)``, or ``I`` in correlation mode, which lie on every support.
-    Either start is on the sparse set, so it is not projected again.
+class _Fit:
+    """One fit's engine: its current iterate ``it`` and the trace of the
+    steps that led there.
 
-    The fallback is built after the ``except`` block, whose traceback
-    would keep the failed factorization alive while it is built."""
-    try:
-        return _Iterate(it.proj, S, None)
-    except NotPositiveDefiniteError:
-        pass
-    diag = np.ones(S.shape[0]) if c.mode == "correlation" else np.diag(S)
-    return _Iterate(np.diag(diag), S, None)
+    The engine is the only long-lived reference to the iterate.  Both
+    phases move it through :meth:`_advance`, the one backtracking search,
+    which records each step it accepts: ``objectives`` and ``rhos`` are
+    the traces, ``halvings`` their summed halvings, and ``callback`` gets
+    each recorded step (see :func:`fit`).  No method keeps a replaced
+    iterate, an ``A S A`` or a direction in a local while a candidate is
+    built, so that a fit's working set stays near 7.5 p x p matrices.
+    """
+
+    __slots__ = ("S", "c", "callback", "it", "objectives", "rhos", "halvings")
+
+    def __init__(self, S: np.ndarray, c: SparsityConstraint, callback):
+        self.S, self.c, self.callback = S, c, callback
+        self.it = _Iterate(np.diag(S.diagonal()), S, c)
+        self.objectives: list[float] = []
+        self.rhos: list[float] = []
+        self.halvings = 0
+
+    def _record(self, it, before, rho, halvings, accepted, cg_products=0):
+        """Trace ``it`` at ``rho`` and hand the step to the callback;
+        ``before`` is the objective of the point it left."""
+        h = it.objective(rho)
+        self.objectives.append(h)
+        self.rhos.append(rho)
+        self.halvings += halvings
+        if self.callback is not None:
+            self.callback(
+                {
+                    "iteration": len(self.objectives),
+                    "rho": rho,
+                    "sigma": it.sigma,
+                    "objective_before": before,
+                    "objective": h,
+                    "halvings": halvings,
+                    "accepted": accepted,
+                    "cg_products": cg_products,
+                }
+            )
+
+    def _advance(self, direction, c, rho, max_halvings, cg_products=0) -> bool:
+        """Move to ``sigma + 2^{-s} direction`` for the smallest ``s <=
+        max_halvings`` that is PD and lowers ``h_rho``, and record that step;
+        returns whether there was one.
+
+        ``direction`` must be exactly symmetric, as every MM and Newton
+        direction is, so that each candidate is.  Candidates are built with
+        ``c``, or with None in the finish, whose points lie on the sparse
+        set.  The search reads ``sigma``, ``loss`` and ``dist2`` alone.
+        """
+        h = self.it.objective(rho)
+        for s in range(max_halvings + 1):
+            candidate = direction * 0.5**s
+            candidate += self.it.sigma
+            try:
+                nxt = _Iterate(candidate, self.S, c)
+            except NotPositiveDefiniteError:
+                continue
+            if nxt.objective(rho) < h:
+                self._record(nxt, h, rho, s, True, cg_products)
+                self.it = nxt
+                return True
+            nxt = None  # a rejected candidate goes before the next is built
+        return False
+
+    def schedule(self) -> np.ndarray:
+        """Run the rho schedule; returns the support of ``P(Sigma)`` it
+        locked, or held when the budget ran out.
+
+        Each MM step forms ``c_k = A S A + rho P(Sigma)`` in a new ``A S A``
+        buffer, and the iterate then lets go of its inverse and projection.
+        A step that backtracking rejects rebuilds them from ``sigma``, bit
+        for bit, at the cost of one more factorization, and is recorded as
+        not accepted.
+        """
+        S, c = self.S, self.c
+        rho = RHO0
+        support = None
+        held = 0  # consecutive steps that kept the support of P(Sigma)
+        for _ in range(FitConfig.max_outer):
+            c_k = _asa(self.it.inv, S)
+            c_k += rho * self.it.proj
+            self.it.inv = self.it.proj = None
+            direction = _solve(self.it.sigma, c_k, rho)
+            del c_k
+            direction -= self.it.sigma
+            accepted = self._advance(direction, c, rho, FitConfig.max_halvings)
+            del direction
+            if not accepted:
+                self.it = _Iterate(self.it.sigma, S, c)
+                self._record(self.it, self.it.objective(rho), rho, 0, False)
+            step_support = self.it.proj != 0.0
+            kept = support is not None and bool((step_support == support).all())
+            held = held + 1 if kept else 0
+            support = step_support
+            if held == LOCK_STEPS:
+                break
+            rho *= RHO_GROWTH
+        return support
+
+    def finish(self, support: np.ndarray, budget: int) -> bool:
+        """Run the finish at rho = inf on ``support`` for at most ``budget``
+        steps; returns whether it converged.
+
+        Newton steps on the loss over the free entries, ``support`` plus the
+        covariance diagonal, from a start on the sparse set: the iterate
+        itself if it is there, which is not factored again, else ``P(Sigma)``
+        if that is PD, else ``Diag(S)``, or ``I`` in correlation mode, which
+        lie on every support.  The steps search and record at the trace's
+        last rho, where a point on the set scores its loss exactly.  In
+        correlation mode ``support``'s diagonal is cleared in place.
+        """
+        if not budget:
+            return False
+        S, rho, steps = self.S, self.rhos[-1], len(self.rhos)
+        if self.c.mode == "correlation":
+            np.fill_diagonal(support, False)
+        free = _FreeEntries(support)
+        moved = self.it.dist2 > 0.0
+        if moved:
+            self.it.inv = None
+            try:
+                self.it = _Iterate(self.it.proj, S, None)
+            except NotPositiveDefiniteError:
+                pass
+            if self.it.dist2 > 0.0:  # still the schedule's: P(Sigma) is not PD
+                # built after the except block, whose traceback would keep
+                # the failed factorization alive
+                diag = np.ones(S.shape[0]) if self.c.mode == "correlation" else np.diag(S)
+                self.it = _Iterate(np.diag(diag), S, None)
+        converged = False
+        for _ in range(budget):
+            # the loss gradient A - A S A on the free entries
+            asa = _asa(self.it.inv, S)
+            g = free.vector(self.it.inv) - free.vector(asa)
+            g_norm = math.sqrt(free.inner(g, g))
+            flat_inv = self.it.inv.reshape(-1)  # ||A||_F as np.linalg.norm forms it
+            a_norm = math.sqrt(flat_inv.dot(flat_inv))
+            if g_norm <= STATIONARITY_RTOL * a_norm:
+                converged = True
+                break
+            d, products = _newton_direction(self.it, asa, g, g_norm, a_norm, free)
+            del asa  # spent as the Hessian's N
+            # a model decrease at round-off level is one no line search can
+            # certify, so the iterate is as stationary as the arithmetic allows;
+            # each halving halves the decrease, so the search stops where it
+            # reaches that level too
+            decrease = -free.inner(d, g)
+            floor = DECREASE_RTOL * abs(self.it.loss)
+            if decrease <= floor:
+                converged = True
+                break
+            max_halvings = FitConfig.max_halvings
+            if floor > 0.0:
+                max_halvings = min(max_halvings, int(math.log2(decrease / floor)))
+            if not self._advance(free.matrix(d), None, rho, max_halvings, products):
+                break
+        if moved and len(self.rhos) == steps:
+            # the finish took no step from its start: one entry records the
+            # start, so that the trace still ends at the estimate
+            self._record(self.it, self.it.objective(rho), rho, 0, False)
+        return converged
 
 
 def fit(
@@ -667,13 +769,16 @@ def fit(
     Raises
     ------
     ValueError
-        If S has non-finite entries or shape problems, or is not positive
-        semidefinite to within round-off (see :func:`_resolve_ridge`).
+        If S is empty, has non-finite entries or shape problems, or is not
+        positive semidefinite to within round-off (see
+        :func:`_resolve_ridge`).
     NotPositiveDefiniteError
         If S still has a nonpositive diagonal entry after ridging, so
         the diagonal start is singular.
     """
     (S,) = _check_inputs((S,), c)
+    if not S.size:
+        raise ValueError(f"S must have at least one variable, got shape {S.shape}")
     S, ridge_delta = _resolve_ridge(S, cfg)
     if (S.diagonal() <= 0).any():
         raise NotPositiveDefiniteError(
@@ -681,110 +786,16 @@ def fit(
             "singular; set ridge_delta > 0 in FitConfig"
         )
 
-    it = _Iterate(np.diag(S.diagonal()), S, c)
-    rho = RHO0
-    objective_trace: list[float] = []
-    rho_trace: list[float] = []
-    total_halvings = 0
-
-    def record(prev, nxt, rho, halvings, accepted, cg_products=0):
-        h = nxt.objective(rho)
-        objective_trace.append(h)
-        rho_trace.append(rho)
-        if callback is not None:
-            callback(
-                {
-                    "iteration": len(objective_trace),
-                    "rho": rho,
-                    "sigma": nxt.sigma,
-                    "objective_before": prev.objective(rho),
-                    "objective": h,
-                    "halvings": halvings,
-                    "accepted": accepted,
-                    "cg_products": cg_products,
-                }
-            )
-
-    support: np.ndarray | None = None
-    held = 0  # consecutive steps that kept the support of P(Sigma)
-    for _ in range(cfg.max_outer):
-        it_next, halvings = _step(it, S, c, rho, cfg.max_halvings)
-        accepted = it_next is not None
-        if not accepted:
-            # the step let go of the iterate's inverse and projection
-            it_next, halvings = _Iterate(it.sigma, S, c), 0
-        record(it, it_next, rho, halvings, accepted)
-        it = it_next
-        total_halvings += halvings
-        step_support = it.proj != 0.0
-        kept = support is not None and bool((step_support == support).all())
-        held = held + 1 if kept else 0
-        support = step_support
-        if held == LOCK_STEPS:
-            break
-        rho *= RHO_GROWTH
-
-    # The finish at rho = inf, with the budget the schedule left: Newton
-    # steps on the loss over the free entries, the support of P(Sigma) plus
-    # the covariance diagonal, from a start on the sparsity set.  The trace
-    # repeats the schedule's last rho, at which a point on the set scores
-    # its loss.
-    rho = rho_trace[-1]
-    schedule_steps = len(objective_trace)
-    budget = cfg.max_outer - schedule_steps
-    if budget:
-        mask = support  # of the schedule's last iterate
-        if c.mode == "correlation":
-            np.fill_diagonal(mask, False)
-        free = _FreeEntries(mask)
-    moved = it.dist2 > 0.0 and budget > 0
-    if moved:
-        # the schedule's iterate goes with the switch; the start reads its
-        # projection alone
-        it_next = it.inv = None
-        it = _finish_start(it, S, c)
-    converged = False
-    for _ in range(budget):
-        # the loss gradient A - A S A on the free entries
-        asa = _asa(it.inv, S)
-        g = free.vector(it.inv) - free.vector(asa)
-        g_norm = math.sqrt(free.inner(g, g))
-        flat_inv = it.inv.reshape(-1)  # ||A||_F as np.linalg.norm forms it
-        a_norm = math.sqrt(flat_inv.dot(flat_inv))
-        if g_norm <= STATIONARITY_RTOL * a_norm:
-            converged = True
-            break
-        d, products = _newton_direction(it, asa, g, g_norm, a_norm, free)
-        del asa  # spent as the Hessian's N, which goes before the line search
-        # a model decrease at round-off level is one no line search can
-        # certify, so the iterate is as stationary as the arithmetic allows;
-        # each halving halves the decrease, so the search stops where it
-        # reaches that level too
-        decrease = -free.inner(d, g)
-        floor = DECREASE_RTOL * abs(it.loss)
-        if decrease <= floor:
-            converged = True
-            break
-        max_halvings = cfg.max_halvings
-        if floor > 0.0:
-            max_halvings = min(max_halvings, int(math.log2(decrease / floor)))
-        it_next, halvings = _line_search(it, free.matrix(d), S, None, 0.0, max_halvings)
-        if it_next is None:
-            break
-        record(it, it_next, rho, halvings, True, products)
-        it = it_next
-        total_halvings += halvings
-    if moved and len(objective_trace) == schedule_steps:
-        # the finish took no step from its start: one entry records the
-        # start, so that the trace still ends at the estimate
-        record(it, it, rho, 0, False)
-
+    engine = _Fit(S, c, callback)
+    support = engine.schedule()
+    converged = engine.finish(support, cfg.max_outer - len(engine.rhos))
+    it = engine.it
     return FitResult(
         sigma_hat=it.sigma,
-        objective_trace=objective_trace,
-        rho_trace=rho_trace,
-        iterations=len(objective_trace),
-        total_halvings=total_halvings,
+        objective_trace=engine.objectives,
+        rho_trace=engine.rhos,
+        iterations=len(engine.objectives),
+        total_halvings=engine.halvings,
         converged=converged,
         final_penalty=it.dist2,
         support=it.proj != 0.0,
@@ -807,10 +818,11 @@ def fit_correlation(
     Raises
     ------
     ValueError
-        If any diagonal entry of ``R`` differs from 1 by more than 1e-8.
+        If ``R`` is empty, or any diagonal entry of ``R`` differs from 1 by
+        more than 1e-8.
     """
     R = as_symmetric(R)
-    if np.max(np.abs(np.diag(R) - 1.0)) > 1e-8:
+    if (np.abs(R.diagonal() - 1.0) > 1e-8).any():
         raise ValueError("R must have unit diagonal to within 1e-8")
     c = SparsityConstraint(k=k, mode="correlation")
     return fit(R, c, cfg, callback)

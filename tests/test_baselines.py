@@ -36,6 +36,23 @@ def test_diagonal_never_thresholded():
         assert_allclose(np.diag(out), np.diag(S))
 
 
+@pytest.mark.parametrize("p", [1, 2, 20, 65])
+def test_threshold_matches_its_reference_bit_for_bit(p):
+    # the diagonal is written through a strided view of the flat result,
+    # bit for bit the np.diag_indices_from form, whatever the input layout
+    rng = np.random.default_rng(p)
+    S = sc.sample_covariance(rng.standard_normal((3 * p, p)))
+    for given in (S, np.asfortranarray(S), np.kron(S, np.ones((2, 2)))[::2, ::2]):
+        for kind in ("soft", "hard"):
+            spec = sc.ThresholdSpec(kind=kind, lam=0.1)
+            if kind == "soft":
+                expected = np.sign(S) * np.maximum(np.abs(S) - spec.lam, 0.0)
+            else:
+                expected = np.where(np.abs(S) > spec.lam, S, 0.0)
+            expected[np.diag_indices_from(expected)] = np.diag(S)
+            assert sc.threshold(given, spec).tobytes() == expected.tobytes()
+
+
 def test_soft_sign_preserved():
     S = np.array([[1.0, -0.5], [-0.5, 1.0]])
     out = sc.threshold(S, sc.ThresholdSpec(kind="soft", lam=0.2))

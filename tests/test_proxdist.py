@@ -33,6 +33,13 @@ MODES_AND_KERNELS = pytest.mark.parametrize(
 )
 
 
+def _schedule_length(rhos):
+    # the schedule grows rho at every step and the finish repeats its last
+    # rho, so the first repeated rho ends the schedule: the benchmark
+    # tracer's phase split
+    return next((i for i in range(1, len(rhos)) if rhos[i] == rhos[i - 1]), len(rhos))
+
+
 def _use_kernel(monkeypatch, kernel):
     # every support takes the named Hessian product kernel
     ratio = 0.0 if kernel == "sparse" else math.inf
@@ -248,6 +255,31 @@ def test_fit_reports_exact_objectives_with_one_eigh_per_step(monkeypatch):
     assert len(calls) <= len(events) + 1
 
 
+def test_finish_reuses_a_schedule_iterate_already_on_the_sparse_set(monkeypatch):
+    # k = all pairs: every schedule iterate is its own projection, so the
+    # finish starts from the schedule's last iterate without factoring it
+    # again, one factorization per line-search candidate and one for the
+    # diagonal start
+    S = _sample_problem(20, 40, 0)
+    factorizations = []
+    cholesky = proxdist.cholesky_pd
+
+    def counted_cholesky(M):
+        factorizations.append(M.shape)
+        return cholesky(M)
+
+    monkeypatch.setattr(proxdist, "cholesky_pd", counted_cholesky)
+    events = []
+    result = sc.fit(S, sc.SparsityConstraint(190), callback=events.append)
+    schedule = _schedule_length([ev["rho"] for ev in events])
+    assert result.converged and result.ridge_delta == 0.0
+    assert schedule < len(events)
+    assert all(ev["accepted"] for ev in events)
+    assert events[schedule]["objective_before"] == events[schedule - 1]["objective"]
+    candidates = sum(ev["halvings"] + 1 for ev in events)
+    assert len(factorizations) == candidates + 1
+
+
 def test_fit_respects_max_outer(monkeypatch):
     monkeypatch.setattr(sc.FitConfig, "max_outer", 3)
     S = _sample_problem(6, 60, 7)
@@ -263,7 +295,7 @@ def test_refinement_shares_the_iteration_budget(monkeypatch):
     c = sc.SparsityConstraint(12)
     full = sc.fit(S, c)
     rhos = full.rho_trace
-    schedule = next(i for i in range(1, len(rhos)) if rhos[i] == rhos[i - 1])
+    schedule = _schedule_length(rhos)
     monkeypatch.setattr(sc.FitConfig, "max_outer", schedule)
     capped = sc.fit(S, c)
     assert capped.iterations == schedule
@@ -302,7 +334,7 @@ def test_each_step_forms_a_s_a_once(monkeypatch):
         result = sc.fit(S, c, callback=events.append)
         assert result.converged
         rhos = [ev["rho"] for ev in events]
-        schedule = next(i for i in range(1, len(rhos)) if rhos[i] == rhos[i - 1])
+        schedule = _schedule_length(rhos)
         newton_steps = sum(1 for ev in events if ev["cg_products"])
         # each accepted Newton step, and the gradient test that ends the fit
         assert newton_steps >= 1
@@ -352,7 +384,7 @@ def test_fit_finishes_on_the_support_of_the_bench_instance():
     result = sc.fit(S, c)
     _assert_finished_on_support(result, S, c.k)
     rhos = result.rho_trace
-    schedule = next(i for i in range(1, len(rhos)) if rhos[i] == rhos[i - 1])
+    schedule = _schedule_length(rhos)
     assert schedule <= 40
     assert result.objective_trace[-1] == sc.negative_loglik_loss(result.sigma_hat, S)
 
@@ -405,7 +437,7 @@ def test_fit_working_set_p_above_n(monkeypatch):
     result, matrices = _fit_peak_matrices(
         S, sc.SparsityConstraint(100), callback=lambda ev: steps.append(ev["rho"])
     )
-    schedule = next(i for i in range(1, len(steps)) if steps[i] == steps[i - 1])
+    schedule = _schedule_length(steps)
     assert result.ridge_delta > 0.0
     assert any(n < schedule for n in failed_at)
     assert matrices <= 8.4
@@ -444,7 +476,7 @@ def test_sparse_kernel_finish_stays_under_the_schedule_peak(monkeypatch):
         peaks.append(tracemalloc.get_traced_memory()[1])
     finally:
         tracemalloc.stop()
-    schedule = next(i for i in range(1, len(rhos)) if rhos[i] == rhos[i - 1])
+    schedule = _schedule_length(rhos)
     assert result.converged and kernels == [True, True]
     assert max(peaks[schedule:]) <= max(peaks[:schedule])
 
@@ -499,17 +531,24 @@ def test_finish_kernel_selection_on_the_benchmark_sizes(monkeypatch):
 
 def test_finish_starts_from_the_diagonal_when_the_projection_is_not_pd(monkeypatch):
     # p > n: the projection of the schedule's last iterate is not PD, so the
-    # finish starts from Diag(S) and still reaches the support's estimate
+    # finish starts from Diag(S) and still reaches the support's estimate;
+    # the start is the iterate of the finish's first Newton direction
     S = _sample_problem(20, 8, 1, frac=0.01)
-    starts = []
-    finish_start = proxdist._finish_start
+    starts, directions_at = [], []
+    finish, newton = proxdist._Fit.finish, proxdist._newton_direction
 
-    def recorded(it, S_used, c):
-        start = finish_start(it, S_used, c)
-        starts.append((sc.is_positive_definite(it.proj), start.sigma, S_used))
-        return start
+    def recorded(engine, support, budget):
+        projection_pd = sc.is_positive_definite(engine.it.proj)
+        converged = finish(engine, support, budget)
+        starts.append((projection_pd, directions_at[0], engine.S))
+        return converged
 
-    monkeypatch.setattr(proxdist, "_finish_start", recorded)
+    def recorded_newton(it, *args):
+        directions_at.append(it.sigma)
+        return newton(it, *args)
+
+    monkeypatch.setattr(proxdist._Fit, "finish", recorded)
+    monkeypatch.setattr(proxdist, "_newton_direction", recorded_newton)
     events = []
     result = sc.fit(S, sc.SparsityConstraint(10), callback=events.append)
     assert result.ridge_delta > 0.0
@@ -959,7 +998,7 @@ def test_refinement_stops_on_a_roundoff_model_decrease(monkeypatch, factor):
     events = []
     sc.fit(S, c, callback=events.append)
     rhos = [ev["rho"] for ev in events]
-    schedule = next(i for i in range(1, len(rhos)) if rhos[i] == rhos[i - 1])
+    schedule = _schedule_length(rhos)
     candidates = sum(
         ev["halvings"] + 1 if ev["accepted"] else sc.FitConfig().max_halvings + 1
         for ev in events[:schedule]
@@ -987,7 +1026,7 @@ def test_schedule_stops_on_the_support_lock_whatever_the_units(scale):
     events = []
     sc.fit(S, c, callback=events.append)
     rhos = [ev["rho"] for ev in events]
-    schedule = next((i for i in range(1, len(rhos)) if rhos[i] == rhos[i - 1]), len(rhos))
+    schedule = _schedule_length(rhos)
     assert schedule >= LOCK_STEPS + 1
     supports = [sc.project(ev["sigma"], c) != 0.0 for ev in events[:schedule]]
     assert all(np.array_equal(m, supports[-1]) for m in supports[-(LOCK_STEPS + 1) :])
@@ -1046,6 +1085,19 @@ def test_fit_rejects_an_indefinite_covariance():
     S = np.outer(v, v)
     assert np.linalg.eigvalsh(S)[0] < 0.0
     assert sc.fit(S, sc.SparsityConstraint(1)).ridge_delta > 0.0
+
+
+def test_fit_rejects_an_empty_covariance():
+    with pytest.raises(ValueError, match=r"\(0, 0\)"):
+        sc.fit(np.zeros((0, 0)), sc.SparsityConstraint(0))
+    # the loss and the objective of the empty matrix stay 0
+    assert sc.negative_loglik_loss(np.zeros((0, 0)), np.zeros((0, 0))) == 0.0
+    assert sc.objective(np.zeros((0, 0)), np.zeros((0, 0)), sc.SparsityConstraint(0), 1.0) == 0.0
+
+
+def test_fit_correlation_rejects_an_empty_correlation():
+    with pytest.raises(ValueError, match=r"\(0, 0\)"):
+        sc.fit_correlation(np.zeros((0, 0)), k=0)
 
 
 def test_fit_correlation_requires_unit_diagonal():
