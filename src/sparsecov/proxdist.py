@@ -54,7 +54,7 @@ from .matcore import (
     as_symmetric,
     cholesky_pd,
 )
-from .sparsity import SparsityConstraint, _project
+from .sparsity import SparsityConstraint, _on_support, _select
 from .sylvester import _solve
 
 __all__ = [
@@ -214,42 +214,44 @@ class _Iterate:
 
     Built once per line-search candidate, from one Cholesky factorization
     (the PD gate): ``inv = Sigma^{-1}`` by inverting the factor, the loss
-    ``2 sum log L_ii + <inv, S>``, the projection ``P(Sigma)`` and
-    ``dist(Sigma, C)^2``.  With ``c`` None, ``sigma`` is a point on the
-    sparse set, as every point of the finish is: ``proj`` is ``sigma``
-    itself and ``dist2`` is 0.0.  Nothing else factors or solves against
-    ``Sigma``.  ``sigma`` must be exactly symmetric; construction raises
-    NotPositiveDefiniteError if it is not PD.
+    ``2 sum log L_ii + <inv, S>``, and from :func:`_select` the support
+    ``mask`` of the projection ``P(Sigma)`` and ``dist(Sigma, C)^2``: the
+    majorizer at ``Sigma`` reads ``P(Sigma)`` only through its support, so
+    no iterate holds it dense.  With ``c`` None, ``sigma`` is a point on
+    the sparse set, as every point of the finish is: ``mask`` is None, the
+    support being ``sigma``'s own, and ``dist2`` is 0.0.  Nothing else
+    factors or solves against ``Sigma``.  ``sigma`` must be exactly
+    symmetric; construction raises NotPositiveDefiniteError if it is not
+    PD.
 
     An iterate holds no ``A S A``, since a rejected candidate never needs
     it: each step forms it once with :func:`_asa` and owns that buffer,
     which ``c_k`` and the finish's Hessian overwrite.  In the schedule an
-    iterate holds its other matrices only until its step is formed, so
-    that a fit's working set stays near 7.5 p x p matrices:
-    :meth:`_Fit.schedule` sets ``inv`` and ``proj`` to None before the line
-    search, which reads ``sigma``, ``loss`` and ``dist2`` alone.
+    iterate holds its inverse only until its step is formed, so that a
+    fit's working set stays near 5.3 p x p matrices: :meth:`_Fit.schedule`
+    sets ``inv`` to None before the line search, which reads ``sigma``,
+    ``loss`` and ``dist2`` alone.
     """
 
-    __slots__ = ("sigma", "inv", "loss", "proj", "dist2")
+    __slots__ = ("sigma", "inv", "loss", "mask", "dist2")
 
     def __init__(self, sigma: np.ndarray, S: np.ndarray, c: SparsityConstraint | None):
         self.sigma = sigma
         self.inv, self.loss = _inverse_and_loss(sigma, S)
         if c is None:
-            self.proj, self.dist2 = sigma, 0.0
+            self.mask, self.dist2 = None, 0.0
         else:
-            self.proj = _project(sigma, c)
-            diff = np.subtract(sigma, self.proj)
-            diff *= diff
-            self.dist2 = float(diff.sum())
+            self.mask, self.dist2 = _select(sigma, c)
 
     def objective(self, rho: float) -> float:
         return self.loss + 0.5 * rho * self.dist2
 
-    def gradient(self, S: np.ndarray, rho: float) -> np.ndarray:
+    def gradient(self, S: np.ndarray, rho: float, c: SparsityConstraint) -> np.ndarray:
         """Gradient of ``h_rho`` here, ``A - A S A + rho (Sigma - P(Sigma))``,
-        exactly symmetric as its terms are."""
-        return self.inv - _asa(self.inv, S) + rho * (self.sigma - self.proj)
+        exactly symmetric as its terms are; ``c`` is the constraint the
+        iterate was built with, whose mode sets the diagonal of ``P(Sigma)``."""
+        proj = self.sigma if self.mask is None else _on_support(self.sigma, self.mask, c)
+        return self.inv - _asa(self.inv, S) + rho * (self.sigma - proj)
 
 
 def _check_inputs(
@@ -317,18 +319,19 @@ def surrogate_gradient(
     it = _Iterate(Sigma_k, S, c)
     D = Sigma - Sigma_k
     ADA = it.inv @ D @ it.inv
-    return it.gradient(S, rho) + (ADA + ADA.T) / 2.0 + rho * D
+    return it.gradient(S, rho, c) + (ADA + ADA.T) / 2.0 + rho * D
 
 
 class _FreeEntries:
     """The entries the finish moves, fixed for the whole finish: the
     support plus, in covariance mode, the diagonal.
 
-    A symmetric p x p matrix zero off ``mask`` is held as the vector of its
-    m upper-triangle free entries, in row-major order; ``upper`` and
-    ``lower`` are their flat indices into the matrix and into its
-    transpose.  With ``weights`` 2 off the diagonal and 1 on it,
-    :meth:`inner` is the Frobenius inner product of the matrices.
+    ``mask`` marks them, and is not kept: a symmetric ``p`` x ``p`` matrix
+    zero off them is held as the vector of its m upper-triangle free
+    entries, in row-major order; ``upper`` and ``lower`` are their flat
+    indices into the matrix and into its transpose.  With ``weights`` 2
+    off the diagonal and 1 on it, :meth:`inner` is the Frobenius inner
+    product of the matrices.
 
     ``sparse`` selects :class:`_Hessian`'s product kernel: the sparse one
     once ``m <= p^2 / SPARSE_PRODUCT_RATIO``.  For it, ``rows`` and
@@ -339,12 +342,11 @@ class _FreeEntries:
     """
 
     __slots__ = (
-        "mask", "upper", "lower", "rows", "cols", "weights", "sparse", "csr", "csr_entry"
+        "p", "upper", "lower", "rows", "cols", "weights", "sparse", "csr", "csr_entry"
     )
 
     def __init__(self, mask: np.ndarray):
-        p = mask.shape[0]
-        self.mask = mask
+        p = self.p = mask.shape[0]
         nz = np.flatnonzero(mask)  # row-major, as CSR stores them
         rows, cols = np.divmod(nz, p)
         upper = rows <= cols
@@ -376,7 +378,7 @@ class _FreeEntries:
 
     def matrix(self, v: np.ndarray) -> np.ndarray:
         """The exactly symmetric matrix of ``v``, zero off the free entries."""
-        M = np.zeros(self.mask.shape)
+        M = np.zeros((self.p, self.p))
         flat = M.reshape(-1)
         flat[self.upper] = flat[self.lower] = v
         return M
@@ -444,7 +446,9 @@ class _Hessian:
         """``Y + Y^T`` at the free entries, ``Y = A V N``, on ``free``'s kernel."""
         f = self.free
         if f.sparse:
-            np.take(v, f.csr_entry, out=f.csr.data)
+            # in range by construction: "clip" writes straight to ``out``
+            # where the default mode buffers a copy
+            np.take(v, f.csr_entry, out=f.csr.data, mode="clip")
             Wt = (f.csr @ N).T.copy()  # row j holds W[:, j]
             p = Wt.shape[0]
             out = np.empty_like(v)
@@ -504,7 +508,7 @@ def _newton_direction(
     if tol < AIM_WINDOW * STATIONARITY_RTOL * a_norm:
         tol = min(tol, 0.5 * STATIONARITY_RTOL * a_norm)
     D = np.zeros(r.size)
-    p = free.mask.shape[0]
+    p = free.p
     for j in range(p * (p + 1) // 2):
         y = hess.fisher_inverse(r)
         ry_next = free.inner(r, y)
@@ -564,7 +568,8 @@ class _Fit:
     the traces, ``halvings`` their summed halvings, and ``callback`` gets
     each recorded step (see :func:`fit`).  No method keeps a replaced
     iterate, an ``A S A`` or a direction in a local while a candidate is
-    built, so that a fit's working set stays near 7.5 p x p matrices.
+    built, so that a fit's working set stays near 5.3 p x p matrices, set
+    by the finish's Hessian products.
     """
 
     __slots__ = ("S", "c", "callback", "it", "objectives", "rhos", "halvings")
@@ -624,13 +629,15 @@ class _Fit:
 
     def schedule(self) -> np.ndarray:
         """Run the rho schedule; returns the support of ``P(Sigma)`` it
-        locked, or held when the budget ran out.
+        locked, or held when the budget ran out, in a mask that is not the
+        iterate's own.
 
         Each MM step forms ``c_k = A S A + rho P(Sigma)`` in a new ``A S A``
-        buffer, and the iterate then lets go of its inverse and projection.
-        A step that backtracking rejects rebuilds them from ``sigma``, bit
-        for bit, at the cost of one more factorization, and is recorded as
-        not accepted.
+        buffer: ``A S A + rho Sigma``, whose correlation diagonal adds
+        ``rho`` instead, is copied onto the support of ``P(Sigma)``, and the
+        iterate then lets go of its inverse.  A step that backtracking
+        rejects rebuilds it from ``sigma``, bit for bit, at the cost of one
+        more factorization, and is recorded as not accepted.
         """
         S, c = self.S, self.c
         rho = RHO0
@@ -638,8 +645,13 @@ class _Fit:
         held = 0  # consecutive steps that kept the support of P(Sigma)
         for _ in range(FitConfig.max_outer):
             c_k = _asa(self.it.inv, S)
-            c_k += rho * self.it.proj
-            self.it.inv = self.it.proj = None
+            self.it.inv = None
+            added = rho * self.it.sigma
+            if c.mode == "correlation":
+                added.reshape(-1)[:: S.shape[0] + 1] = rho
+            added += c_k  # A S A + rho P(Sigma) on the support, as one sum
+            np.copyto(c_k, added, where=self.it.mask)
+            del added
             direction = _solve(self.it.sigma, c_k, rho)
             del c_k
             direction -= self.it.sigma
@@ -648,14 +660,15 @@ class _Fit:
             if not accepted:
                 self.it = _Iterate(self.it.sigma, S, c)
                 self._record(self.it, self.it.objective(rho), rho, 0, False)
-            step_support = self.it.proj != 0.0
-            kept = support is not None and bool((step_support == support).all())
+            mask = self.it.mask
+            # two C-ordered boolean masks are equal when their bytes are
+            kept = support is not None and mask.tobytes() == support.tobytes()
             held = held + 1 if kept else 0
-            support = step_support
             if held == LOCK_STEPS:
-                break
+                return support  # equal to mask; a step replaces the iterate
+            support = mask
             rho *= RHO_GROWTH
-        return support
+        return support.copy()
 
     def finish(self, support: np.ndarray, budget: int) -> bool:
         """Run the finish at rho = inf on ``support`` for at most ``budget``
@@ -665,21 +678,21 @@ class _Fit:
         covariance diagonal, from a start on the sparse set: the iterate
         itself if it is there, which is not factored again, else ``P(Sigma)``
         if that is PD, else ``Diag(S)``, or ``I`` in correlation mode, which
-        lie on every support.  The steps search and record at the trace's
-        last rho, where a point on the set scores its loss exactly.  In
-        correlation mode ``support``'s diagonal is cleared in place.
+        lie on every support.  The start is made before the free entries
+        are, and nothing after projects.  The steps search and record at
+        the trace's last rho, where a point on the set scores its loss
+        exactly.  In correlation mode ``support``'s diagonal is cleared in
+        place.  The finish keeps no p x p mask: :class:`_FreeEntries` keeps
+        index vectors, and a start other than the iterate holds no mask.
         """
         if not budget:
             return False
         S, rho, steps = self.S, self.rhos[-1], len(self.rhos)
-        if self.c.mode == "correlation":
-            np.fill_diagonal(support, False)
-        free = _FreeEntries(support)
         moved = self.it.dist2 > 0.0
         if moved:
             self.it.inv = None
             try:
-                self.it = _Iterate(self.it.proj, S, None)
+                self.it = _Iterate(_on_support(self.it.sigma, self.it.mask, self.c), S, None)
             except NotPositiveDefiniteError:
                 pass
             if self.it.dist2 > 0.0:  # still the schedule's: P(Sigma) is not PD
@@ -687,6 +700,10 @@ class _Fit:
                 # the failed factorization alive
                 diag = np.ones(S.shape[0]) if self.c.mode == "correlation" else np.diag(S)
                 self.it = _Iterate(np.diag(diag), S, None)
+        if self.c.mode == "correlation":
+            np.fill_diagonal(support, False)
+        free = _FreeEntries(support)
+        del support
         converged = False
         for _ in range(budget):
             # the loss gradient A - A S A on the free entries
@@ -787,8 +804,9 @@ def fit(
         )
 
     engine = _Fit(S, c, callback)
-    support = engine.schedule()
-    converged = engine.finish(support, cfg.max_outer - len(engine.rhos))
+    # the schedule's support goes straight to the finish, which lets it go
+    # once its free entries are built
+    converged = engine.finish(engine.schedule(), cfg.max_outer - len(engine.rhos))
     it = engine.it
     return FitResult(
         sigma_hat=it.sigma,
@@ -798,7 +816,7 @@ def fit(
         total_halvings=engine.halvings,
         converged=converged,
         final_penalty=it.dist2,
-        support=it.proj != 0.0,
+        support=it.sigma != 0.0 if it.mask is None else it.mask,
         ridge_delta=ridge_delta,
     )
 

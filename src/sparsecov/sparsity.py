@@ -50,18 +50,27 @@ class SparsityConstraint:
             )
 
 
-def _project(M: np.ndarray, c: SparsityConstraint) -> np.ndarray:
-    """:func:`project` without validation: ``M`` must be exactly symmetric
-    and ``c`` must fit its dimension.
+def _select(M: np.ndarray, c: SparsityConstraint) -> tuple[np.ndarray, float]:
+    """The support of ``P(M)`` as a boolean p x p mask, and ``dist(M, C)^2``,
+    without validation: ``M`` must be exactly symmetric and ``c`` must fit
+    its dimension.  The mask is ``P(M) != 0`` and the distance is
+    ``||M - P(M)||_F^2``, both bit for bit, with no ``P(M)`` formed.
 
     Selects on the strict upper triangle, gathered in row-major order
     through a cached mask.  A partition of its magnitudes finds the k-th
     largest; entries above it are kept, then the tied entries in
     row-major order, which breaks ties toward the smaller (row, col) so
     the projection is deterministic even on the measure-zero tie set.
-    Exactly-zero entries are never kept.  The magnitudes are partitioned
-    in place and formed again after, and let go before the result is
-    allocated, so that the projection peaks at 1.5 p x p buffers.
+    Exactly-zero entries are never kept.  The mask holds the kept pairs in
+    both triangles and the diagonal of ``P(M)``: ``M``'s nonzero diagonal
+    in covariance mode, all of it in correlation mode.
+
+    The distance sums one p x p buffer: ``M * M`` with the masked entries
+    zeroed, which are the entries ``M - P(M)`` holds as 0, and in
+    correlation mode ``(M_ii - 1)^2`` on the diagonal.  The magnitudes are
+    let go before the mask and the buffer are allocated, so that a
+    selection peaks at 1.2 p x p buffers, its mask included, as
+    :func:`_project` does.
     """
     p = M.shape[0]
     upper = _strict_upper(p)
@@ -73,6 +82,7 @@ def _project(M: np.ndarray, c: SparsityConstraint) -> np.ndarray:
         mags.partition(mags.size - k)
         kth = mags[mags.size - k]
         np.abs(vals, out=mags)  # the partition reordered them
+    del vals
     if kth > 0.0:
         keep = mags >= kth
         extra = np.count_nonzero(keep) - k
@@ -82,12 +92,33 @@ def _project(M: np.ndarray, c: SparsityConstraint) -> np.ndarray:
     else:
         keep = mags > kth
     del mags
-    vals[~keep] = 0.0
+    mask = np.zeros(M.shape, dtype=bool)
+    mask[upper] = keep
+    mask.T[upper] = keep
+    correlation = c.mode == "correlation"
+    # a float cast to bool is True where it is nonzero
+    mask.reshape(-1)[:: p + 1] = True if correlation else M.diagonal()
+    residual = np.multiply(M, M)
+    residual[mask] = 0.0
+    if correlation:
+        off = M.diagonal() - 1.0
+        off *= off
+        residual.reshape(-1)[:: p + 1] = off
+    return mask, float(residual.sum())
+
+
+def _on_support(M: np.ndarray, mask: np.ndarray, c: SparsityConstraint) -> np.ndarray:
+    """``P(M)`` from its support ``mask``, as :func:`_select` returns it."""
     out = np.zeros(M.shape)
-    out[upper] = vals
-    out.T[upper] = vals
-    out.reshape(-1)[:: p + 1] = 1.0 if c.mode == "correlation" else M.diagonal()
+    np.copyto(out, M, where=mask)
+    out.reshape(-1)[:: M.shape[0] + 1] = 1.0 if c.mode == "correlation" else M.diagonal()
     return out
+
+
+def _project(M: np.ndarray, c: SparsityConstraint) -> np.ndarray:
+    """:func:`project` without validation: ``M`` must be exactly symmetric
+    and ``c`` must fit its dimension."""
+    return _on_support(M, _select(M, c)[0], c)
 
 
 def project(M: np.ndarray, c: SparsityConstraint) -> np.ndarray:
@@ -109,8 +140,7 @@ def squared_distance(M: np.ndarray, c: SparsityConstraint) -> float:
     """
     M = as_symmetric(M)
     c.check_dimension(M.shape[0])
-    diff = M - _project(M, c)
-    return float(np.sum(diff * diff))
+    return _select(M, c)[1]
 
 
 def support_mask(M: np.ndarray, tol: float | None = None) -> np.ndarray:

@@ -353,6 +353,36 @@ def test_each_step_forms_a_s_a_once(monkeypatch):
     assert len(formed) == 1
 
 
+@pytest.mark.parametrize("mode", ["covariance", "correlation"])
+def test_schedule_forms_c_k_from_the_support_bit_for_bit(monkeypatch, mode):
+    # each MM step's c_k, rho Sigma added to A S A on the support of P(Sigma)
+    # alone, is A S A + rho P(Sigma) byte for byte, A formed again from the
+    # step's Sigma; on a full-rank fold and on a p > n fit whose line
+    # searches reject candidates
+    solve = proxdist._solve
+    steps = []
+
+    def recorded(sigma, c_k, rho):
+        steps.append((sigma, c_k.copy(), rho))
+        return solve(sigma, c_k, rho)
+
+    monkeypatch.setattr(proxdist, "_solve", recorded)
+    for S, k in ((_criterion6_training_fold(), 21), (_sample_problem(57, 20, 1, frac=0.01), 30)):
+        if mode == "correlation":
+            d = np.sqrt(np.diag(S))
+            S = S / np.outer(d, d)
+            np.fill_diagonal(S, 1.0)
+        c = sc.SparsityConstraint(k, mode)
+        steps.clear()
+        sc.fit(S, c)
+        S_used = proxdist._resolve_ridge(S, sc.FitConfig())[0]
+        assert len(steps) >= LOCK_STEPS
+        for sigma, c_k, rho in steps:
+            A = proxdist._inverse_and_loss(sigma, S_used)[0]
+            expected = proxdist._asa(A, S_used) + rho * sc.project(sigma, c)
+            assert c_k.tobytes() == expected.tobytes()
+
+
 def _bench_instance():
     # the criterion-11 instance at p = 200
     p = 200
@@ -406,21 +436,25 @@ def _fit_peak_matrices(S, c, callback=None):
 
 
 def test_fit_working_set_full_rank():
-    # the criterion-11 instance at p = 200: the iterate's sigma, the step
-    # direction, and the candidate with its inverse and the projection's
-    # buffers; each iterate lets go of its inverse, A S A and projection
-    # once its step is formed, and an exactly symmetric S is not copied
+    # the criterion-11 instance at p = 200, 5.6 p x p matrices: the finish's
+    # Hessian products hold Sigma, its inverse, N, W^T and the gathered rows,
+    # and the schedule's line search peaks just under them with the
+    # iterate's sigma, the step direction, and the candidate with its
+    # inverse, its support mask and the selection's buffer; each iterate
+    # lets go of its inverse and A S A once its step is formed, no iterate
+    # holds P(Sigma) dense, and an exactly symmetric S is not copied
     S, c = _bench_instance()
     result, matrices = _fit_peak_matrices(S, c)
     assert result.converged and result.ridge_delta == 0.0
-    assert matrices <= 7.3
+    assert matrices <= 5.93
 
 
 def test_fit_working_set_p_above_n(monkeypatch):
     # p = 200 > n = 80 with the automatic ridge, the benchmark's
     # rank-deficient k = 100 fit: its schedule's line searches reject
     # candidates at the PD gate and on the descent test, and a rejected
-    # candidate goes before the next one is built
+    # candidate goes before the next one is built: 6.3 p x p matrices, one
+    # of them the ridged copy of S
     S = _sample_problem(200, 80, 0, frac=0.005)
     steps = []  # the rho of each recorded step
     failed_at = []  # steps recorded when a candidate failed the PD gate
@@ -440,15 +474,15 @@ def test_fit_working_set_p_above_n(monkeypatch):
     schedule = _schedule_length(steps)
     assert result.ridge_delta > 0.0
     assert any(n < schedule for n in failed_at)
-    assert matrices <= 8.4
+    assert matrices <= 6.65
 
 
 def test_sparse_kernel_finish_stays_under_the_schedule_peak(monkeypatch):
     # a p = 100 random-sparse fit at k = 100 (m = 200 free entries): the
     # sparse Hessian product's gathered blocks hold at most p^2 / 2 floats,
-    # so the finish's peak stays under the schedule's, 5.7 against 6.2
-    # p x p matrices.  Blocks of PRODUCT_CHUNK floats alone put it at 8.7,
-    # blocks of p^2 floats at 6.7.  Each step's peak is read at its
+    # so the finish's peak stays under the schedule's, 5.6 against 6.0
+    # p x p matrices.  Blocks of PRODUCT_CHUNK floats alone put it at 8.6,
+    # blocks of p^2 floats at 6.6.  Each step's peak is read at its
     # callback, the last finish segment's after the fit
     S = _sample_problem(100, 300, 1, frac=0.005)
     c = sc.SparsityConstraint(100)
@@ -484,22 +518,28 @@ def test_sparse_kernel_finish_stays_under_the_schedule_peak(monkeypatch):
 def test_finish_makes_no_projection(monkeypatch):
     # every finish iterate is zero off the free entries and has at most k
     # pairs, so it is its own projection: once the free entries are fixed,
-    # the fit projects nothing, and still reports its estimate's support
-    # with a zero penalty
+    # the fit selects no support and forms no projection, and still reports
+    # its estimate's support with a zero penalty
     S, c = _bench_instance()
-    calls = []  # per projection: whether the finish had started
+    calls = []  # per selection or projection: whether the finish had started
     finishing = []
-    project, free_entries = proxdist._project, proxdist._FreeEntries
+    select, on_support = proxdist._select, proxdist._on_support
+    free_entries = proxdist._FreeEntries
 
-    def counted_project(M, c):
+    def counted_select(M, c):
         calls.append(bool(finishing))
-        return project(M, c)
+        return select(M, c)
+
+    def counted_on_support(M, mask, c):
+        calls.append(bool(finishing))
+        return on_support(M, mask, c)
 
     def started(mask):
         finishing.append(True)
         return free_entries(mask)
 
-    monkeypatch.setattr(proxdist, "_project", counted_project)
+    monkeypatch.setattr(proxdist, "_select", counted_select)
+    monkeypatch.setattr(proxdist, "_on_support", counted_on_support)
     monkeypatch.setattr(proxdist, "_FreeEntries", started)
     result = sc.fit(S, c)
     assert finishing and calls and not any(calls)
@@ -538,7 +578,7 @@ def test_finish_starts_from_the_diagonal_when_the_projection_is_not_pd(monkeypat
     finish, newton = proxdist._Fit.finish, proxdist._newton_direction
 
     def recorded(engine, support, budget):
-        projection_pd = sc.is_positive_definite(engine.it.proj)
+        projection_pd = sc.is_positive_definite(sc.project(engine.it.sigma, engine.c))
         converged = finish(engine, support, budget)
         starts.append((projection_pd, directions_at[0], engine.S))
         return converged
@@ -686,7 +726,7 @@ def test_hessian_kernels_agree(monkeypatch, mode, p):
     products = []
     for _ in range(3):
         it, S, mask = _iterate_near_its_optimum(rng, p, mode)
-        M, G = proxdist._asa(it.inv, S), it.gradient(S, 1.0)
+        M, G = proxdist._asa(it.inv, S), it.gradient(S, 1.0, sc.SparsityConstraint(0, mode))
         assert np.array_equal(M, M.T) and np.array_equal(G, G.T)
         if mode == "correlation":
             assert not mask.any(axis=1).all()  # empty CSR rows
@@ -697,7 +737,8 @@ def test_hessian_kernels_agree(monkeypatch, mode, p):
             free = proxdist._FreeEntries(mask)
             assert free.sparse == (kernel == "sparse")
             hess = proxdist._Hessian(it, proxdist._asa(it.inv, S), free)
-            D, count = _newton_direction_at(it, S, free.vector(it.gradient(S, 0.0)), free)
+            g = free.vector(it.gradient(S, 0.0, sc.SparsityConstraint(0, mode)))
+            D, count = _newton_direction_at(it, S, g, free)
             out[kernel] = hess(v), D
         products.append(count)
         for rtol, dense, sparse in zip((1e-12, 1e-10), out["dense"], out["sparse"]):
@@ -767,7 +808,7 @@ def _plain_cg_direction(it, asa, g, g_norm, a_norm, free):
     tol = min(0.5, math.sqrt(g_norm / a_norm)) * g_norm
     D = np.zeros_like(r)
     d = -r
-    p = free.mask.shape[0]
+    p = free.p
     for j in range(p * (p + 1) // 2):
         Hd = hess(d)
         curvature = free.inner(d, Hd)
@@ -857,7 +898,7 @@ def test_newton_direction_on_zero_curvature_is_steepest_descent():
     S = 0.5 * np.eye(3)
     it = proxdist._Iterate(np.eye(3), S, c)
     free = proxdist._FreeEntries(np.eye(3, dtype=bool))
-    g = free.vector(it.gradient(S, 0.0))
+    g = free.vector(it.gradient(S, 0.0, c))
     D, products = _newton_direction_at(it, S, g, free)
     assert np.array_equal(D, -2.0 * g)
     assert products == 1
@@ -927,7 +968,9 @@ def test_finish_directions_stay_on_the_support(monkeypatch, mode):
 
     def recorded(it, asa, g, g_norm, a_norm, free):
         D, products = newton(it, asa, g, g_norm, a_norm, free)
-        directions.append((free.mask.copy(), free.matrix(D)))
+        mask = np.zeros(free.p * free.p, dtype=bool)  # the free entries'
+        mask[free.upper] = mask[free.lower] = True
+        directions.append((mask.reshape(free.p, free.p), free.matrix(D)))
         return D, products
 
     monkeypatch.setattr(proxdist, "_newton_direction", recorded)

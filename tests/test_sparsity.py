@@ -166,3 +166,30 @@ def test_project_matches_its_reference_bit_for_bit(p):
                 c = sc.SparsityConstraint(k, mode=mode)
                 got, ref = sparsity._project(M, c), _fill_diagonal_project(M, c)
                 assert got.tobytes() == ref.tobytes(), (k, mode)
+
+
+@pytest.mark.parametrize("p", [1, 2, 20, 57, 200])
+def test_select_matches_the_projection_bit_for_bit(p):
+    # the selection's mask is the nonzero pattern of the projection and its
+    # squared distance is ||M - P(M)||^2 summed as the p x p matrix, exactly,
+    # on ties, exact zeros of both signs (the diagonal's included) and mixed
+    # signs, in both modes, at k of 0, 1, half and every pair
+    rng = np.random.default_rng(p)
+    tied = np.round(rng.standard_normal((p, p)), 1)
+    tied[rng.random((p, p)) < 0.2] = -0.0
+    tied[rng.random((p, p)) < 0.1] = 0.0
+    m = p * (p - 1) // 2
+    for B in (tied, rng.standard_normal((p, p))):
+        M = B.copy()
+        below = np.tril_indices(p, -1)
+        M[below] = B.T[below]
+        for k in sorted({0, 1, m // 2, m} & set(range(m + 1))):
+            for mode in ("covariance", "correlation"):
+                c = sc.SparsityConstraint(k, mode=mode)
+                mask, dist2 = sparsity._select(M, c)
+                P = sparsity._project(M, c)
+                assert mask.dtype == bool and mask.shape == (p, p)
+                assert np.array_equal(mask, P != 0)
+                assert np.array_equal(mask, _fill_diagonal_project(M, c) != 0)
+                assert dist2 == float(((M - P) ** 2).sum()), (k, mode)
+                assert sc.squared_distance(M, c) == dist2
