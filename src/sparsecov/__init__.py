@@ -49,7 +49,6 @@ from .evaluation import (
     gaussian_nll,
     info_criteria,
     rmse,
-    roc_sweep,
 )
 from .synthdata import (
     ReplicateTable,
@@ -59,7 +58,7 @@ from .synthdata import (
     run_replicates,
     sample_mvn,
 )
-from .tuning import CvRow, CvSpec, cross_validate, default_grid, kfold_split
+from .tuning import CvRow, CvSpec, cross_validate, default_grid, kfold_split, roc_sweep
 
 __version__ = "0.1.0"
 

@@ -78,19 +78,6 @@ def _write_json(path: Path, payload: dict) -> None:
         fh.write("\n")
 
 
-def _write_manifest(out_dir: Path, command: str, params: dict, seed: int) -> None:
-    _write_json(
-        out_dir / "manifest.json",
-        {
-            "command": command,
-            "parameters": params,
-            "seed": seed,
-            "library_version": __version__,
-            "timestamp": _utc_now(),
-        },
-    )
-
-
 def _ensure_dir(path: str) -> Path:
     """Create the output directory; each command calls it once its
     parameters are checked, so a rejected command leaves none behind."""
@@ -111,7 +98,6 @@ def _run_simulate(params: dict, out: str) -> None:
     out_dir = _ensure_dir(out)
     save_matrix_csv(out_dir / "truth.csv", truth)
     save_matrix_csv(out_dir / "data.csv", data)
-    _write_manifest(out_dir, "simulate", params, params["seed"])
 
 
 def _load_covariance(params: dict) -> np.ndarray:
@@ -155,7 +141,6 @@ def _run_estimate(params: dict, out: str) -> None:
             "ridge_delta": result.ridge_delta,
         },
     )
-    _write_manifest(out_dir, "estimate", params, 0)
 
 
 def _run_cv(params: dict, out: str) -> None:
@@ -170,7 +155,7 @@ def _run_cv(params: dict, out: str) -> None:
         grid=grid, folds=params["folds"], loss=params["loss"], seed=params["seed"]
     )
     best, table = cross_validate(data, method, spec)
-    sigma_hat = _estimate(method, S, best, FitConfig())
+    sigma_hat = _estimate(method, S, best, FitConfig())[0]
     out_dir = _ensure_dir(out)
     with open(out_dir / "cv_table.csv", "w") as fh:
         fh.write("param,mean_loss,stderr,n_folds,boundary_flag\n")
@@ -185,7 +170,6 @@ def _run_cv(params: dict, out: str) -> None:
         {"method": method, "best_param": best, "boundary": boundary},
     )
     save_matrix_csv(out_dir / "sigma_hat.csv", sigma_hat)
-    _write_manifest(out_dir, "cv", params, params["seed"])
 
 
 def _load_support(path) -> np.ndarray:
@@ -211,7 +195,6 @@ def _run_eval(params: dict, out: str) -> None:
     report = compute_report(truth, estimate, S=S, n=n, support=support)
     out_dir = _ensure_dir(out)
     _write_json(out_dir / "metrics.json", report.to_dict())
-    _write_manifest(out_dir, "eval", params, 0)
 
 
 def _openblas_thread_counters(package: str) -> list[tuple]:
@@ -315,7 +298,6 @@ def _run_bench(params: dict, out: str) -> None:
         logs = np.log([r[0] for r in rows]), np.log([r[1] for r in rows])
         slope = float(np.polyfit(logs[0], logs[1], 1)[0])
         print(f"log-log slope of seconds vs p: {slope:.3f}")
-    _write_manifest(out_dir, "bench", params, seed)
 
 
 COMMANDS = {
@@ -325,6 +307,21 @@ COMMANDS = {
     "eval": _run_eval,
     "bench": _run_bench,
 }
+
+
+def _run(command: str, params: dict, out: str) -> None:
+    """Run one command into ``out``, then record its manifest there."""
+    COMMANDS[command](params, out)
+    _write_json(
+        Path(out) / "manifest.json",
+        {
+            "command": command,
+            "parameters": params,
+            "seed": params.get("seed", 0),
+            "library_version": __version__,
+            "timestamp": _utc_now(),
+        },
+    )
 
 
 def _run_rerun(manifest_path: str, override_dir: str | None) -> None:
@@ -342,7 +339,7 @@ def _run_rerun(manifest_path: str, override_dir: str | None) -> None:
                 f"manifest sets {key}={recorded!r}, but the rho schedule is "
                 f"fixed and replays only {key}={value!r}"
             )
-    COMMANDS[command](params, override_dir or params["out_dir"])
+    _run(command, params, override_dir or params["out_dir"])
 
 
 def _int_list(text: str) -> list[int]:
@@ -425,7 +422,7 @@ def main(argv: list[str] | None = None) -> int:
             # manifest alone suffices to replay the command.
             params = vars(args)
             command = params.pop("command")
-            COMMANDS[command](params, params["out_dir"])
+            _run(command, params, params["out_dir"])
     except (NotPositiveDefiniteError, np.linalg.LinAlgError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3

@@ -4,10 +4,13 @@ Conventions, stated once here:
 
 * RMSE divides the squared Frobenius distance by all p^2 entries, so
   symmetric pairs count twice.
-* An estimate's support is ``support_mask(Sigma_hat, tol)``, or a mask
-  the caller supplies, such as ``FitResult.support``.  False positive
-  and false negative rates, ``nnz`` and the information criteria's model
-  size all read that one support.
+* An estimate's support is a mask the caller supplies, such as the one
+  ``tuning._estimate`` pairs with each method's estimate: a fit's
+  ``FitResult.support``, or a threshold's exact nonzeros.  Without one,
+  :func:`compute_report` takes ``support_mask(Sigma_hat)``, and
+  :func:`fp_fn_rates` reads ``support_mask(Sigma_hat, tol)``.  False
+  positive and false negative rates, ``nnz`` and the information
+  criteria's model size all read that one support.
 * False positive and false negative rates are computed over strict
   upper-triangular positions only, per class, with 0/0 taken as 0.
 * The Gaussian negative log-likelihood drops the (np/2) ln(2*pi)
@@ -25,9 +28,8 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .matcore import NotPositiveDefiniteError, as_symmetric, log_det_pd
-from .proxdist import FitConfig, fit, negative_loglik_loss
-from .sparsity import SparsityConstraint, support_mask
-from .baselines import ThresholdSpec, threshold
+from .proxdist import negative_loglik_loss
+from .sparsity import support_mask
 
 __all__ = [
     "MetricReport",
@@ -37,7 +39,6 @@ __all__ = [
     "gaussian_nll",
     "info_criteria",
     "compute_report",
-    "roc_sweep",
 ]
 
 EBIC_GAMMA = 0.5
@@ -182,13 +183,12 @@ def compute_report(
     Sigma_hat: np.ndarray,
     S: np.ndarray | None = None,
     n: int | None = None,
-    tol: float | None = None,
     support: np.ndarray | None = None,
 ) -> MetricReport:
     """Assemble the full metric record for one estimate.
 
-    Support metrics read ``support``, by default
-    ``support_mask(Sigma_hat, tol)``; a fit passes ``FitResult.support``.
+    Support metrics read ``support``, by default ``support_mask(Sigma_hat)``;
+    a fit passes ``FitResult.support``, a threshold its exact nonzeros.
     ``entropy_loss`` is ``None`` when the estimate is not positive
     definite; the likelihood fields are also ``None`` when ``S``/``n``
     are absent.
@@ -197,7 +197,7 @@ def compute_report(
     Sigma_hat = as_symmetric(Sigma_hat)
     _check_same_shape(Sigma_true, Sigma_hat)
     if support is None:
-        support = support_mask(Sigma_hat, tol)
+        support = support_mask(Sigma_hat)
     else:
         support = np.asarray(support, dtype=bool)
         _check_same_shape(Sigma_hat, support)
@@ -225,35 +225,3 @@ def compute_report(
         ebic=ebic,
         nnz=nnz,
     )
-
-
-def roc_sweep(
-    S: np.ndarray,
-    Sigma_true: np.ndarray,
-    method: str,
-    grid,
-    cfg: FitConfig = FitConfig(),
-) -> list[tuple[float, float]]:
-    """Operating points (fpr, tpr) along a regularization grid.
-
-    ``method`` is one of ``proxdist`` (grid of sparsity levels k),
-    ``soft``, or ``hard`` (grids of threshold levels).  Each point is
-    ``(fp_rate, 1 - fn_rate)`` of a fit's ``FitResult.support``, or of a
-    thresholded estimate's exact nonzeros, against the true support;
-    points are returned sorted by fpr.
-    """
-    if method not in ("proxdist", "soft", "hard"):
-        raise ValueError(f"unknown method {method!r}")
-    S = as_symmetric(S)
-    Sigma_true = as_symmetric(Sigma_true)
-    _check_same_shape(S, Sigma_true)
-    points = []
-    for g in np.asarray(grid).ravel():
-        if method == "proxdist":
-            support = fit(S, SparsityConstraint(k=int(round(float(g)))), cfg).support
-        else:
-            est = threshold(S, ThresholdSpec(lam=float(g), kind=method))
-            support = support_mask(est, tol=0.0)
-        fp, fn = _support_rates(Sigma_true, support)
-        points.append((fp, 1.0 - fn))
-    return sorted(points)

@@ -318,8 +318,7 @@ def surrogate_gradient(
     Sigma, Sigma_k, S = _check_inputs((Sigma, Sigma_k, S), c, rho)
     it = _Iterate(Sigma_k, S, c)
     D = Sigma - Sigma_k
-    ADA = it.inv @ D @ it.inv
-    return it.gradient(S, rho, c) + (ADA + ADA.T) / 2.0 + rho * D
+    return it.gradient(S, rho, c) + _asa(it.inv, D) + rho * D
 
 
 class _FreeEntries:
@@ -633,8 +632,7 @@ class _Fit:
         iterate's own.
 
         Each MM step forms ``c_k = A S A + rho P(Sigma)`` in a new ``A S A``
-        buffer: ``A S A + rho Sigma``, whose correlation diagonal adds
-        ``rho`` instead, is copied onto the support of ``P(Sigma)``, and the
+        buffer, ``P(Sigma)`` built from the iterate's support mask, and the
         iterate then lets go of its inverse.  A step that backtracking
         rejects rebuilds it from ``sigma``, bit for bit, at the cost of one
         more factorization, and is recorded as not accepted.
@@ -646,11 +644,9 @@ class _Fit:
         for _ in range(FitConfig.max_outer):
             c_k = _asa(self.it.inv, S)
             self.it.inv = None
-            added = rho * self.it.sigma
-            if c.mode == "correlation":
-                added.reshape(-1)[:: S.shape[0] + 1] = rho
-            added += c_k  # A S A + rho P(Sigma) on the support, as one sum
-            np.copyto(c_k, added, where=self.it.mask)
+            added = _on_support(self.it.sigma, self.it.mask, c)
+            added *= rho
+            c_k += added
             del added
             direction = _solve(self.it.sigma, c_k, rho)
             del c_k
@@ -786,9 +782,10 @@ def fit(
     Raises
     ------
     ValueError
-        If S is empty, has non-finite entries or shape problems, or is not
+        If S is empty, has non-finite entries or shape problems, is not
         positive semidefinite to within round-off (see
-        :func:`_resolve_ridge`).
+        :func:`_resolve_ridge`), or, in correlation mode, has a diagonal
+        entry that differs from 1 by more than 1e-8 before any ridge.
     NotPositiveDefiniteError
         If S still has a nonpositive diagonal entry after ridging, so
         the diagonal start is singular.
@@ -796,6 +793,8 @@ def fit(
     (S,) = _check_inputs((S,), c)
     if not S.size:
         raise ValueError(f"S must have at least one variable, got shape {S.shape}")
+    if c.mode == "correlation" and (np.abs(S.diagonal() - 1.0) > 1e-8).any():
+        raise ValueError("a correlation-mode S must have unit diagonal to within 1e-8")
     S, ridge_delta = _resolve_ridge(S, cfg)
     if (S.diagonal() <= 0).any():
         raise NotPositiveDefiniteError(
@@ -839,8 +838,4 @@ def fit_correlation(
         If ``R`` is empty, or any diagonal entry of ``R`` differs from 1 by
         more than 1e-8.
     """
-    R = as_symmetric(R)
-    if (np.abs(R.diagonal() - 1.0) > 1e-8).any():
-        raise ValueError("R must have unit diagonal to within 1e-8")
-    c = SparsityConstraint(k=k, mode="correlation")
-    return fit(R, c, cfg, callback)
+    return fit(R, SparsityConstraint(k, "correlation"), cfg, callback)

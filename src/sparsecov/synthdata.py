@@ -22,7 +22,6 @@ from typing import ClassVar, Sequence
 
 import numpy as np
 
-from .baselines import ThresholdSpec, threshold
 from .evaluation import MetricReport, compute_report
 from .matcore import (
     NotPositiveDefiniteError,
@@ -32,7 +31,7 @@ from .matcore import (
 )
 from .proxdist import FitConfig, fit
 from .sparsity import SparsityConstraint
-from .tuning import CvSpec, cross_validate, default_grid
+from .tuning import METHODS, CvSpec, _estimate, cross_validate, default_grid
 
 __all__ = [
     "SimDesign",
@@ -244,7 +243,7 @@ def run_replicates(
     design: SimDesign,
     n: int,
     reps: int,
-    methods: Sequence[str] = ("proxdist", "soft", "hard"),
+    methods: Sequence[str] = METHODS,
     cfg: FitConfig = FitConfig(),
     grid_size: int = 40,
 ) -> ReplicateTable:
@@ -283,13 +282,13 @@ def run_replicates(
             spec = CvSpec(grid=default_grid(method, S, grid_size), seed=cv_seed)
             best, _ = cross_validate(data, method, spec, cfg)
             if method == "proxdist":
+                # this module's fit, not tuning's, so that benchmark/workloads.py
+                # can wrap the refits apart from the cross-validation cells
                 res = fit(S, SparsityConstraint(k=int(best)), cfg)
-                report = compute_report(
-                    truth, res.sigma_hat, S=S, n=n, support=res.support
-                )
+                est, support = res.sigma_hat, res.support
             else:
-                est = threshold(S, ThresholdSpec(lam=float(best), kind=method))
-                report = compute_report(truth, est, S=S, n=n, tol=0.0)
+                est, support = _estimate(method, S, best, cfg)
+            report = compute_report(truth, est, S=S, n=n, support=support)
             out[method] = (float(best), report)
         return out
 

@@ -1,11 +1,18 @@
-"""K-fold cross-validation over sparsity level or threshold level.
+"""The methods under comparison, and their tuning along a grid.
 
-Folds partition the rows of the data matrix.  For each grid value the
-estimator is fit on the training folds' sample covariance and scored
-against the held-out folds' sample covariance, by default in Frobenius
-norm.  The entropy-loss option scores ``entropy_loss(S_test, estimate)``
-and falls back to Frobenius on folds whose held-out covariance is not
-positive definite.
+``METHODS`` names them: the proximal distance estimator ``proxdist``,
+tuned on sparsity levels k, and the ``soft`` and ``hard`` thresholding
+baselines, tuned on threshold levels.  :func:`_estimate` is the one
+dispatch from a method and a grid value to an estimate and its support,
+which cross-validation and :func:`roc_sweep` read: a fit's
+``FitResult.support``, or a threshold's exact nonzeros.
+
+K-fold cross-validation partitions the rows of the data matrix.  For
+each grid value the estimator is fit on the training folds' sample
+covariance and scored against the held-out folds' sample covariance, by
+default in Frobenius norm.  The entropy-loss option scores
+``entropy_loss(S_test, estimate)`` and falls back to Frobenius on folds
+whose held-out covariance is not positive definite.
 
 Ties in the mean CV loss break toward parsimony: the smallest sparsity
 level k, or the largest threshold.  A selected value on either end of
@@ -22,15 +29,25 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from .baselines import ThresholdSpec, threshold
-from .evaluation import entropy_loss
-from .matcore import NotPositiveDefiniteError, is_positive_definite, sample_covariance
+from .evaluation import _check_same_shape, _support_rates, entropy_loss
+from .matcore import (
+    NotPositiveDefiniteError,
+    as_symmetric,
+    is_positive_definite,
+    sample_covariance,
+)
 from .proxdist import FitConfig, fit
 from .sparsity import SparsityConstraint
 
-__all__ = ["CvSpec", "CvRow", "kfold_split", "cross_validate", "default_grid"]
+__all__ = ["CvSpec", "CvRow", "kfold_split", "cross_validate", "default_grid", "roc_sweep"]
 
 METHODS = ("proxdist", "soft", "hard")
 LOSSES = ("frobenius", "entropy")
+
+
+def _check_method(method: str) -> None:
+    if method not in METHODS:
+        raise ValueError(f"unknown method {method!r}, expected one of {METHODS}")
 
 
 @dataclass(frozen=True)
@@ -88,8 +105,7 @@ def default_grid(method: str, S: np.ndarray, size: int = 40) -> np.ndarray:
     p(p-1)/2 < size - 1; threshold levels ``linspace(0, max off-diagonal
     |S|, size)`` for the baselines.
     """
-    if method not in METHODS:
-        raise ValueError(f"method must be one of {METHODS}, got {method!r}")
+    _check_method(method)
     S = np.asarray(S, dtype=float)
     p = S.shape[0]
     if method == "proxdist":
@@ -103,11 +119,20 @@ def default_grid(method: str, S: np.ndarray, size: int = 40) -> np.ndarray:
     return np.linspace(0.0, float(off.max()), size)
 
 
-def _estimate(method: str, S_train: np.ndarray, param: float, cfg: FitConfig):
+def _estimate(
+    method: str, S: np.ndarray, param: float, cfg: FitConfig
+) -> tuple[np.ndarray, np.ndarray]:
+    """``method``'s estimate from ``S`` at grid value ``param``, and its support.
+
+    ``proxdist`` fits at sparsity level ``round(param)`` and passes on the
+    fit's ``FitResult.support``; ``soft`` and ``hard`` threshold at level
+    ``param``, and their support is the estimate's exact nonzeros.
+    """
     if method == "proxdist":
-        c = SparsityConstraint(k=int(round(param)))
-        return fit(S_train, c, cfg).sigma_hat
-    return threshold(S_train, ThresholdSpec(lam=float(param), kind=method))
+        res = fit(S, SparsityConstraint(k=int(round(param))), cfg)
+        return res.sigma_hat, res.support
+    est = threshold(S, ThresholdSpec(lam=float(param), kind=method))
+    return est, est != 0.0
 
 
 def _cell_loss(
@@ -119,7 +144,7 @@ def _cell_loss(
     cfg: FitConfig,
 ) -> float:
     """One cell's held-out loss; its estimate goes when it returns."""
-    est = _estimate(method, S_train, param, cfg)
+    est = _estimate(method, S_train, param, cfg)[0]
     if entropy:
         return entropy_loss(S_test, est)
     return float(np.linalg.norm(est - S_test))
@@ -153,8 +178,7 @@ def cross_validate(
     cfg : FitConfig
         Passed to the penalized fits; ignored by the baselines.
     """
-    if method not in METHODS:
-        raise ValueError(f"method must be one of {METHODS}, got {method!r}")
+    _check_method(method)
     data = np.asarray(data, dtype=float)
     if data.ndim != 2:
         raise ValueError(f"data must be 2-D, got shape {data.shape}")
@@ -213,3 +237,29 @@ def cross_validate(
     ]
     best_param = int(round(grid[best_idx])) if method == "proxdist" else float(grid[best_idx])
     return best_param, table
+
+
+def roc_sweep(
+    S: np.ndarray,
+    Sigma_true: np.ndarray,
+    method: str,
+    grid,
+    cfg: FitConfig = FitConfig(),
+) -> list[tuple[float, float]]:
+    """Operating points (fpr, tpr) along a regularization grid.
+
+    ``method`` is one of ``proxdist`` (grid of sparsity levels k),
+    ``soft``, or ``hard`` (grids of threshold levels).  Each point is
+    ``(fp_rate, 1 - fn_rate)`` of the support :func:`_estimate` gives at
+    that grid value, against the true support; points are returned
+    sorted by fpr.
+    """
+    _check_method(method)
+    S = as_symmetric(S)
+    Sigma_true = as_symmetric(Sigma_true)
+    _check_same_shape(S, Sigma_true)
+    points = []
+    for g in np.asarray(grid).ravel():
+        fp, fn = _support_rates(Sigma_true, _estimate(method, S, g, cfg)[1])
+        points.append((fp, 1.0 - fn))
+    return sorted(points)

@@ -348,9 +348,11 @@ def test_each_step_forms_a_s_a_once(monkeypatch):
         assert capped.iterations == schedule
         assert len(formed) == schedule
         assert not built
+    # the surrogate's gradient forms A S A once, and its curvature term
+    # A (Sigma - Sigma_k) A through the same routine
     formed.clear()
     sc.surrogate_gradient(fold, fold, fold, sc.SparsityConstraint(21), 1.0)
-    assert len(formed) == 1
+    assert len(formed) == 2
 
 
 @pytest.mark.parametrize("mode", ["covariance", "correlation"])
@@ -1165,3 +1167,23 @@ def test_fit_correlation_keeps_requested_pairs():
     assert result.converged
     assert result.support[0, 1] and result.support[2, 3]
     assert not result.support[0, 2]
+
+
+def test_fit_checks_the_unit_diagonal_of_a_correlation_mode_s():
+    # the check reads the caller's S, before any ridge: a sample covariance
+    # with variances from 0.6 to 30 is no correlation matrix, whether it
+    # reaches the correlation-mode fit through fit or fit_correlation
+    rng = np.random.default_rng(0)
+    X = rng.standard_normal((40, 5)) * np.arange(1.0, 6.0)
+    S = sc.sample_covariance(X)
+    assert np.abs(np.diag(S) - 1.0).max() > 1.0
+    for call in (
+        lambda: sc.fit(S, sc.SparsityConstraint(2, "correlation")),
+        lambda: sc.fit_correlation(S, 2),
+    ):
+        with pytest.raises(ValueError, match="unit diagonal"):
+            call()
+    d = np.sqrt(np.diag(S))
+    R = S / np.outer(d, d)
+    np.fill_diagonal(R, 1.0)
+    assert np.all(np.diag(sc.fit(R, sc.SparsityConstraint(2, "correlation")).sigma_hat) == 1.0)

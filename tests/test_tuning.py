@@ -224,3 +224,45 @@ def test_cross_validate_holds_one_fold_at_a_time():
         finally:
             tracemalloc.stop()
     assert peak / (p * p * 8) <= 11.8
+
+
+@pytest.mark.parametrize("method", sc.tuning.METHODS)
+def test_estimate_pairs_each_method_with_the_support_it_is_scored_on(method):
+    # a fit's FitResult.support, a threshold's exact nonzeros, which are
+    # support_mask(estimate, tol=0.0): at the grid's empty end (k = 0, or a
+    # threshold above every off-diagonal |s_ij|) and at an interior value
+    design = sc.SimDesign(kind="random_sparse", p=8, sparsity_frac=0.15, seed=5)
+    truth = sc.make_design(design)
+    S = sc.sample_covariance(sc.sample_mvn(truth, 60, sc.RngStream(seed=5, stream_id=1)))
+    off_max = np.abs(S - np.diag(np.diag(S))).max()
+    grid = (0, 6) if method == "proxdist" else (1.5 * off_max, 0.5 * off_max)
+    cfg = sc.FitConfig()
+    pairs = []
+    for param in grid:
+        est, support = sc.tuning._estimate(method, S, param, cfg)
+        if method == "proxdist":
+            res = sc.fit(S, sc.SparsityConstraint(param), cfg)
+            assert est.tobytes() == res.sigma_hat.tobytes()
+            assert np.array_equal(support, res.support)
+        else:
+            assert est.tobytes() == sc.threshold(S, sc.ThresholdSpec(param, method)).tobytes()
+            assert np.array_equal(support, sc.support_mask(est, tol=0.0))
+            rates = sc.fp_fn_rates(truth, est, tol=0.0)
+            report = sc.compute_report(truth, est, support=support)
+            assert (report.fp_rate, report.fn_rate) == rates
+        assert support.dtype == bool and np.all(np.diag(support))
+        pairs.append(np.count_nonzero(np.triu(support, 1)))
+    assert pairs[0] == 0
+    assert 0 < pairs[1] < 28
+    if method == "proxdist":
+        assert pairs[1] == 6
+
+
+def test_every_method_is_checked_by_one_rule():
+    for call in (
+        lambda: sc.default_grid("lasso", np.eye(3)),
+        lambda: sc.cross_validate(np.ones((6, 3)), "lasso", sc.CvSpec(grid=[0.0], folds=2)),
+        lambda: sc.roc_sweep(np.eye(3), np.eye(3), "lasso", [0.0]),
+    ):
+        with pytest.raises(ValueError, match="unknown method 'lasso'"):
+            call()
