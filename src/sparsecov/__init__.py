@@ -15,11 +15,8 @@ from .matcore import (
     cholesky_pd,
     inverse_pd,
     is_positive_definite,
-    load_data_csv,
-    load_symmetric_csv,
     log_det_pd,
     sample_covariance,
-    save_matrix_csv,
     spectral_decompose,
 )
 from .sparsity import SparsityConstraint, project, squared_distance, support_mask
@@ -40,12 +37,11 @@ from .proxdist import (
     objective,
     surrogate_gradient,
 )
-from .baselines import ThresholdSpec, threshold, threshold_path
+from .baselines import ThresholdSpec, threshold
 from .evaluation import (
     MetricReport,
     compute_report,
     entropy_loss,
-    fp_fn_rates,
     gaussian_nll,
     info_criteria,
     rmse,
@@ -70,11 +66,8 @@ __all__ = [
     "cholesky_pd",
     "inverse_pd",
     "is_positive_definite",
-    "load_data_csv",
-    "load_symmetric_csv",
     "log_det_pd",
     "sample_covariance",
-    "save_matrix_csv",
     "spectral_decompose",
     "SparsityConstraint",
     "project",
@@ -95,11 +88,9 @@ __all__ = [
     "surrogate_gradient",
     "ThresholdSpec",
     "threshold",
-    "threshold_path",
     "MetricReport",
     "compute_report",
     "entropy_loss",
-    "fp_fn_rates",
     "gaussian_nll",
     "info_criteria",
     "rmse",

@@ -2,20 +2,19 @@
 
 Entrywise soft and hard thresholding of the sample covariance matrix,
 diagonal left untouched.  Thresholding does not stay inside the
-positive definite cone, so path entries carry an explicit PD flag
-instead of any repair step.
+positive definite cone, and no repair step puts it back: the metrics
+that need a positive definite estimate report ``None`` instead.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
-from .matcore import as_symmetric, is_positive_definite
+from .matcore import as_symmetric
 
-__all__ = ["ThresholdSpec", "ThresholdPathEntry", "threshold", "threshold_path"]
+__all__ = ["ThresholdSpec", "threshold"]
 
 KINDS = ("soft", "hard")
 
@@ -34,13 +33,6 @@ class ThresholdSpec:
             raise ValueError(f"kind must be one of {KINDS}, got {self.kind!r}")
 
 
-class ThresholdPathEntry(NamedTuple):
-    lam: float
-    estimate: np.ndarray
-    is_pd: bool
-    nnz: int
-
-
 def threshold(S: np.ndarray, spec: ThresholdSpec) -> np.ndarray:
     """Threshold the off-diagonal entries of ``S``.
 
@@ -57,37 +49,3 @@ def threshold(S: np.ndarray, spec: ThresholdSpec) -> np.ndarray:
         out = np.where(np.abs(S) > spec.lam, S, 0.0)
     out.reshape(-1)[:: S.shape[0] + 1] = S.diagonal()
     return out
-
-
-def threshold_path(
-    S: np.ndarray, kind: str, grid: list[float] | np.ndarray
-) -> list[ThresholdPathEntry]:
-    """Evaluate one thresholding estimator along an ascending grid.
-
-    Returns one entry per level with the estimate, a positive
-    definiteness flag, and the strict upper-triangular nonzero count.
-    The count is nonincreasing along the grid.
-
-    Raises
-    ------
-    ValueError
-        If the grid is empty or not ascending.
-    """
-    grid = np.asarray(grid, dtype=float)
-    if grid.size == 0:
-        raise ValueError("grid must be nonempty")
-    if np.any(np.diff(grid) < 0):
-        raise ValueError("grid must be ascending")
-    S = as_symmetric(S)
-    path = []
-    for lam in grid:
-        est = threshold(S, ThresholdSpec(lam=float(lam), kind=kind))
-        path.append(
-            ThresholdPathEntry(
-                lam=float(lam),
-                estimate=est,
-                is_pd=is_positive_definite(est),
-                nnz=int(np.count_nonzero(np.triu(est, 1))),
-            )
-        )
-    return path

@@ -4,7 +4,9 @@ Every command writes its outputs plus a manifest.json recording the
 command, its parameters, the seed, and the library version; ``rerun``
 replays a manifest and reproduces all outputs byte for byte (only the
 manifest timestamp differs).  Matrices travel as headerless CSV, full
-p-by-p even when symmetric; structured results are JSON.
+p-by-p even when symmetric, with ``%.17g`` entries that round-trip
+float64 exactly; structured results are JSON.  This module is the one
+that reads and writes files: the library takes and returns arrays.
 
 Exit codes: 0 success, 2 usage or validation error, 3 numerical
 failure.
@@ -25,13 +27,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .matcore import (
-    NotPositiveDefiniteError,
-    load_data_csv,
-    load_symmetric_csv,
-    sample_covariance,
-    save_matrix_csv,
-)
+from .matcore import NotPositiveDefiniteError, as_symmetric, sample_covariance
 from .evaluation import compute_report
 from .proxdist import RHO0, RHO_GROWTH, FitConfig, fit, fit_correlation
 from .sparsity import SparsityConstraint
@@ -78,6 +74,28 @@ def _write_json(path: Path, payload: dict) -> None:
         fh.write("\n")
 
 
+def _save_matrix_csv(path, M: np.ndarray, fmt: str = "%.17g") -> None:
+    """Write a matrix as headerless comma-separated rows."""
+    np.savetxt(path, np.atleast_2d(np.asarray(M, dtype=float)), fmt=fmt, delimiter=",")
+
+
+def _load_csv(path) -> np.ndarray:
+    return np.loadtxt(path, delimiter=",", ndmin=2)
+
+
+def _load_symmetric_csv(path) -> np.ndarray:
+    """A symmetric matrix from headerless CSV, checked by ``as_symmetric``."""
+    return as_symmetric(_load_csv(path))
+
+
+def _load_data_csv(path) -> np.ndarray:
+    """A finite n-by-p data matrix from headerless CSV."""
+    X = _load_csv(path)
+    if not np.all(np.isfinite(X)):
+        raise ValueError(f"{path}: data contains non-finite entries")
+    return X
+
+
 def _ensure_dir(path: str) -> Path:
     """Create the output directory; each command calls it once its
     parameters are checked, so a rejected command leaves none behind."""
@@ -96,15 +114,15 @@ def _run_simulate(params: dict, out: str) -> None:
     truth = make_design(design)
     data = sample_mvn(truth, params["n"], RngStream(seed=design.seed, stream_id=1))
     out_dir = _ensure_dir(out)
-    save_matrix_csv(out_dir / "truth.csv", truth)
-    save_matrix_csv(out_dir / "data.csv", data)
+    _save_matrix_csv(out_dir / "truth.csv", truth)
+    _save_matrix_csv(out_dir / "data.csv", data)
 
 
 def _load_covariance(params: dict) -> np.ndarray:
     """The working covariance: the given matrix, or the data's sample covariance."""
     if params["cov"]:
-        return load_symmetric_csv(params["cov"])
-    return sample_covariance(load_data_csv(params["input"]))
+        return _load_symmetric_csv(params["cov"])
+    return sample_covariance(_load_data_csv(params["input"]))
 
 
 def _run_estimate(params: dict, out: str) -> None:
@@ -127,8 +145,8 @@ def _run_estimate(params: dict, out: str) -> None:
     else:
         result = fit(S, SparsityConstraint(k=k), cfg)
     out_dir = _ensure_dir(out)
-    save_matrix_csv(out_dir / "sigma_hat.csv", result.sigma_hat)
-    np.savetxt(out_dir / "support.csv", result.support, fmt="%d", delimiter=",")
+    _save_matrix_csv(out_dir / "sigma_hat.csv", result.sigma_hat)
+    _save_matrix_csv(out_dir / "support.csv", result.support, fmt="%d")
     _write_json(
         out_dir / "fit.json",
         {
@@ -144,7 +162,7 @@ def _run_estimate(params: dict, out: str) -> None:
 
 
 def _run_cv(params: dict, out: str) -> None:
-    data = load_data_csv(params["input"])
+    data = _load_data_csv(params["input"])
     S = sample_covariance(data)
     method = params["method"]
     if params["grid_file"]:
@@ -169,24 +187,24 @@ def _run_cv(params: dict, out: str) -> None:
         out_dir / "best_param.json",
         {"method": method, "best_param": best, "boundary": boundary},
     )
-    save_matrix_csv(out_dir / "sigma_hat.csv", sigma_hat)
+    _save_matrix_csv(out_dir / "sigma_hat.csv", sigma_hat)
 
 
 def _load_support(path) -> np.ndarray:
     """A support mask written by ``estimate``: headerless CSV of 0 and 1."""
-    M = np.loadtxt(path, delimiter=",", ndmin=2)
+    M = _load_csv(path)
     if not np.all((M == 0) | (M == 1)):
         raise ValueError(f"{path}: a support mask holds only 0 and 1")
     return M == 1
 
 
 def _run_eval(params: dict, out: str) -> None:
-    truth = load_symmetric_csv(params["truth"])
-    estimate = load_symmetric_csv(params["estimate"])
+    truth = _load_symmetric_csv(params["truth"])
+    estimate = _load_symmetric_csv(params["estimate"])
     S = None
     n = None
     if params["data"]:
-        data = load_data_csv(params["data"])
+        data = _load_data_csv(params["data"])
         S = sample_covariance(data)
         n = data.shape[0]
     support = None

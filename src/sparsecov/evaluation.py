@@ -7,10 +7,10 @@ Conventions, stated once here:
 * An estimate's support is a mask the caller supplies, such as the one
   ``tuning._estimate`` pairs with each method's estimate: a fit's
   ``FitResult.support``, or a threshold's exact nonzeros.  Without one,
-  :func:`compute_report` takes ``support_mask(Sigma_hat)``, and
-  :func:`fp_fn_rates` reads ``support_mask(Sigma_hat, tol)``.  False
+  :func:`compute_report` takes ``support_mask(Sigma_hat)``.  False
   positive and false negative rates, ``nnz`` and the information
-  criteria's model size all read that one support.
+  criteria's model size all read that one support, and
+  :func:`compute_report` is the one place that scores them.
 * False positive and false negative rates are computed over strict
   upper-triangular positions only, per class, with 0/0 taken as 0.
 * The Gaussian negative log-likelihood drops the (np/2) ln(2*pi)
@@ -35,7 +35,6 @@ __all__ = [
     "MetricReport",
     "entropy_loss",
     "rmse",
-    "fp_fn_rates",
     "gaussian_nll",
     "info_criteria",
     "compute_report",
@@ -111,24 +110,6 @@ def _support_rates(Sigma_true: np.ndarray, support: np.ndarray) -> tuple[float, 
     fp_rate = fp / n_zero if n_zero else 0.0
     fn_rate = fn / n_nonzero if n_nonzero else 0.0
     return fp_rate, fn_rate
-
-
-def fp_fn_rates(
-    Sigma_true: np.ndarray,
-    Sigma_hat: np.ndarray,
-    tol: float | None = None,
-) -> tuple[float, float]:
-    """False positive and false negative rates over strict-upper entries.
-
-    The true support is taken from exact nonzeros of ``Sigma_true``, the
-    estimated one from ``support_mask(Sigma_hat, tol)``; pass ``tol=0.0``
-    for estimators that produce exact zeros.  Empty classes give a rate
-    of 0.
-    """
-    Sigma_true = np.asarray(Sigma_true, dtype=float)
-    Sigma_hat = np.asarray(Sigma_hat, dtype=float)
-    _check_same_shape(Sigma_true, Sigma_hat)
-    return _support_rates(Sigma_true, support_mask(Sigma_hat, tol))
 
 
 def gaussian_nll(Sigma_hat: np.ndarray, S: np.ndarray, n: int) -> float:

@@ -32,9 +32,6 @@ __all__ = [
     "log_det_pd",
     "inverse_pd",
     "spectral_decompose",
-    "save_matrix_csv",
-    "load_symmetric_csv",
-    "load_data_csv",
 ]
 
 # Relative asymmetry above this is an input error, below it is round-off
@@ -357,25 +354,3 @@ def spectral_decompose(M: np.ndarray) -> SpectralDecomposition:
     """
     eigenvalues, eigenvectors = np.linalg.eigh(M)
     return SpectralDecomposition(eigenvalues, eigenvectors)
-
-
-def save_matrix_csv(path, M: np.ndarray) -> None:
-    """Write a matrix as headerless comma-separated rows.
-
-    ``%.17g`` formatting round-trips float64 exactly, so writing and
-    re-loading is lossless and byte-deterministic.
-    """
-    np.savetxt(path, np.atleast_2d(np.asarray(M, dtype=float)), fmt="%.17g", delimiter=",")
-
-
-def load_symmetric_csv(path) -> np.ndarray:
-    """Load a symmetric matrix from headerless CSV, validating symmetry."""
-    return as_symmetric(np.loadtxt(path, delimiter=",", ndmin=2))
-
-
-def load_data_csv(path) -> np.ndarray:
-    """Load a rectangular n-by-p data matrix from headerless CSV."""
-    X = np.loadtxt(path, delimiter=",", ndmin=2)
-    if not np.all(np.isfinite(X)):
-        raise ValueError(f"{path}: data contains non-finite entries")
-    return X

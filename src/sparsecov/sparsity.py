@@ -143,15 +143,11 @@ def squared_distance(M: np.ndarray, c: SparsityConstraint) -> float:
     return _select(M, c)[1]
 
 
-def support_mask(M: np.ndarray, tol: float | None = None) -> np.ndarray:
-    """Boolean mask of entries with ``|M_ij| > tol``.
+def support_mask(M: np.ndarray) -> np.ndarray:
+    """Boolean mask of the entries of a symmetric ``M`` above ``1e-8 * max|M|``.
 
-    With ``tol=None`` a reporting default of ``1e-8 * max|M|`` is used;
-    pass ``tol=0.0`` to count exact nonzeros (e.g. projector output).
+    A reporting tolerance, which hides round-off-level entries of a dense
+    estimate; the support of an exactly sparse one is ``M != 0``.
     """
-    M = np.asarray(M, dtype=float)
-    if tol is None:
-        tol = 1e-8 * float(np.abs(M).max()) if M.size else 0.0
-    if not tol >= 0:
-        raise ValueError(f"tol must be nonnegative, got {tol}")
-    return np.abs(M) > tol
+    mags = np.abs(as_symmetric(M))
+    return mags > (1e-8 * float(mags.max()) if mags.size else 0.0)

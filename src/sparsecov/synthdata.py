@@ -17,8 +17,8 @@ alone.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields, replace
-from typing import ClassVar, Sequence
+from dataclasses import dataclass, replace
+from typing import Sequence
 
 import numpy as np
 
@@ -184,7 +184,6 @@ class ReplicateTable:
     methods: tuple[str, ...]
     reports: dict[str, list[MetricReport]]
     best_params: dict[str, list[float]]
-    metrics: ClassVar[tuple[str, ...]] = tuple(f.name for f in fields(MetricReport))
 
     def mean(self, method: str, metric: str) -> float:
         vals = self._values(method, metric)
@@ -203,40 +202,6 @@ class ReplicateTable:
             if v is not None and np.isfinite(v):
                 out.append(float(v))
         return out
-
-    def summary_rows(self) -> list[dict]:
-        rows = []
-        for method in self.methods:
-            for metric in self.metrics:
-                rows.append(
-                    {
-                        "method": method,
-                        "metric": metric,
-                        "mean": self.mean(method, metric),
-                        "stderr": self.stderr(method, metric),
-                        "reps": self.reps,
-                        "kind": self.design.kind,
-                        "p": self.design.p,
-                        "n": self.n,
-                        "sparsity_frac": self.design.sparsity_frac,
-                        "seed": self.design.seed,
-                    }
-                )
-        return rows
-
-    def to_csv(self, path) -> None:
-        rows = self.summary_rows()
-        cols = list(rows[0].keys())
-        with open(path, "w") as fh:
-            fh.write(",".join(cols) + "\n")
-            for row in rows:
-                fh.write(",".join(_csv_cell(row[c]) for c in cols) + "\n")
-
-
-def _csv_cell(v) -> str:
-    if isinstance(v, float):
-        return format(v, ".17g")
-    return str(v)
 
 
 def run_replicates(

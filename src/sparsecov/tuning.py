@@ -5,14 +5,19 @@ tuned on sparsity levels k, and the ``soft`` and ``hard`` thresholding
 baselines, tuned on threshold levels.  :func:`_estimate` is the one
 dispatch from a method and a grid value to an estimate and its support,
 which cross-validation and :func:`roc_sweep` read: a fit's
-``FitResult.support``, or a threshold's exact nonzeros.
+``FitResult.support``, or a threshold's exact nonzeros.  :func:`roc_sweep`
+is the package's one walk of a method along a grid on a fixed ``S``.
 
 K-fold cross-validation partitions the rows of the data matrix.  For
 each grid value the estimator is fit on the training folds' sample
 covariance and scored against the held-out folds' sample covariance, by
 default in Frobenius norm.  The entropy-loss option scores
-``entropy_loss(S_test, estimate)`` and falls back to Frobenius on folds
-whose held-out covariance is not positive definite.
+``entropy_loss(S_test, estimate)``, with the held-out covariance in the
+truth slot: ``tr(M) - ln det(M) - p`` with ``M = S_test^{-1} Sigma_hat``.
+That is not the held-out Gaussian loss ``ln det Sigma_hat +
+tr(Sigma_hat^{-1} S_test)``, and need not rank grid values as it does.
+It falls back to Frobenius on folds whose held-out covariance is not
+positive definite.
 
 Ties in the mean CV loss break toward parsimony: the smallest sparsity
 level k, or the largest threshold.  A selected value on either end of
@@ -106,7 +111,7 @@ def default_grid(method: str, S: np.ndarray, size: int = 40) -> np.ndarray:
     |S|, size)`` for the baselines.
     """
     _check_method(method)
-    S = np.asarray(S, dtype=float)
+    S = as_symmetric(S)
     p = S.shape[0]
     if method == "proxdist":
         # the rounded levels never decrease, so the first of each run of

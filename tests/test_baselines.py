@@ -3,7 +3,6 @@ import pytest
 from numpy.testing import assert_allclose
 
 import sparsecov as sc
-from sparsecov.baselines import ThresholdPathEntry
 
 
 def test_threshold_spec_validation():
@@ -81,35 +80,3 @@ def test_hard_support_matches_top_k_projection():
         nnz = int(np.count_nonzero(hard[iu]))
         proj = sc.project(S, sc.SparsityConstraint(nnz))
         assert np.array_equal(hard[iu] != 0, proj[iu] != 0)
-
-
-def test_path_entries_and_monotone_nnz():
-    rng = np.random.default_rng(2)
-    B = rng.standard_normal((8, 8))
-    S = B @ B.T / 8 + np.eye(8)
-    grid = np.linspace(0.0, np.abs(S - np.diag(np.diag(S))).max(), 12)
-    path = sc.threshold_path(S, "hard", grid)
-    assert len(path) == 12
-    assert all(isinstance(e, ThresholdPathEntry) for e in path)
-    nnzs = [e.nnz for e in path]
-    assert all(b <= a for a, b in zip(nnzs, nnzs[1:]))
-    assert nnzs[-1] == 0
-    assert path[-1].is_pd  # diagonal of a PD-diagonal matrix stays PD
-
-
-def test_path_grid_validation():
-    S = np.eye(3)
-    with pytest.raises(ValueError):
-        sc.threshold_path(S, "soft", np.array([]))
-    with pytest.raises(ValueError):
-        sc.threshold_path(S, "soft", np.array([0.3, 0.1]))
-    with pytest.raises(ValueError):
-        sc.threshold_path(S, "clip", np.array([0.1]))
-
-
-def test_path_flags_indefinite_estimates():
-    # strong off-diagonal with weak diagonal goes indefinite untreated
-    S = np.array([[1.0, 2.0], [2.0, 1.0]])
-    path = sc.threshold_path(S, "hard", np.array([0.0, 3.0]))
-    assert not path[0].is_pd
-    assert path[1].is_pd

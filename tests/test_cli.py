@@ -43,9 +43,41 @@ def sim_dir(tmp_path):
     return out
 
 
+def test_matrix_csv_roundtrip_exact(tmp_path):
+    rng = np.random.default_rng(3)
+    B = rng.standard_normal((4, 4))
+    M = (B + B.T) / 2
+    path = tmp_path / "m.csv"
+    cli._save_matrix_csv(path, M)
+    back = cli._load_symmetric_csv(path)
+    assert np.array_equal(back, M)
+
+
+def test_load_data_csv_shape(tmp_path):
+    data = np.arange(12.0).reshape(6, 2)
+    path = tmp_path / "d.csv"
+    cli._save_matrix_csv(path, data)
+    back = cli._load_data_csv(path)
+    assert back.shape == (6, 2)
+    assert np.array_equal(back, data)
+
+
+def test_csv_loaders_reject_asymmetric_and_non_finite_input(tmp_path):
+    asymmetric = tmp_path / "asymmetric.csv"
+    cli._save_matrix_csv(asymmetric, np.array([[1.0, 5.0], [0.0, 1.0]]))
+    with pytest.raises(ValueError, match="asymmetric"):
+        cli._load_symmetric_csv(asymmetric)
+    nan = tmp_path / "nan.csv"
+    cli._save_matrix_csv(nan, np.array([[1.0, np.nan], [0.5, 2.0]]))
+    with pytest.raises(ValueError, match="non-finite"):
+        cli._load_data_csv(nan)
+    argv = ["eval", "--truth", str(asymmetric), "--estimate", str(asymmetric)]
+    assert main([*argv, "--out", str(tmp_path / "out")]) == 2
+
+
 def test_simulate_outputs(sim_dir):
-    truth = sc.load_symmetric_csv(sim_dir / "truth.csv")
-    data = sc.load_data_csv(sim_dir / "data.csv")
+    truth = cli._load_symmetric_csv(sim_dir / "truth.csv")
+    data = cli._load_data_csv(sim_dir / "data.csv")
     assert truth.shape == (12, 12)
     assert data.shape == (60, 12)
     manifest = _read_json(sim_dir / "manifest.json")
@@ -70,7 +102,7 @@ def test_estimate_from_data(sim_dir, tmp_path):
         ["estimate", "--input", str(sim_dir / "data.csv"), "--k", "3", "--out", str(out)]
     )
     assert code == 0
-    est = sc.load_symmetric_csv(out / "sigma_hat.csv")
+    est = cli._load_symmetric_csv(out / "sigma_hat.csv")
     assert sc.is_positive_definite(est)
     info = _read_json(out / "fit.json")
     assert info["converged"] is True
@@ -96,18 +128,18 @@ def test_estimate_correlation_mode(sim_dir, tmp_path):
         ]
     )
     assert code == 0
-    est = sc.load_symmetric_csv(out / "sigma_hat.csv")
+    est = cli._load_symmetric_csv(out / "sigma_hat.csv")
     # the raw iterate meets the unit-diagonal constraint in the rho limit
     np.testing.assert_allclose(np.diag(est), np.ones(12), atol=1e-4)
 
 
 def test_estimate_from_covariance_matrix(tmp_path):
     cov_path = tmp_path / "cov.csv"
-    sc.save_matrix_csv(cov_path, np.diag([2.0, 3.0, 4.0]))
+    cli._save_matrix_csv(cov_path, np.diag([2.0, 3.0, 4.0]))
     out = tmp_path / "est"
     code = main(["estimate", "--cov", str(cov_path), "--k", "0", "--out", str(out)])
     assert code == 0
-    est = sc.load_symmetric_csv(out / "sigma_hat.csv")
+    est = cli._load_symmetric_csv(out / "sigma_hat.csv")
     np.testing.assert_allclose(est, np.diag([2.0, 3.0, 4.0]), atol=1e-8)
 
 
@@ -162,7 +194,7 @@ def test_cv_outputs(sim_dir, tmp_path):
     best = _read_json(out / "best_param.json")
     assert best["method"] == "soft"
     assert isinstance(best["best_param"], float)
-    est = sc.load_symmetric_csv(out / "sigma_hat.csv")
+    est = cli._load_symmetric_csv(out / "sigma_hat.csv")
     assert est.shape == (12, 12)
 
 
@@ -303,7 +335,7 @@ def test_rejected_command_creates_no_output_directory(sim_dir, tmp_path, capsys)
     assert main(["rerun", str(manifest)]) == 2
     # an indefinite covariance, eigenvalues -1 and 3
     indefinite = tmp_path / "indefinite.csv"
-    sc.save_matrix_csv(indefinite, np.array([[1.0, 2.0], [2.0, 1.0]]))
+    cli._save_matrix_csv(indefinite, np.array([[1.0, 2.0], [2.0, 1.0]]))
     assert main(["estimate", "--cov", str(indefinite), "--k", "1", "--out", str(out)]) == 2
     # correlation mode on data with an all-zero column
     zero_column = tmp_path / "zero_column.csv"
@@ -325,7 +357,7 @@ def test_missing_input_is_usage_error(tmp_path):
 
 def test_numerical_failure_exit_code(tmp_path):
     cov_path = tmp_path / "zero.csv"
-    sc.save_matrix_csv(cov_path, np.zeros((3, 3)))
+    cli._save_matrix_csv(cov_path, np.zeros((3, 3)))
     code = main(["estimate", "--cov", str(cov_path), "--k", "0", "--out", str(tmp_path)])
     assert code == 3
 

@@ -29,14 +29,19 @@ def test_rmse_normalizes_by_dimension():
     assert sc.rmse(np.eye(3), np.eye(3)) == 0.0
 
 
+def _rates(truth, est, support=None):
+    report = sc.compute_report(truth, est, support=support)
+    return report.fp_rate, report.fn_rate
+
+
 def test_fp_fn_perfect_recovery():
     M = np.eye(4)
     M[0, 1] = M[1, 0] = 0.5
-    assert sc.fp_fn_rates(M, M) == (0.0, 0.0)
+    assert _rates(M, M) == (0.0, 0.0)
 
 
 def test_fp_fn_dense_estimate_of_diagonal_truth():
-    fp, fn = sc.fp_fn_rates(np.eye(3), np.ones((3, 3)))
+    fp, fn = _rates(np.eye(3), np.ones((3, 3)))
     assert fp == 1.0
     assert fn == 0.0  # no true edges: 0/0 convention
 
@@ -48,17 +53,19 @@ def test_fp_fn_hand_count():
     est = np.eye(4)
     est[0, 1] = est[1, 0] = 0.3  # hits one true edge
     est[0, 2] = est[2, 0] = 0.2  # spurious
-    fp, fn = sc.fp_fn_rates(truth, est)
+    fp, fn = _rates(truth, est)
     assert fp == pytest.approx(1.0 / 4.0)
     assert fn == pytest.approx(1.0 / 2.0)
 
 
 def test_fp_fn_tolerance_hides_roundoff():
+    # without a support, compute_report reads support_mask's reporting
+    # tolerance; given the exact nonzeros, it counts the round-off entry
     truth = np.eye(3)
     est = np.eye(3)
     est[0, 1] = est[1, 0] = 1e-13
-    assert sc.fp_fn_rates(truth, est)[0] == 0.0
-    assert sc.fp_fn_rates(truth, est, tol=0.0)[0] == pytest.approx(1.0 / 3.0)
+    assert _rates(truth, est)[0] == 0.0
+    assert _rates(truth, est, support=est != 0.0)[0] == pytest.approx(1.0 / 3.0)
 
 
 def test_gaussian_nll_known_value():
@@ -177,6 +184,10 @@ def test_roc_sweep_soft_path():
     assert all(0.0 <= f <= 1.0 for f in fprs)
     assert fprs == sorted(fprs)
     assert all(0.0 <= t <= 1.0 for _, t in points)
+    # the supports shrink along the ascending grid, to none at its top
+    tprs = [tpr for _, tpr in points]
+    assert tprs == sorted(tprs)
+    assert points[0] == (0.0, 0.0)
 
 
 def test_roc_sweep_proxdist_small():

@@ -242,25 +242,6 @@ def test_spectral_decompose_reconstructs():
     assert np.all(np.diff(dec.eigenvalues) >= 0)
 
 
-def test_matrix_csv_roundtrip_exact(tmp_path):
-    rng = np.random.default_rng(3)
-    B = rng.standard_normal((4, 4))
-    M = (B + B.T) / 2
-    path = tmp_path / "m.csv"
-    sc.save_matrix_csv(path, M)
-    back = sc.load_symmetric_csv(path)
-    assert np.array_equal(back, M)
-
-
-def test_load_data_csv_shape(tmp_path):
-    data = np.arange(12.0).reshape(6, 2)
-    path = tmp_path / "d.csv"
-    sc.save_matrix_csv(path, data)
-    back = sc.load_data_csv(path)
-    assert back.shape == (6, 2)
-    assert np.array_equal(back, data)
-
-
 # The sizes the kernels' rewrites are checked at: both sides of the
 # inverse's mirror block (MIRROR_BLOCK = 64), and the cv_study size.
 KERNEL_SIZES = [1, 2, 3, 20, 63, 64, 65, 130]

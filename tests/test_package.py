@@ -33,6 +33,16 @@ def _exported_names(tree: ast.Module) -> set[str]:
     return set()
 
 
+def test_package_exports_exactly_what_its_modules_export():
+    names = {"__version__"}
+    for path in MODULES:
+        if path.stem != "__init__":
+            names |= _exported_names(ast.parse(path.read_text()))
+    assert len(sparsecov.__all__) == len(set(sparsecov.__all__))
+    assert set(sparsecov.__all__) == names
+    assert all(hasattr(sparsecov, name) for name in names)
+
+
 @pytest.mark.parametrize("path", MODULES, ids=lambda path: path.stem)
 def test_every_import_is_used_or_exported(path):
     # a name imported only to be reachable from outside the module is dead
@@ -172,7 +182,7 @@ ENTRY_POINTS = {
         a["S"], a["Sigma"], a["truth"], C, 1.0
     ),
     "threshold": lambda a: sparsecov.threshold(a["S"], sparsecov.ThresholdSpec(0.1, "soft")),
-    "threshold_path": lambda a: sparsecov.threshold_path(a["S"], "hard", a["grid"] / 10),
+    "default_grid": lambda a: sparsecov.default_grid("soft", a["S"], 5),
     "cross_validate": lambda a: sparsecov.cross_validate(
         a["data"], "proxdist", sparsecov.CvSpec(grid=a["grid"], folds=4)
     ),

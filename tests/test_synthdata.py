@@ -173,22 +173,6 @@ def test_run_replicates_smoke():
     assert 0.0 <= fp <= 1.0
 
 
-def test_replicate_table_serialization(tmp_path):
-    design = sc.SimDesign(kind="moving_average", p=6, seed=1)
-    table = sc.run_replicates(
-        design, n=50, reps=2, methods=("soft",), grid_size=5
-    )
-    rows = table.summary_rows()
-    assert {r["method"] for r in rows} == {"soft"}
-    assert {r["metric"] for r in rows} == set(table.metrics)
-    out = tmp_path / "table.csv"
-    table.to_csv(out)
-    lines = out.read_text().strip().splitlines()
-    assert len(lines) == 1 + len(rows)
-    header = lines[0].split(",")
-    assert "mean" in header and "stderr" in header
-
-
 def test_replicate_table_single_rep_stderr_zero():
     design = sc.SimDesign(kind="moving_average", p=5, seed=2)
     with pytest.warns(UserWarning, match="boundary"):
