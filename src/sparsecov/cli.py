@@ -96,6 +96,17 @@ def _load_data_csv(path) -> np.ndarray:
     return X
 
 
+def _load_grid(path) -> np.ndarray:
+    """A ``cv`` grid from headerless CSV: one row, or one value per line."""
+    M = _load_csv(path)
+    if min(M.shape) > 1:
+        raise ValueError(
+            f"{path}: a grid is one row or one value per line, not a "
+            f"{M.shape[0]} x {M.shape[1]} table"
+        )
+    return M.reshape(-1)
+
+
 def _ensure_dir(path: str) -> Path:
     """Create the output directory; each command calls it once its
     parameters are checked, so a rejected command leaves none behind."""
@@ -166,7 +177,7 @@ def _run_cv(params: dict, out: str) -> None:
     S = sample_covariance(data)
     method = params["method"]
     if params["grid_file"]:
-        grid = np.loadtxt(params["grid_file"], ndmin=1)
+        grid = _load_grid(params["grid_file"])
     else:
         grid = default_grid(method, S, params["grid_size"])
     spec = CvSpec(
@@ -394,7 +405,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_cv.add_argument("--folds", type=int, default=5)
     grid = p_cv.add_mutually_exclusive_group()
     grid.add_argument("--grid-size", type=int, default=40)
-    grid.add_argument("--grid-file")
+    grid.add_argument("--grid-file", help="grid CSV: one row, or one value per line")
     p_cv.add_argument("--loss", choices=LOSSES, default="frobenius")
     p_cv.add_argument("--seed", type=int, default=0)
     p_cv.add_argument("--out", dest="out_dir", required=True, help="output directory")

@@ -12,7 +12,9 @@ equation in closed form (see :mod:`sparsecov.sylvester`), and
 backtracks by step halving until the trial point is positive definite
 and strictly decreases the objective.  The penalty weight rho follows a
 fixed geometric schedule, which pushes iterates onto the sparse set as
-rho grows; its only job is to pick the support.  Once the support of
+rho grows; its only job is to pick the support, so it runs only when k
+leaves one to pick: not at k = 0, whose one support is the diagonal, nor
+at k = p(p-1)/2, every pair.  Once the support of
 the projection P(Sigma) has held for a few steps, the limit is the
 Gaussian maximum likelihood estimate over the covariance matrices with
 that zero pattern (Chaudhuri, Drton & Richardson, Biometrika 2007), so
@@ -84,8 +86,9 @@ RHO_GROWTH = 1.2
 # until its gradient G over the entries they move satisfies
 # ||G||_F <= STATIONARITY_RTOL * ||A||_F, A = Sigma^{-1}.  Newton converges
 # quadratically near the optimum, so a tight tolerance costs a step or
-# two: on criterion 9's k = 0 fit, 1e-3 left a diagonal error of 9.8e-6
-# and 1e-8 one of 2.0e-10, one step later.
+# two: on criterion 9's k = 0 fit, when it still finished from the
+# schedule's last iterate, 1e-3 left a diagonal error of 9.8e-6 and 1e-8
+# one of 2.0e-10, one step later.
 STATIONARITY_RTOL = 1e-8
 # The Newton steps also end once the Newton model's decrease -<D, G> is at
 # most the unit round-off times |loss|, or once step halving has brought
@@ -166,9 +169,11 @@ class FitResult:
     ``objective_trace`` holds one penalized objective per iteration, at
     ``rho_trace``'s weight; its last entry is the objective at
     ``sigma_hat``.  The Newton steps after the schedule repeat its last
-    rho.  ``converged`` means those steps stopped on their gradient test
-    or their round-off stop: ``sigma_hat`` is a stationary point of the
-    loss restricted to the support.  On p > n fits that restricted loss
+    rho; at ``k = 0`` and ``k = p(p-1)/2`` there is no schedule, and the
+    trace starts with the finish's start at ``RHO0``.  ``converged``
+    means those steps stopped on their gradient test or their round-off
+    stop: ``sigma_hat`` is a stationary point of the loss restricted to
+    the support.  On p > n fits that restricted loss
     can have several stationary points, and a converged fit need not
     reach the lowest.
     """
@@ -561,7 +566,10 @@ class _Fit:
     """One fit's engine: its current iterate ``it`` and the trace of the
     steps that led there.
 
-    The engine is the only long-lived reference to the iterate.  Both
+    The engine is the only long-lived reference to the iterate, and makes
+    the first one itself: :meth:`schedule` starts from ``Diag(S)``, and
+    :meth:`skip_schedule` starts a fit that has no support to pick, or a
+    caller that brings its own, straight on the finish's support.  Both
     phases move it through :meth:`_advance`, the one backtracking search,
     which records each step it accepts: ``objectives`` and ``rhos`` are
     the traces, ``halvings`` their summed halvings, and ``callback`` gets
@@ -575,7 +583,7 @@ class _Fit:
 
     def __init__(self, S: np.ndarray, c: SparsityConstraint, callback):
         self.S, self.c, self.callback = S, c, callback
-        self.it = _Iterate(np.diag(S.diagonal()), S, c)
+        self.it: _Iterate | None = None  # made by schedule or skip_schedule
         self.objectives: list[float] = []
         self.rhos: list[float] = []
         self.halvings = 0
@@ -626,10 +634,49 @@ class _Fit:
             nxt = None  # a rejected candidate goes before the next is built
         return False
 
+    def _start_on(self, M: np.ndarray, support: np.ndarray) -> None:
+        """Make ``P(M)`` on ``support`` the iterate, a point on the sparse
+        set: ``M`` there, with ``M``'s diagonal, or a unit diagonal in
+        correlation mode.  Where that is not PD, make it ``Diag(S)``, or
+        ``I`` in correlation mode, which lie on every support."""
+        try:
+            self.it = _Iterate(_on_support(M, support, self.c), self.S, None)
+            return
+        except NotPositiveDefiniteError:
+            pass
+        # built after the except block, whose traceback would keep the
+        # failed factorization alive
+        S = self.S
+        diag = np.ones(S.shape[0]) if self.c.mode == "correlation" else np.diag(S)
+        self.it = _Iterate(np.diag(diag), S, None)
+
+    def skip_schedule(self, support: np.ndarray) -> None:
+        """Start the finish on ``support`` with no schedule step.
+
+        The start is ``P(S)`` on ``support``: ``S`` there, with its
+        diagonal; in correlation mode ``S`` is first scaled to unit
+        diagonal, which leaves a correlation matrix as it is.  Where that
+        start is not PD it is the diagonal start.  It is recorded once at
+        ``RHO0``, as not accepted, so that :meth:`finish`, which gets the
+        same ``support``, has a rho to repeat.
+
+        The scaling matters for a ridged correlation matrix ``R + delta I``
+        on every pair: ``P`` of it is ``R``, singular where ``R`` needed
+        the ridge.  From ``I`` instead, p > n fits at p = 20-50 took
+        222-401 steps and one ended unconverged; from the scaled ``S`` each
+        took 2 Newton steps to the same loss.
+        """
+        S = self.S
+        if self.c.mode == "correlation":
+            scale = 1.0 / np.sqrt(S.diagonal())
+            S = S * np.outer(scale, scale)  # exactly symmetric, as S is
+        self._start_on(S, support)
+        self._record(self.it, self.it.objective(RHO0), RHO0, 0, False)
+
     def schedule(self) -> np.ndarray:
-        """Run the rho schedule; returns the support of ``P(Sigma)`` it
-        locked, or held when the budget ran out, in a mask that is not the
-        iterate's own.
+        """Run the rho schedule from ``Diag(S)``; returns the support of
+        ``P(Sigma)`` it locked, or held when the budget ran out, in a mask
+        that is not the iterate's own.
 
         Each MM step forms ``c_k = A S A + rho P(Sigma)`` in a new ``A S A``
         buffer, ``P(Sigma)`` built from the iterate's support mask, and the
@@ -638,6 +685,7 @@ class _Fit:
         more factorization, and is recorded as not accepted.
         """
         S, c = self.S, self.c
+        self.it = _Iterate(np.diag(S.diagonal()), S, c)
         rho = RHO0
         support = None
         held = 0  # consecutive steps that kept the support of P(Sigma)
@@ -687,15 +735,7 @@ class _Fit:
         moved = self.it.dist2 > 0.0
         if moved:
             self.it.inv = None
-            try:
-                self.it = _Iterate(_on_support(self.it.sigma, self.it.mask, self.c), S, None)
-            except NotPositiveDefiniteError:
-                pass
-            if self.it.dist2 > 0.0:  # still the schedule's: P(Sigma) is not PD
-                # built after the except block, whose traceback would keep
-                # the failed factorization alive
-                diag = np.ones(S.shape[0]) if self.c.mode == "correlation" else np.diag(S)
-                self.it = _Iterate(np.diag(diag), S, None)
+            self._start_on(self.it.sigma, self.it.mask)
         if self.c.mode == "correlation":
             np.fill_diagonal(support, False)
         free = _FreeEntries(support)
@@ -742,8 +782,9 @@ def fit(
 ) -> FitResult:
     """Fit a sparse covariance matrix to the sample covariance ``S``.
 
-    The package's one path to the MM step.  Starts from ``Diag(S)``
-    (starting from S itself provokes heavy backtracking) and runs MM
+    The package's one path to the MM step.  Where k leaves a support to
+    pick, starts from ``Diag(S)`` (starting from S itself provokes heavy
+    backtracking) and runs MM
     steps while rho grows from ``RHO0`` by the factor ``RHO_GROWTH`` per
     step.  The schedule stops once the support of the projection
     ``P(Sigma)`` has held for ``LOCK_STEPS`` consecutive steps, or when
@@ -759,6 +800,16 @@ def fit(
     gradient over the entries they move is small relative to
     ``Sigma^{-1}``, or once a direction's model decrease is at the
     round-off level of the loss; step halving also stops at that level.
+
+    The schedule runs only when ``0 < k < p(p-1)/2``: at ``k = 0`` the one
+    support is the diagonal, and at ``k = p(p-1)/2`` it is every pair, so
+    there is none to pick.  Those fits start the finish at ``P(S)``,
+    ``Diag(S)`` or ``S``, where ``S`` is the ridged matrix the fit works
+    on, scaled to unit diagonal in correlation mode (so ``I`` or ``R``),
+    and record that start once at ``RHO0``, as not accepted.  That start
+    is the loss's minimizer over the support, so the gradient test
+    certifies it with no Newton step.  Only a ridged ``R + delta I`` at
+    ``k = p(p-1)/2`` has no closed form; Newton steps run from its start.
 
     Parameters
     ----------
@@ -777,7 +828,8 @@ def fit(
         schedule steps; the preconditioner's products are not counted).
         Newton steps repeat the schedule's last rho.  A finish that takes
         no step from a start other than the schedule's iterate records
-        that start once, as not accepted.  For tracing and tests.
+        that start once, as not accepted, and so does a fit that runs no
+        schedule, before any Newton step.  For tracing and tests.
 
     Raises
     ------
@@ -803,9 +855,17 @@ def fit(
         )
 
     engine = _Fit(S, c, callback)
-    # the schedule's support goes straight to the finish, which lets it go
-    # once its free entries are built
-    converged = engine.finish(engine.schedule(), cfg.max_outer - len(engine.rhos))
+    p = S.shape[0]
+    if 0 < c.k < p * (p - 1) // 2:
+        # the schedule's support goes straight to the finish, which lets it
+        # go once its free entries are built
+        converged = engine.finish(engine.schedule(), cfg.max_outer - len(engine.rhos))
+    else:
+        # the one support of k pairs is the diagonal or every pair
+        support = np.full(S.shape, c.k > 0)
+        np.fill_diagonal(support, True)
+        engine.skip_schedule(support)
+        converged = engine.finish(support, cfg.max_outer - len(engine.rhos))
     it = engine.it
     return FitResult(
         sigma_hat=it.sigma,

@@ -198,6 +198,27 @@ def test_cv_outputs(sim_dir, tmp_path):
     assert est.shape == (12, 12)
 
 
+def test_cv_reads_a_grid_csv_as_one_row_or_one_value_per_line(sim_dir, tmp_path, capsys):
+    data = str(sim_dir / "data.csv")
+    tables = []
+    for name, text in (("row", "0,2,66\n"), ("column", "0\n2\n66\n")):
+        grid = tmp_path / f"{name}.csv"
+        grid.write_text(text)
+        out = tmp_path / name
+        argv = ["cv", "--input", data, "--method", "proxdist", "--folds", "3"]
+        assert main([*argv, "--grid-file", str(grid), "--out", str(out)]) == 0
+        tables.append((out / "cv_table.csv").read_text())
+    assert tables[0] == tables[1]
+    params = [line.split(",")[0] for line in tables[0].splitlines()[1:]]
+    assert params == ["0", "2", "66"]
+    table = tmp_path / "table.csv"
+    table.write_text("0,2\n4,6\n")
+    argv = ["cv", "--input", data, "--method", "proxdist", "--grid-file", str(table)]
+    assert main([*argv, "--out", str(tmp_path / "rejected")]) == 2
+    assert str(table) in capsys.readouterr().err
+    assert not (tmp_path / "rejected").exists()
+
+
 def test_eval_outputs(sim_dir, tmp_path):
     est_dir = tmp_path / "est"
     main(

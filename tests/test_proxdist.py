@@ -105,11 +105,11 @@ def test_gradient_known_value():
 
 
 def test_fit_records_a_rejected_schedule_step():
-    # diagonal S with k = 0 is its own optimum: after one accepted step no
-    # candidate lowers the objective, so the schedule records a rejected
-    # step that keeps the iterate and still grows rho
+    # diagonal S is its own optimum on every support: after one accepted
+    # step no candidate lowers the objective, so the schedule records a
+    # rejected step that keeps the iterate and still grows rho
     events = []
-    result = sc.fit(np.diag([2.0, 5.0, 1.0]), sc.SparsityConstraint(0), callback=events.append)
+    result = sc.fit(np.diag([2.0, 5.0, 1.0]), sc.SparsityConstraint(1), callback=events.append)
     rejected = [i for i, ev in enumerate(events) if not ev["accepted"]]
     assert rejected and rejected[0] > 0
     for i in rejected:
@@ -205,15 +205,106 @@ def test_fit_callback_contract():
 
 
 def test_objective_trace_ends_at_estimate():
-    # k = all pairs: the refinement takes Newton steps after the schedule,
-    # each traced, so the trace must end at the returned estimate
+    # k = all pairs but one: the refinement takes Newton steps after the
+    # schedule, each traced, so the trace must end at the returned estimate
     S = _sample_problem(20, 40, 0)
-    c = sc.SparsityConstraint(190)
+    c = sc.SparsityConstraint(189)
     result = sc.fit(S, c)
     S_used = S + result.ridge_delta * np.eye(20)
     at_estimate = sc.objective(result.sigma_hat, S_used, c, result.rho_trace[-1])
     assert result.objective_trace[-1] == pytest.approx(at_estimate, rel=1e-12)
     assert result.iterations == len(result.objective_trace)
+
+
+def _correlation(S):
+    # exactly symmetric, with an exactly unit diagonal
+    scale = 1.0 / np.sqrt(np.diag(S))
+    R = S * np.outer(scale, scale)
+    np.fill_diagonal(R, 1.0)
+    return R
+
+
+def _no_schedule_step(monkeypatch):
+    def refused(*args):
+        raise AssertionError("an MM step was taken")
+
+    monkeypatch.setattr(proxdist, "_solve", refused)
+
+
+END_PROBLEMS = {
+    "full-rank": (lambda: _sample_problem(20, 100, 3), sc.FitConfig()),
+    "auto-ridge": (lambda: _sample_problem(20, 10, 3), sc.FitConfig()),
+    "explicit-ridge": (lambda: _sample_problem(20, 100, 3), sc.FitConfig(ridge_delta=0.5)),
+}
+
+
+END_CASES = [
+    (mode, case, end)
+    for mode in ("covariance", "correlation")
+    for case in sorted(END_PROBLEMS)
+    for end in ("diagonal", "every-pair")
+    # R + delta I is no correlation matrix, so its fit on every pair has no
+    # closed form (test_ridged_correlation_fit_on_every_pair)
+    if mode == "covariance" or case == "full-rank" or end == "diagonal"
+]
+
+
+@pytest.mark.parametrize("mode, case, end", END_CASES)
+def test_fit_at_either_end_of_k_takes_no_schedule_step(monkeypatch, mode, case, end):
+    # k = 0 leaves the diagonal as the one support and k = p(p-1)/2 every
+    # pair, so there is no support for the schedule to pick: the fit starts
+    # at P(S_used), records it once at RHO0, and the finish's gradient test
+    # certifies it, Diag(S_used) or S_used (I or R) exactly
+    make, cfg = END_PROBLEMS[case]
+    S = make()
+    if mode == "correlation":
+        S = _correlation(S)
+    p = S.shape[0]
+    c = sc.SparsityConstraint(0 if end == "diagonal" else p * (p - 1) // 2, mode)
+    _no_schedule_step(monkeypatch)
+    events = []
+    result = sc.fit(S, c, cfg, callback=events.append)
+    assert (result.ridge_delta > 0.0) == (case != "full-rank")
+    S_used = S.copy()
+    S_used[np.diag_indices(p)] += result.ridge_delta
+    if end == "diagonal":
+        expected = np.eye(p) if mode == "correlation" else np.diag(np.diag(S_used))
+    else:
+        expected = S_used
+    assert np.array_equal(result.sigma_hat, expected)
+    assert result.rho_trace == [RHO0] and result.iterations == 1
+    [event] = events
+    assert not event["accepted"] and event["halvings"] == 0
+    assert event["objective"] == event["objective_before"] == result.objective_trace[-1]
+    assert result.converged
+    assert result.final_penalty == 0.0
+    assert np.array_equal(result.support, expected != 0.0)
+    at_estimate = sc.objective(result.sigma_hat, S_used, c, result.rho_trace[-1])
+    assert result.objective_trace[-1] == at_estimate
+
+
+@pytest.mark.parametrize("case", ["auto-ridge", "explicit-ridge"])
+def test_ridged_correlation_fit_on_every_pair(monkeypatch, case):
+    # P(R + delta I) = R is singular where R needed the ridge, so the start
+    # is R + delta I scaled to unit diagonal, which is PD; the finish then
+    # takes Newton steps at RHO0 to the unit-diagonal fit
+    make, cfg = END_PROBLEMS[case]
+    R = _correlation(make())
+    c = sc.SparsityConstraint(190, "correlation")
+    _no_schedule_step(monkeypatch)
+    events = []
+    result = sc.fit(R, c, cfg, callback=events.append)
+    assert result.ridge_delta > 0.0
+    assert sc.is_positive_definite(result.sigma_hat)
+    assert np.array_equal(np.diag(result.sigma_hat), np.ones(20))
+    assert result.converged and result.final_penalty == 0.0
+    assert set(result.rho_trace) == {RHO0}
+    assert not events[0]["accepted"]
+    assert all(ev["accepted"] and ev["cg_products"] for ev in events[1:])
+    assert len(events) <= 10
+    R_used = R + result.ridge_delta * np.eye(20)
+    at_estimate = sc.objective(result.sigma_hat, R_used, c, result.rho_trace[-1])
+    assert result.objective_trace[-1] == pytest.approx(at_estimate, rel=1e-12)
 
 
 def test_fit_reports_exact_objectives_with_one_eigh_per_step(monkeypatch):
@@ -256,11 +347,13 @@ def test_fit_reports_exact_objectives_with_one_eigh_per_step(monkeypatch):
 
 
 def test_finish_reuses_a_schedule_iterate_already_on_the_sparse_set(monkeypatch):
-    # k = all pairs: every schedule iterate is its own projection, so the
+    # five 4 x 4 diagonal blocks hold k = 30 pairs, and every schedule
+    # iterate is block diagonal too, so it is its own projection: the
     # finish starts from the schedule's last iterate without factoring it
     # again, one factorization per line-search candidate and one for the
     # diagonal start
-    S = _sample_problem(20, 40, 0)
+    blocks = np.kron(np.eye(5, dtype=bool), np.ones((4, 4), dtype=bool))
+    S = np.where(blocks, _sample_problem(20, 40, 0), 0.0)
     factorizations = []
     cholesky = proxdist.cholesky_pd
 
@@ -270,9 +363,10 @@ def test_finish_reuses_a_schedule_iterate_already_on_the_sparse_set(monkeypatch)
 
     monkeypatch.setattr(proxdist, "cholesky_pd", counted_cholesky)
     events = []
-    result = sc.fit(S, sc.SparsityConstraint(190), callback=events.append)
+    result = sc.fit(S, sc.SparsityConstraint(30), callback=events.append)
     schedule = _schedule_length([ev["rho"] for ev in events])
     assert result.converged and result.ridge_delta == 0.0
+    assert result.final_penalty == 0.0
     assert schedule < len(events)
     assert all(ev["accepted"] for ev in events)
     assert events[schedule]["objective_before"] == events[schedule - 1]["objective"]
