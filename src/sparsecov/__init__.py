@@ -10,7 +10,6 @@ the ``sparsecov`` command line exposes reproducible workflows.
 
 from .matcore import (
     NotPositiveDefiniteError,
-    SpectralDecomposition,
     as_symmetric,
     cholesky_pd,
     inverse_pd,
@@ -43,7 +42,6 @@ from .evaluation import (
     compute_report,
     entropy_loss,
     gaussian_nll,
-    info_criteria,
     rmse,
 )
 from .synthdata import (
@@ -61,7 +59,6 @@ __version__ = "0.1.0"
 __all__ = [
     "__version__",
     "NotPositiveDefiniteError",
-    "SpectralDecomposition",
     "as_symmetric",
     "cholesky_pd",
     "inverse_pd",
@@ -92,7 +89,6 @@ __all__ = [
     "compute_report",
     "entropy_loss",
     "gaussian_nll",
-    "info_criteria",
     "rmse",
     "roc_sweep",
     "ReplicateTable",

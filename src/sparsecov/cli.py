@@ -3,10 +3,14 @@
 Every command writes its outputs plus a manifest.json recording the
 command, its parameters, the seed, and the library version; ``rerun``
 replays a manifest and reproduces all outputs byte for byte (only the
-manifest timestamp differs).  Matrices travel as headerless CSV, full
-p-by-p even when symmetric, with ``%.17g`` entries that round-trip
-float64 exactly; structured results are JSON.  This module is the one
-that reads and writes files: the library takes and returns arrays.
+manifest timestamp differs), or refuses it with exit code 2 where this
+version cannot: a retired rho-schedule setting, or the retired CV loss
+``entropy``, which scored Stein's loss against the held-out covariance
+where ``nll`` scores the held-out Gaussian likelihood.  Matrices travel
+as headerless CSV, full p-by-p even when symmetric, with ``%.17g``
+entries that round-trip float64 exactly; structured results are JSON.
+This module is the one that reads and writes files: the library takes
+and returns arrays.
 
 Exit codes: 0 success, 2 usage or validation error, 3 numerical
 failure.
@@ -406,7 +410,13 @@ def build_parser() -> argparse.ArgumentParser:
     grid = p_cv.add_mutually_exclusive_group()
     grid.add_argument("--grid-size", type=int, default=40)
     grid.add_argument("--grid-file", help="grid CSV: one row, or one value per line")
-    p_cv.add_argument("--loss", choices=LOSSES, default="frobenius")
+    p_cv.add_argument(
+        "--loss",
+        choices=LOSSES,
+        default="frobenius",
+        help="held-out score of each fold: the Frobenius distance to its sample "
+        "covariance, or nll, its Gaussian negative log-likelihood",
+    )
     p_cv.add_argument("--seed", type=int, default=0)
     p_cv.add_argument("--out", dest="out_dir", required=True, help="output directory")
 

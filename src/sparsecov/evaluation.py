@@ -10,7 +10,8 @@ Conventions, stated once here:
   :func:`compute_report` takes ``support_mask(Sigma_hat)``.  False
   positive and false negative rates, ``nnz`` and the information
   criteria's model size all read that one support, and
-  :func:`compute_report` is the one place that scores them.
+  :func:`compute_report` is the one place that scores them, the
+  information criteria AIC, BIC and EBIC included.
 * False positive and false negative rates are computed over strict
   upper-triangular positions only, per class, with 0/0 taken as 0.
 * The Gaussian negative log-likelihood drops the (np/2) ln(2*pi)
@@ -36,7 +37,6 @@ __all__ = [
     "entropy_loss",
     "rmse",
     "gaussian_nll",
-    "info_criteria",
     "compute_report",
 ]
 
@@ -122,43 +122,6 @@ def gaussian_nll(Sigma_hat: np.ndarray, S: np.ndarray, n: int) -> float:
     return 0.5 * n * negative_loglik_loss(Sigma_hat, S)
 
 
-def _nnz_upper(M: np.ndarray) -> int:
-    """Number of nonzero strict upper-triangular entries of M."""
-    return int(np.count_nonzero(np.triu(M, 1)))
-
-
-def _criteria(nll: float, p: int, nnz: int, n: int) -> tuple[float, float, float]:
-    """AIC, BIC and EBIC of a p-variate estimate with ``nnz`` strict-upper
-    nonzeros from its negative log-likelihood ``nll`` on ``n`` samples."""
-    q = p + nnz
-    aic = 2.0 * nll + 2.0 * q
-    bic = 2.0 * nll + q * math.log(n)
-    ebic = bic + 2.0 * EBIC_GAMMA * q * math.log(p * (p + 1) / 2)
-    return aic, bic, ebic
-
-
-def info_criteria(
-    Sigma_hat: np.ndarray,
-    S: np.ndarray,
-    n: int,
-) -> tuple[float, float, float]:
-    """AIC, BIC, and EBIC for a sparse covariance estimate.
-
-    Uses ``q = p + nnz_upper`` free parameters (diagonal plus exact
-    strict-upper nonzeros of the estimate):
-
-        AIC  = 2 nll + 2 q
-        BIC  = 2 nll + q ln n
-        EBIC = BIC + 2 gamma q ln(p(p+1)/2),  gamma = EBIC_GAMMA
-
-    To count a separate support mask, such as ``FitResult.support``, use
-    :func:`compute_report`.
-    """
-    Sigma_hat = as_symmetric(Sigma_hat)
-    nll = gaussian_nll(Sigma_hat, S, n)
-    return _criteria(nll, Sigma_hat.shape[0], _nnz_upper(Sigma_hat), n)
-
-
 def compute_report(
     Sigma_true: np.ndarray,
     Sigma_hat: np.ndarray,
@@ -172,7 +135,12 @@ def compute_report(
     a fit passes ``FitResult.support``, a threshold its exact nonzeros.
     ``entropy_loss`` is ``None`` when the estimate is not positive
     definite; the likelihood fields are also ``None`` when ``S``/``n``
-    are absent.
+    are absent.  With ``q`` the model size of the module's conventions,
+    the information criteria of the NLL on ``n`` samples are
+
+        AIC  = 2 nll + 2 q
+        BIC  = 2 nll + q ln n
+        EBIC = BIC + 2 gamma q ln(p(p+1)/2),  gamma = EBIC_GAMMA
     """
     Sigma_true = as_symmetric(Sigma_true)
     Sigma_hat = as_symmetric(Sigma_hat)
@@ -182,7 +150,7 @@ def compute_report(
     else:
         support = np.asarray(support, dtype=bool)
         _check_same_shape(Sigma_hat, support)
-    nnz = _nnz_upper(support)
+    nnz = int(np.count_nonzero(np.triu(support, 1)))
     try:
         ent = entropy_loss(Sigma_true, Sigma_hat)
     except NotPositiveDefiniteError:
@@ -192,9 +160,14 @@ def compute_report(
     if S is not None and n is not None:
         try:
             nll = gaussian_nll(Sigma_hat, S, n)
-            aic, bic, ebic = _criteria(nll, Sigma_hat.shape[0], nnz, n)
         except NotPositiveDefiniteError:
-            nll = aic = bic = ebic = None
+            pass
+        else:
+            p = Sigma_hat.shape[0]
+            q = p + nnz
+            aic = 2.0 * nll + 2.0 * q
+            bic = 2.0 * nll + q * math.log(n)
+            ebic = bic + 2.0 * EBIC_GAMMA * q * math.log(p * (p + 1) / 2)
     return MetricReport(
         entropy_loss=ent,
         rmse=rmse(Sigma_true, Sigma_hat),

@@ -7,7 +7,10 @@ Conventions used throughout the package:
 - "positive definite" means exactly "Cholesky factorization succeeds"
   (all pivots strictly positive), which is what every backtracking and
   feasibility check in the package relies on;
-- eigenvalues are always returned in ascending order.
+- eigenvalues are always returned in ascending order;
+- the O(p^3) kernels, the Cholesky factorization, the inverse from it
+  and the symmetric eigendecomposition, call LAPACK through one binding,
+  scipy's f2py module ``_flapack``.
 """
 
 from __future__ import annotations
@@ -18,13 +21,11 @@ import importlib.util
 import sys
 import threading
 from pathlib import Path
-from typing import NamedTuple
 
 import numpy as np
 
 __all__ = [
     "NotPositiveDefiniteError",
-    "SpectralDecomposition",
     "as_symmetric",
     "sample_covariance",
     "cholesky_pd",
@@ -53,17 +54,6 @@ _workspace = threading.local()
 
 class NotPositiveDefiniteError(ValueError):
     """Raised when a matrix required to be positive definite is not."""
-
-
-class SpectralDecomposition(NamedTuple):
-    """Eigendecomposition ``Q diag(eigenvalues) Q^T`` of a symmetric matrix.
-
-    ``eigenvalues`` are ascending; ``eigenvectors`` holds the corresponding
-    orthonormal eigenvectors as columns.
-    """
-
-    eigenvalues: np.ndarray
-    eigenvectors: np.ndarray
 
 
 def as_symmetric(M) -> np.ndarray:
@@ -338,8 +328,8 @@ def _strict_upper(p: int) -> np.ndarray:
     return mask
 
 
-def spectral_decompose(M: np.ndarray) -> SpectralDecomposition:
-    """Symmetric eigendecomposition with ascending eigenvalues.
+def spectral_decompose(M: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Symmetric eigendecomposition ``Q diag(eigenvalues) Q^T``.
 
     For symmetric matrices this coincides with the (real) Schur form, so it
     doubles as the orthogonal reduction used by the equation solvers.
@@ -347,10 +337,25 @@ def spectral_decompose(M: np.ndarray) -> SpectralDecomposition:
     an exactly symmetric float64 matrix, such as :func:`as_symmetric`
     returns.
 
+    Returns
+    -------
+    (eigenvalues, eigenvectors)
+        The eigenvalues ascending, and a C-contiguous matrix whose columns
+        are the corresponding orthonormal eigenvectors.
+
     Raises
     ------
     numpy.linalg.LinAlgError
         If the iterative eigenvalue routine fails to converge.
     """
-    eigenvalues, eigenvectors = np.linalg.eigh(M)
-    return SpectralDecomposition(eigenvalues, eigenvectors)
+    # LAPACK dsyevd on the lower triangle, as numpy.linalg.eigh runs it:
+    # the transpose of a symmetric matrix is itself, and f2py copies it to
+    # the Fortran-order array that dsyevd overwrites.  The eigenvectors
+    # come back in Fortran order; the solvers' products on them round as
+    # they did under eigh only once they are copied to C order.
+    eigenvalues, eigenvectors, info = _flapack.dsyevd(np.asarray(M, dtype=float).T, 1, 1)
+    if info != 0:
+        raise np.linalg.LinAlgError(
+            f"symmetric eigendecomposition failed (LAPACK info {info})"
+        )
+    return eigenvalues, np.array(eigenvectors, order="C")

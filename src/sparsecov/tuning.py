@@ -10,14 +10,13 @@ is the package's one walk of a method along a grid on a fixed ``S``.
 
 K-fold cross-validation partitions the rows of the data matrix.  For
 each grid value the estimator is fit on the training folds' sample
-covariance and scored against the held-out folds' sample covariance, by
-default in Frobenius norm.  The entropy-loss option scores
-``entropy_loss(S_test, estimate)``, with the held-out covariance in the
-truth slot: ``tr(M) - ln det(M) - p`` with ``M = S_test^{-1} Sigma_hat``.
-That is not the held-out Gaussian loss ``ln det Sigma_hat +
-tr(Sigma_hat^{-1} S_test)``, and need not rank grid values as it does.
-It falls back to Frobenius on folds whose held-out covariance is not
-positive definite.
+covariance and scored against the held-out folds' sample covariance,
+by one loss on every fold: by default the Frobenius distance
+``||Sigma_hat - S_test||_F``, or with ``loss="nll"`` the held-out
+Gaussian negative log-likelihood ``negative_loglik_loss(Sigma_hat,
+S_test)`` = ``ln det Sigma_hat + tr(Sigma_hat^{-1} S_test)``, which
+needs only the estimate to be positive definite, so a singular held-out
+covariance scores as any other.
 
 Ties in the mean CV loss break toward parsimony: the smallest sparsity
 level k, or the largest threshold.  A selected value on either end of
@@ -34,20 +33,15 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from .baselines import ThresholdSpec, threshold
-from .evaluation import _check_same_shape, _support_rates, entropy_loss
-from .matcore import (
-    NotPositiveDefiniteError,
-    as_symmetric,
-    is_positive_definite,
-    sample_covariance,
-)
-from .proxdist import FitConfig, fit
+from .evaluation import _check_same_shape, _support_rates
+from .matcore import NotPositiveDefiniteError, as_symmetric, sample_covariance
+from .proxdist import FitConfig, fit, negative_loglik_loss
 from .sparsity import SparsityConstraint
 
 __all__ = ["CvSpec", "CvRow", "kfold_split", "cross_validate", "default_grid", "roc_sweep"]
 
 METHODS = ("proxdist", "soft", "hard")
-LOSSES = ("frobenius", "entropy")
+LOSSES = ("frobenius", "nll")
 
 
 def _check_method(method: str) -> None:
@@ -144,14 +138,14 @@ def _cell_loss(
     method: str,
     S_train: np.ndarray,
     S_test: np.ndarray,
-    entropy: bool,
+    loss: str,
     param: float,
     cfg: FitConfig,
 ) -> float:
     """One cell's held-out loss; its estimate goes when it returns."""
     est = _estimate(method, S_train, param, cfg)[0]
-    if entropy:
-        return entropy_loss(S_test, est)
+    if loss == "nll":
+        return negative_loglik_loss(est, S_test)
     return float(np.linalg.norm(est - S_test))
 
 
@@ -165,7 +159,8 @@ def cross_validate(
 
     Returns ``(best_param, table)`` where the table has one row per grid
     value with the mean held-out loss and its standard error.  A failed
-    fit on a fold scores that cell as +inf with a warning.  The
+    fit, or under ``loss="nll"`` an estimate that is not positive
+    definite, scores that cell as +inf with a warning.  The
     ``boundary`` field is set on the selected row when its value is the
     grid's first or last.  Folds are scored one at a time, every grid
     value on one fold's pair of sample covariances before the next pair
@@ -191,23 +186,14 @@ def cross_validate(
     folds = kfold_split(data.shape[0], spec.folds, spec.seed)
 
     losses = np.empty((grid.size, len(folds)))
-    warned = False
     for fi, test_idx in enumerate(folds):
         mask = np.ones(data.shape[0], dtype=bool)
         mask[test_idx] = False
         S_train = sample_covariance(data[mask])
         S_test = sample_covariance(data[test_idx])
-        entropy = spec.loss == "entropy" and is_positive_definite(S_test)
-        if spec.loss == "entropy" and not entropy and not warned:
-            warnings.warn(
-                "held-out sample covariance not positive definite on some folds; "
-                "those folds fall back to Frobenius loss",
-                stacklevel=2,
-            )
-            warned = True
         for gi, param in enumerate(grid):
             try:
-                losses[gi, fi] = _cell_loss(method, S_train, S_test, entropy, param, cfg)
+                losses[gi, fi] = _cell_loss(method, S_train, S_test, spec.loss, param, cfg)
             except (NotPositiveDefiniteError, RuntimeError, np.linalg.LinAlgError) as exc:
                 warnings.warn(
                     f"fold {fi} failed at parameter {param:g} ({exc}); "

@@ -219,6 +219,29 @@ def test_cv_reads_a_grid_csv_as_one_row_or_one_value_per_line(sim_dir, tmp_path,
     assert not (tmp_path / "rejected").exists()
 
 
+def test_cv_and_its_replay_refuse_the_retired_entropy_loss(sim_dir, tmp_path, capsys):
+    # "entropy" scored Stein's loss against the held-out covariance; nll
+    # scores the held-out likelihood, so neither a new run nor a replay of
+    # an old manifest may quietly swap one for the other
+    data = str(sim_dir / "data.csv")
+    argv = ["cv", "--input", data, "--method", "proxdist", "--folds", "3", "--grid-size", "3"]
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, "--loss", "entropy", "--out", str(tmp_path / "old")])
+    assert exc.value.code == 2
+    assert "nll" in capsys.readouterr().err
+    fresh = tmp_path / "fresh"
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # a boundary choice warns
+        assert main([*argv, "--loss", "nll", "--out", str(fresh)]) == 0
+    manifest = _read_json(fresh / "manifest.json")
+    manifest["parameters"]["loss"] = "entropy"
+    old = tmp_path / "old_manifest.json"
+    old.write_text(json.dumps(manifest))
+    assert main(["rerun", str(old), "--out-dir", str(tmp_path / "replay")]) == 2
+    assert "nll" in capsys.readouterr().err
+    assert not (tmp_path / "replay").exists()
+
+
 def test_eval_outputs(sim_dir, tmp_path):
     est_dir = tmp_path / "est"
     main(

@@ -72,14 +72,23 @@ def test_gaussian_nll_known_value():
     assert sc.gaussian_nll(np.eye(1), np.eye(1), n=3) == pytest.approx(1.5)
 
 
+def _aic_bic_ebic(Sigma_hat, S, n, support=None):
+    # compute_report's AIC, BIC and EBIC, on the estimate's own nonzeros
+    # unless a support is given
+    if support is None:
+        support = Sigma_hat != 0.0
+    report = sc.compute_report(Sigma_hat, Sigma_hat, S=S, n=n, support=support)
+    return report.aic, report.bic, report.ebic
+
+
 def test_info_criteria_known_values():
-    aic, bic, ebic = sc.info_criteria(np.eye(1), np.eye(1), n=3)
+    aic, bic, ebic = _aic_bic_ebic(np.eye(1), np.eye(1), n=3)
     assert aic == pytest.approx(5.0)
     assert bic == pytest.approx(3.0 + math.log(3.0))
     # one candidate parameter: the extended term vanishes at p = 1
     assert ebic == pytest.approx(bic)
     # p = 2: q = 2 of 3 candidate parameters, at gamma = 0.5
-    aic, bic, ebic = sc.info_criteria(np.eye(2), np.eye(2), n=3)
+    aic, bic, ebic = _aic_bic_ebic(np.eye(2), np.eye(2), n=3)
     assert sc.evaluation.EBIC_GAMMA == 0.5
     assert aic == pytest.approx(10.0)
     assert bic == pytest.approx(6.0 + 2.0 * math.log(3.0))
@@ -89,21 +98,21 @@ def test_info_criteria_known_values():
 def test_info_criteria_counts_support():
     Sigma = np.eye(3)
     Sigma[0, 1] = Sigma[1, 0] = 0.4
-    aic, _, _ = sc.info_criteria(Sigma, np.eye(3), n=10)
+    aic, _, _ = _aic_bic_ebic(Sigma, np.eye(3), n=10)
     support = Sigma != 0.0
     support[0, 2] = support[2, 0] = True
-    report = sc.compute_report(Sigma, Sigma, S=np.eye(3), n=10, support=support)
+    wider, _, _ = _aic_bic_ebic(Sigma, np.eye(3), n=10, support=support)
     # q goes from 3 + 1 to 3 + 2, so AIC rises by exactly 2
-    assert report.aic - aic == pytest.approx(2.0)
+    assert wider - aic == pytest.approx(2.0)
 
 
 def test_ebic_grows_with_gamma(monkeypatch):
     Sigma = np.eye(4)
     Sigma[0, 1] = Sigma[1, 0] = 0.4
     monkeypatch.setattr(sc.evaluation, "EBIC_GAMMA", 0.0)
-    _, bic_lo, ebic_lo = sc.info_criteria(Sigma, np.eye(4), n=20)
+    _, bic_lo, ebic_lo = _aic_bic_ebic(Sigma, np.eye(4), n=20)
     monkeypatch.setattr(sc.evaluation, "EBIC_GAMMA", 1.0)
-    _, _, ebic_hi = sc.info_criteria(Sigma, np.eye(4), n=20)
+    _, _, ebic_hi = _aic_bic_ebic(Sigma, np.eye(4), n=20)
     assert ebic_hi > ebic_lo
     assert ebic_lo == pytest.approx(bic_lo)
 
@@ -143,7 +152,7 @@ def test_compute_report_reads_each_gaussian_loss_once(monkeypatch):
     assert len(calls) == 2
     # the estimate is dense, so its own nonzeros are the report's support
     assert report.nnz == 10
-    assert (report.aic, report.bic, report.ebic) == sc.info_criteria(est, S, 40)
+
 
 def test_compute_report_degrades_without_pd_or_data():
     truth = np.eye(3)

@@ -232,14 +232,26 @@ def test_lapack_backends_match_scipy_bit_for_bit(lapack_backend, p):
             assert _pivot(N) == dpotrf(N, lower=1)[1] - 1 == k
 
 
-def test_spectral_decompose_reconstructs():
+def test_spectral_decompose_reconstructs(monkeypatch):
     rng = np.random.default_rng(2)
     B = rng.standard_normal((4, 4))
     M = (B + B.T) / 2
-    dec = sc.spectral_decompose(M)
-    recon = dec.eigenvectors @ np.diag(dec.eigenvalues) @ dec.eigenvectors.T
-    assert_allclose(recon, M, atol=1e-12)
-    assert np.all(np.diff(dec.eigenvalues) >= 0)
+    lam, Q = sc.spectral_decompose(M)
+    # to round-off, not bits: numpy's and scipy's wheels may bundle
+    # different LAPACKs
+    assert_allclose(Q @ np.diag(lam) @ Q.T, M, atol=1e-12)
+    assert_allclose(Q.T @ Q, np.eye(4), atol=1e-12)
+    assert np.all(np.diff(lam) >= 0)
+    assert Q.flags.c_contiguous
+
+    class Unconverged:
+        @staticmethod
+        def dsyevd(a, compute_v, lower):
+            return np.zeros(4), np.eye(4), 2
+
+    monkeypatch.setattr(matcore, "_flapack", Unconverged)
+    with pytest.raises(np.linalg.LinAlgError, match="info 2"):
+        sc.spectral_decompose(M)
 
 
 # The sizes the kernels' rewrites are checked at: both sides of the

@@ -186,6 +186,10 @@ ENTRY_POINTS = {
     "cross_validate": lambda a: sparsecov.cross_validate(
         a["data"], "proxdist", sparsecov.CvSpec(grid=a["grid"], folds=4)
     ),
+    "cross_validate_nll": lambda a: sparsecov.cross_validate(
+        a["data"], "proxdist", sparsecov.CvSpec(grid=a["grid"], folds=4, loss="nll")
+    ),
+    "spectral_decompose": lambda a: sparsecov.spectral_decompose(a["S"]),
     "compute_report": lambda a: sparsecov.compute_report(
         a["truth"], a["Sigma"], S=a["S"], n=40, support=a["support"]
     ),

@@ -145,16 +145,25 @@ def test_cross_validate_failed_cells_become_inf():
     assert all(np.isinf(row.mean_loss) for row in table)
 
 
-def test_cross_validate_entropy_falls_back_when_test_fold_singular():
-    # n = 12 over 4 folds leaves 3-row test folds: rank-deficient S_test
+def test_cross_validate_nll_scores_singular_test_folds():
+    # n = 12 over 4 folds leaves 3-row test folds: rank-deficient S_test,
+    # on which the held-out NLL needs only the estimate to be PD
     data = _dataset(p=5, n=12, seed=4)
     grid = np.array([0, 1, 2])
+    for idx in sc.kfold_split(12, 4, 0):
+        assert np.linalg.matrix_rank(sc.sample_covariance(data[idx])) == 3
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        sc.cross_validate(
-            data, "proxdist", sc.CvSpec(grid=grid, folds=4, loss="entropy")
-        )
-    assert any("Frobenius" in str(w.message) for w in caught)
+        _, table = sc.cross_validate(data, "proxdist", sc.CvSpec(grid=grid, folds=4, loss="nll"))
+    assert all(np.isfinite(row.mean_loss) and np.isfinite(row.stderr) for row in table)
+    assert not any("Frobenius" in str(w.message) for w in caught)
+
+
+def test_cv_spec_refuses_the_retired_entropy_loss():
+    # "entropy" scored Stein's loss against S_test; it must not quietly
+    # come to mean the held-out NLL
+    with pytest.raises(ValueError, match="nll"):
+        sc.CvSpec(grid=[0, 1], loss="entropy")
 
 
 def test_cross_validate_ties_prefer_sparser_proxdist():
@@ -182,8 +191,8 @@ def _grid_major_cv(data, method, spec):
                 est = sc.fit(S_train, sc.SparsityConstraint(int(round(param)))).sigma_hat
             else:
                 est = sc.threshold(S_train, sc.ThresholdSpec(float(param), method))
-            if spec.loss == "entropy" and sc.is_positive_definite(S_test):
-                losses[gi, fi] = sc.entropy_loss(S_test, est)
+            if spec.loss == "nll":
+                losses[gi, fi] = sc.negative_loglik_loss(est, S_test)
             else:
                 losses[gi, fi] = np.linalg.norm(est - S_test)
     means = losses.mean(axis=1)
@@ -195,7 +204,7 @@ def _grid_major_cv(data, method, spec):
 
 
 @pytest.mark.parametrize(
-    "method, loss", [("proxdist", "frobenius"), ("proxdist", "entropy"), ("soft", "frobenius")]
+    "method, loss", [("proxdist", "frobenius"), ("proxdist", "nll"), ("soft", "frobenius")]
 )
 def test_cross_validate_matches_a_grid_major_reference(method, loss):
     # scoring fold by fold changes no cell, mean, standard error or choice
