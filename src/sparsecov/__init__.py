@@ -18,7 +18,7 @@ from .matcore import (
     sample_covariance,
     spectral_decompose,
 )
-from .sparsity import SparsityConstraint, project, squared_distance, support_mask
+from .sparsity import SparsityConstraint, project, squared_distance
 from .sylvester import (
     NoConvergenceError,
     SurrogateSystem,
@@ -69,7 +69,6 @@ __all__ = [
     "SparsityConstraint",
     "project",
     "squared_distance",
-    "support_mask",
     "NoConvergenceError",
     "SurrogateSystem",
     "equation_residual",

@@ -4,13 +4,14 @@ Every command writes its outputs plus a manifest.json recording the
 command, its parameters, the seed, and the library version; ``rerun``
 replays a manifest and reproduces all outputs byte for byte (only the
 manifest timestamp differs), or refuses it with exit code 2 where this
-version cannot: a retired rho-schedule setting, or the retired CV loss
+version cannot: a retired rho-schedule setting; the retired CV loss
 ``entropy``, which scored Stein's loss against the held-out covariance
-where ``nll`` scores the held-out Gaussian likelihood.  Matrices travel
-as headerless CSV, full p-by-p even when symmetric, with ``%.17g``
-entries that round-trip float64 exactly; structured results are JSON.
-This module is the one that reads and writes files: the library takes
-and returns arrays.
+where ``nll`` scores the held-out Gaussian likelihood; or ``eval``'s
+retired ``--support`` mask, since ``eval`` scores an estimate's exact
+nonzeros.  Matrices travel as headerless CSV, full p-by-p even when
+symmetric, with ``%.17g`` entries that round-trip float64 exactly;
+structured results are JSON.  This module is the one that reads and
+writes files: the library takes and returns arrays.
 
 Exit codes: 0 success, 2 usage or validation error, 3 numerical
 failure.
@@ -188,7 +189,7 @@ def _run_cv(params: dict, out: str) -> None:
         grid=grid, folds=params["folds"], loss=params["loss"], seed=params["seed"]
     )
     best, table = cross_validate(data, method, spec)
-    sigma_hat = _estimate(method, S, best, FitConfig())[0]
+    sigma_hat = _estimate(method, S, best, FitConfig())
     out_dir = _ensure_dir(out)
     with open(out_dir / "cv_table.csv", "w") as fh:
         fh.write("param,mean_loss,stderr,n_folds,boundary_flag\n")
@@ -205,14 +206,6 @@ def _run_cv(params: dict, out: str) -> None:
     _save_matrix_csv(out_dir / "sigma_hat.csv", sigma_hat)
 
 
-def _load_support(path) -> np.ndarray:
-    """A support mask written by ``estimate``: headerless CSV of 0 and 1."""
-    M = _load_csv(path)
-    if not np.all((M == 0) | (M == 1)):
-        raise ValueError(f"{path}: a support mask holds only 0 and 1")
-    return M == 1
-
-
 def _run_eval(params: dict, out: str) -> None:
     truth = _load_symmetric_csv(params["truth"])
     estimate = _load_symmetric_csv(params["estimate"])
@@ -222,10 +215,7 @@ def _run_eval(params: dict, out: str) -> None:
         data = _load_data_csv(params["data"])
         S = sample_covariance(data)
         n = data.shape[0]
-    support = None
-    if params.get("support"):  # absent from manifests written before the flag
-        support = _load_support(params["support"])
-    report = compute_report(truth, estimate, S=S, n=n, support=support)
+    report = compute_report(truth, estimate, S=S, n=n)
     out_dir = _ensure_dir(out)
     _write_json(out_dir / "metrics.json", report.to_dict())
 
@@ -364,7 +354,7 @@ def _run_rerun(manifest_path: str, override_dir: str | None) -> None:
     if command not in COMMANDS:
         raise ValueError(f"manifest names unknown command {command!r}")
     params = manifest["parameters"]
-    # a replay must not drop a setting that changed the fit
+    # a replay must not drop a setting that changed the fit or the scores
     for key, value in RETIRED_SETTINGS.items():
         recorded = params.pop(key, value)
         if recorded != value:
@@ -372,6 +362,11 @@ def _run_rerun(manifest_path: str, override_dir: str | None) -> None:
                 f"manifest sets {key}={recorded!r}, but the rho schedule is "
                 f"fixed and replays only {key}={value!r}"
             )
+    if params.get("support") is not None:
+        raise ValueError(
+            f"manifest scores on the mask {params['support']!r}, but eval's "
+            "--support is retired: an estimate's support is its exact nonzeros"
+        )
     _run(command, params, override_dir or params["out_dir"])
 
 
@@ -424,11 +419,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_eval.add_argument("--truth", required=True)
     p_eval.add_argument("--estimate", required=True)
     p_eval.add_argument("--data", help="optional data CSV for likelihood criteria")
-    p_eval.add_argument(
-        "--support",
-        help="support.csv written by estimate; without it the support is "
-        "the estimate's entries above 1e-8 * max|entry|",
-    )
     p_eval.add_argument("--out", dest="out_dir", required=True, help="output directory")
 
     p_bench = sub.add_parser("bench", help="time fits across dimensions")

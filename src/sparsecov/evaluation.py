@@ -4,14 +4,12 @@ Conventions, stated once here:
 
 * RMSE divides the squared Frobenius distance by all p^2 entries, so
   symmetric pairs count twice.
-* An estimate's support is a mask the caller supplies, such as the one
-  ``tuning._estimate`` pairs with each method's estimate: a fit's
-  ``FitResult.support``, or a threshold's exact nonzeros.  Without one,
-  :func:`compute_report` takes ``support_mask(Sigma_hat)``.  False
-  positive and false negative rates, ``nnz`` and the information
-  criteria's model size all read that one support, and
-  :func:`compute_report` is the one place that scores them, the
-  information criteria AIC, BIC and EBIC included.
+* An estimate's support is its exact nonzeros, ``Sigma_hat != 0``: a
+  fit ends on the sparsity set, so its nonzeros are the pairs it kept,
+  and a threshold's are the entries it left.  False positive and false
+  negative rates, ``nnz`` and the information criteria's model size all
+  count that one support, and :func:`compute_report` is the one place
+  that scores them, the information criteria AIC, BIC and EBIC included.
 * False positive and false negative rates are computed over strict
   upper-triangular positions only, per class, with 0/0 taken as 0.
 * The Gaussian negative log-likelihood drops the (np/2) ln(2*pi)
@@ -28,9 +26,8 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .matcore import NotPositiveDefiniteError, as_symmetric, log_det_pd
+from .matcore import NotPositiveDefiniteError, _strict_upper, as_symmetric, log_det_pd
 from .proxdist import negative_loglik_loss
-from .sparsity import support_mask
 
 __all__ = [
     "MetricReport",
@@ -97,19 +94,20 @@ def rmse(Sigma_true: np.ndarray, Sigma_hat: np.ndarray) -> float:
     return float(np.linalg.norm(Sigma_true - Sigma_hat) / p)
 
 
-def _support_rates(Sigma_true: np.ndarray, support: np.ndarray) -> tuple[float, float]:
-    """False positive and false negative rates of a support mask against
-    the exact nonzeros of ``Sigma_true``, over strict-upper entries."""
-    iu = np.triu_indices(Sigma_true.shape[0], k=1)
-    true_nz = Sigma_true[iu] != 0.0
-    est_nz = support[iu]
+def _support_rates(Sigma_true: np.ndarray, Sigma_hat: np.ndarray) -> tuple[float, float, int]:
+    """False positive and false negative rates of the exact nonzeros of
+    ``Sigma_hat`` against those of ``Sigma_true``, over strict-upper
+    entries, and the count of ``Sigma_hat``'s."""
+    upper = _strict_upper(Sigma_true.shape[0])
+    true_nz = Sigma_true[upper] != 0.0
+    est_nz = Sigma_hat[upper] != 0.0
     n_zero = int(np.sum(~true_nz))
     n_nonzero = int(np.sum(true_nz))
     fp = int(np.sum(est_nz & ~true_nz))
     fn = int(np.sum(~est_nz & true_nz))
     fp_rate = fp / n_zero if n_zero else 0.0
     fn_rate = fn / n_nonzero if n_nonzero else 0.0
-    return fp_rate, fn_rate
+    return fp_rate, fn_rate, int(np.count_nonzero(est_nz))
 
 
 def gaussian_nll(Sigma_hat: np.ndarray, S: np.ndarray, n: int) -> float:
@@ -127,12 +125,10 @@ def compute_report(
     Sigma_hat: np.ndarray,
     S: np.ndarray | None = None,
     n: int | None = None,
-    support: np.ndarray | None = None,
 ) -> MetricReport:
     """Assemble the full metric record for one estimate.
 
-    Support metrics read ``support``, by default ``support_mask(Sigma_hat)``;
-    a fit passes ``FitResult.support``, a threshold its exact nonzeros.
+    Support metrics count the exact nonzeros of ``Sigma_hat``.
     ``entropy_loss`` is ``None`` when the estimate is not positive
     definite; the likelihood fields are also ``None`` when ``S``/``n``
     are absent.  With ``q`` the model size of the module's conventions,
@@ -145,17 +141,11 @@ def compute_report(
     Sigma_true = as_symmetric(Sigma_true)
     Sigma_hat = as_symmetric(Sigma_hat)
     _check_same_shape(Sigma_true, Sigma_hat)
-    if support is None:
-        support = support_mask(Sigma_hat)
-    else:
-        support = np.asarray(support, dtype=bool)
-        _check_same_shape(Sigma_hat, support)
-    nnz = int(np.count_nonzero(np.triu(support, 1)))
     try:
         ent = entropy_loss(Sigma_true, Sigma_hat)
     except NotPositiveDefiniteError:
         ent = None
-    fp, fn = _support_rates(Sigma_true, support)
+    fp, fn, nnz = _support_rates(Sigma_true, Sigma_hat)
     nll = aic = bic = ebic = None
     if S is not None and n is not None:
         try:

@@ -6,7 +6,8 @@ Conventions used throughout the package:
   :func:`as_symmetric`;
 - "positive definite" means exactly "Cholesky factorization succeeds"
   (all pivots strictly positive), which is what every backtracking and
-  feasibility check in the package relies on;
+  feasibility check in the package relies on.  It is not a rank test: a
+  singular matrix whose round-off leaves every pivot positive passes it;
 - eigenvalues are always returned in ascending order;
 - the O(p^3) kernels, the Cholesky factorization, the inverse from it
   and the symmetric eigendecomposition, call LAPACK through one binding,
@@ -240,6 +241,10 @@ def cholesky_pd(M: np.ndarray) -> np.ndarray:
 
 def is_positive_definite(M: np.ndarray) -> bool:
     """True iff Cholesky factorization of ``M`` succeeds.
+
+    Not a rank test: round-off can leave every pivot of a singular ``M``
+    positive.  The sample covariance of 3 rows at p = 5, of rank 3, can
+    pass.
 
     Raises ValueError if ``M`` is not a finite symmetric matrix.
     """

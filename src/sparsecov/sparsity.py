@@ -4,7 +4,9 @@ The covariance constraint set consists of symmetric matrices with at most
 ``k`` nonzero entries in the strict upper triangle (mirrored below), with
 the diagonal left unconstrained.  The correlation variant additionally
 forces a unit diagonal.  Projection is hard thresholding: keep the ``k``
-largest-magnitude off-diagonal entries, zero the rest.
+largest-magnitude off-diagonal entries, zero the rest.  A member of the
+set holds its support in its exact nonzeros, with no tolerance, and that
+is the support the package scores an estimate on.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ import numpy as np
 
 from .matcore import _strict_upper, as_symmetric
 
-__all__ = ["SparsityConstraint", "project", "squared_distance", "support_mask"]
+__all__ = ["SparsityConstraint", "project", "squared_distance"]
 
 MODES = ("covariance", "correlation")
 
@@ -142,12 +144,3 @@ def squared_distance(M: np.ndarray, c: SparsityConstraint) -> float:
     c.check_dimension(M.shape[0])
     return _select(M, c)[1]
 
-
-def support_mask(M: np.ndarray) -> np.ndarray:
-    """Boolean mask of the entries of a symmetric ``M`` above ``1e-8 * max|M|``.
-
-    A reporting tolerance, which hides round-off-level entries of a dense
-    estimate; the support of an exactly sparse one is ``M != 0``.
-    """
-    mags = np.abs(as_symmetric(M))
-    return mags > (1e-8 * float(mags.max()) if mags.size else 0.0)

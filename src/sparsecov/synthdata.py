@@ -226,40 +226,27 @@ def run_replicates(
     if reps < 1:
         raise ValueError(f"reps must be at least 1, got {reps}")
     methods = tuple(methods)
-    fixed_truth = None
-    if design.kind != "random_sparse":
-        fixed_truth = make_design(design)
-
-    def one_replicate(r: int) -> dict:
-        if fixed_truth is None:
-            truth = make_design(
-                replace(design, seed=_derive_seed(design.seed, (r, 0)))
-            )
-        else:
-            truth = fixed_truth
-        data = sample_mvn(
-            truth, n, RngStream(seed=_derive_seed(design.seed, (r, 1)))
-        )
+    fixed_truth = None if design.kind == "random_sparse" else make_design(design)
+    reports = {m: [] for m in methods}
+    best_params = {m: [] for m in methods}
+    for r in range(reps):
+        truth = fixed_truth
+        if truth is None:
+            truth = make_design(replace(design, seed=_derive_seed(design.seed, (r, 0))))
+        data = sample_mvn(truth, n, RngStream(seed=_derive_seed(design.seed, (r, 1))))
         S = sample_covariance(data)
         cv_seed = _derive_seed(design.seed, (r, 2))
-        out = {}
         for method in methods:
             spec = CvSpec(grid=default_grid(method, S, grid_size), seed=cv_seed)
             best, _ = cross_validate(data, method, spec, cfg)
             if method == "proxdist":
                 # this module's fit, not tuning's, so that benchmark/workloads.py
                 # can wrap the refits apart from the cross-validation cells
-                res = fit(S, SparsityConstraint(k=int(best)), cfg)
-                est, support = res.sigma_hat, res.support
+                est = fit(S, SparsityConstraint(k=int(best)), cfg).sigma_hat
             else:
-                est, support = _estimate(method, S, best, cfg)
-            report = compute_report(truth, est, S=S, n=n, support=support)
-            out[method] = (float(best), report)
-        return out
-
-    results = [one_replicate(r) for r in range(reps)]
-    reports = {m: [res[m][1] for res in results] for m in methods}
-    best_params = {m: [res[m][0] for res in results] for m in methods}
+                est = _estimate(method, S, best, cfg)
+            reports[method].append(compute_report(truth, est, S=S, n=n))
+            best_params[method].append(float(best))
     return ReplicateTable(
         design=design,
         n=n,

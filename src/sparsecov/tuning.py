@@ -3,10 +3,10 @@
 ``METHODS`` names them: the proximal distance estimator ``proxdist``,
 tuned on sparsity levels k, and the ``soft`` and ``hard`` thresholding
 baselines, tuned on threshold levels.  :func:`_estimate` is the one
-dispatch from a method and a grid value to an estimate and its support,
-which cross-validation and :func:`roc_sweep` read: a fit's
-``FitResult.support``, or a threshold's exact nonzeros.  :func:`roc_sweep`
-is the package's one walk of a method along a grid on a fixed ``S``.
+dispatch from a method and a grid value to an estimate, which
+cross-validation and :func:`roc_sweep` read; an estimate's support is
+its exact nonzeros.  :func:`roc_sweep` is the package's one walk of a
+method along a grid on a fixed ``S``.
 
 K-fold cross-validation partitions the rows of the data matrix.  For
 each grid value the estimator is fit on the training folds' sample
@@ -118,20 +118,15 @@ def default_grid(method: str, S: np.ndarray, size: int = 40) -> np.ndarray:
     return np.linspace(0.0, float(off.max()), size)
 
 
-def _estimate(
-    method: str, S: np.ndarray, param: float, cfg: FitConfig
-) -> tuple[np.ndarray, np.ndarray]:
-    """``method``'s estimate from ``S`` at grid value ``param``, and its support.
+def _estimate(method: str, S: np.ndarray, param: float, cfg: FitConfig) -> np.ndarray:
+    """``method``'s estimate from ``S`` at grid value ``param``.
 
-    ``proxdist`` fits at sparsity level ``round(param)`` and passes on the
-    fit's ``FitResult.support``; ``soft`` and ``hard`` threshold at level
-    ``param``, and their support is the estimate's exact nonzeros.
+    ``proxdist`` fits at sparsity level ``round(param)``; ``soft`` and
+    ``hard`` threshold at level ``param``.
     """
     if method == "proxdist":
-        res = fit(S, SparsityConstraint(k=int(round(param))), cfg)
-        return res.sigma_hat, res.support
-    est = threshold(S, ThresholdSpec(lam=float(param), kind=method))
-    return est, est != 0.0
+        return fit(S, SparsityConstraint(k=int(round(param))), cfg).sigma_hat
+    return threshold(S, ThresholdSpec(lam=float(param), kind=method))
 
 
 def _cell_loss(
@@ -143,7 +138,7 @@ def _cell_loss(
     cfg: FitConfig,
 ) -> float:
     """One cell's held-out loss; its estimate goes when it returns."""
-    est = _estimate(method, S_train, param, cfg)[0]
+    est = _estimate(method, S_train, param, cfg)
     if loss == "nll":
         return negative_loglik_loss(est, S_test)
     return float(np.linalg.norm(est - S_test))
@@ -241,9 +236,9 @@ def roc_sweep(
 
     ``method`` is one of ``proxdist`` (grid of sparsity levels k),
     ``soft``, or ``hard`` (grids of threshold levels).  Each point is
-    ``(fp_rate, 1 - fn_rate)`` of the support :func:`_estimate` gives at
-    that grid value, against the true support; points are returned
-    sorted by fpr.
+    ``(fp_rate, 1 - fn_rate)`` of the exact nonzeros of the estimate
+    :func:`_estimate` gives at that grid value, against the true support;
+    points are returned sorted by fpr.
     """
     _check_method(method)
     S = as_symmetric(S)
@@ -251,6 +246,6 @@ def roc_sweep(
     _check_same_shape(S, Sigma_true)
     points = []
     for g in np.asarray(grid).ravel():
-        fp, fn = _support_rates(Sigma_true, _estimate(method, S, g, cfg)[1])
+        fp, fn, _ = _support_rates(Sigma_true, _estimate(method, S, g, cfg))
         points.append((fp, 1.0 - fn))
     return sorted(points)

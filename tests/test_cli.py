@@ -242,6 +242,38 @@ def test_cv_and_its_replay_refuse_the_retired_entropy_loss(sim_dir, tmp_path, ca
     assert not (tmp_path / "replay").exists()
 
 
+def test_eval_and_its_replay_refuse_the_retired_support_mask(sim_dir, tmp_path, capsys):
+    # eval scores an estimate's exact nonzeros, so neither a new run nor a
+    # replay of an old manifest may score a support.csv mask instead
+    est_dir = tmp_path / "est"
+    assert main(["estimate", "--input", str(sim_dir / "data.csv"), "--k", "3",
+                 "--out", str(est_dir)]) == 0
+    mask = str(est_dir / "support.csv")
+    argv = ["eval", "--truth", str(sim_dir / "truth.csv"),
+            "--estimate", str(est_dir / "sigma_hat.csv")]
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, "--support", mask, "--out", str(tmp_path / "old")])
+    assert exc.value.code == 2
+    assert "--support" in capsys.readouterr().err
+    assert not (tmp_path / "old").exists()
+    fresh = tmp_path / "fresh"
+    assert main([*argv, "--out", str(fresh)]) == 0
+    manifest = _read_json(fresh / "manifest.json")
+    manifest["parameters"]["support"] = mask
+    old = tmp_path / "old_manifest.json"
+    old.write_text(json.dumps(manifest))
+    assert main(["rerun", str(old), "--out-dir", str(tmp_path / "replay")]) == 2
+    assert "--support" in capsys.readouterr().err
+    assert not (tmp_path / "replay").exists()
+    # a manifest that recorded the flag unset still replays byte for byte
+    manifest["parameters"]["support"] = None
+    old.write_text(json.dumps(manifest))
+    assert main(["rerun", str(old), "--out-dir", str(tmp_path / "plain")]) == 0
+    assert (tmp_path / "plain" / "metrics.json").read_bytes() == (
+        fresh / "metrics.json"
+    ).read_bytes()
+
+
 def test_eval_outputs(sim_dir, tmp_path):
     est_dir = tmp_path / "est"
     main(
@@ -275,21 +307,14 @@ def test_eval_outputs(sim_dir, tmp_path):
         assert key in metrics
     assert metrics["rmse"] >= 0.0
 
-    # the fit's own support holds its k pairs; the estimate is exactly
-    # sparse on it, so the default tolerance counts the same k
+    # the fit's own support holds its k pairs and is the estimate's exact
+    # nonzeros, which eval counts
     support = np.loadtxt(est_dir / "support.csv", delimiter=",")
     assert set(np.unique(support)) <= {0.0, 1.0}
     assert np.count_nonzero(np.triu(support, 1)) == 3
-    scored = tmp_path / "ev_support"
-    args = ["eval", "--truth", str(sim_dir / "truth.csv"),
-            "--estimate", str(est_dir / "sigma_hat.csv"), "--out", str(scored)]
-    assert main(args + ["--support", str(est_dir / "support.csv")]) == 0
-    assert _read_json(scored / "metrics.json")["nnz"] == 3
+    sigma_hat = np.loadtxt(est_dir / "sigma_hat.csv", delimiter=",")
+    assert np.array_equal(support == 1.0, sigma_hat != 0.0)
     assert metrics["nnz"] == 3
-
-    bad = tmp_path / "bad_support.csv"
-    np.savetxt(bad, np.full((12, 12), 0.5), delimiter=",")
-    assert main(args + ["--support", str(bad)]) == 2
 
 
 def test_bench_outputs(tmp_path, monkeypatch):

@@ -29,8 +29,8 @@ def test_rmse_normalizes_by_dimension():
     assert sc.rmse(np.eye(3), np.eye(3)) == 0.0
 
 
-def _rates(truth, est, support=None):
-    report = sc.compute_report(truth, est, support=support)
+def _rates(truth, est):
+    report = sc.compute_report(truth, est)
     return report.fp_rate, report.fn_rate
 
 
@@ -58,26 +58,21 @@ def test_fp_fn_hand_count():
     assert fn == pytest.approx(1.0 / 2.0)
 
 
-def test_fp_fn_tolerance_hides_roundoff():
-    # without a support, compute_report reads support_mask's reporting
-    # tolerance; given the exact nonzeros, it counts the round-off entry
+def test_fp_fn_counts_roundoff_entries():
+    # an estimate's support is its exact nonzeros, with no tolerance
     truth = np.eye(3)
     est = np.eye(3)
     est[0, 1] = est[1, 0] = 1e-13
-    assert _rates(truth, est)[0] == 0.0
-    assert _rates(truth, est, support=est != 0.0)[0] == pytest.approx(1.0 / 3.0)
+    assert _rates(truth, est)[0] == pytest.approx(1.0 / 3.0)
 
 
 def test_gaussian_nll_known_value():
     assert sc.gaussian_nll(np.eye(1), np.eye(1), n=3) == pytest.approx(1.5)
 
 
-def _aic_bic_ebic(Sigma_hat, S, n, support=None):
+def _aic_bic_ebic(Sigma_hat, S, n):
     # compute_report's AIC, BIC and EBIC, on the estimate's own nonzeros
-    # unless a support is given
-    if support is None:
-        support = Sigma_hat != 0.0
-    report = sc.compute_report(Sigma_hat, Sigma_hat, S=S, n=n, support=support)
+    report = sc.compute_report(Sigma_hat, Sigma_hat, S=S, n=n)
     return report.aic, report.bic, report.ebic
 
 
@@ -99,10 +94,10 @@ def test_info_criteria_counts_support():
     Sigma = np.eye(3)
     Sigma[0, 1] = Sigma[1, 0] = 0.4
     aic, _, _ = _aic_bic_ebic(Sigma, np.eye(3), n=10)
-    support = Sigma != 0.0
-    support[0, 2] = support[2, 0] = True
-    wider, _, _ = _aic_bic_ebic(Sigma, np.eye(3), n=10, support=support)
-    # q goes from 3 + 1 to 3 + 2, so AIC rises by exactly 2
+    Sigma[0, 2] = Sigma[2, 0] = 1e-13
+    wider, _, _ = _aic_bic_ebic(Sigma, np.eye(3), n=10)
+    # q goes from 3 + 1 to 3 + 2, and the tiny entry barely moves the
+    # NLL, so AIC rises by 2
     assert wider - aic == pytest.approx(2.0)
 
 
@@ -169,16 +164,11 @@ def test_compute_report_degrades_without_pd_or_data():
 def test_compute_report_counts_nnz_and_aic_on_the_fp_fn_support():
     truth = np.eye(3)
     est = np.eye(3)
-    est[0, 1] = est[1, 0] = 1e-13  # below the default tolerance
+    est[0, 1] = est[1, 0] = 1e-13  # a round-off entry counts like any other
     report = sc.compute_report(truth, est, S=np.eye(3), n=10)
-    assert report.fp_rate == 0.0
-    assert report.nnz == 0
-    assert report.aic == pytest.approx(36.0)  # 2 * 15 + 2 * (3 + 0)
-    # a given support replaces the tolerance rule for all three
-    given = sc.compute_report(truth, est, S=np.eye(3), n=10, support=est != 0.0)
-    assert given.fp_rate == pytest.approx(1.0 / 3.0)
-    assert given.nnz == 1
-    assert given.aic == pytest.approx(38.0)
+    assert report.fp_rate == pytest.approx(1.0 / 3.0)
+    assert report.nnz == 1
+    assert report.aic == pytest.approx(38.0)  # 2 * 15 + 2 * (3 + 1)
 
 
 def test_roc_sweep_soft_path():

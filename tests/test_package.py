@@ -166,7 +166,6 @@ def _inputs():
         "S": S,
         "R": S / np.outer(d, d),
         "Sigma": np.diag(np.diag(S)),
-        "support": truth != 0.0,
         "grid": np.array([0.0, 2.0, 4.0]),
     }
 
@@ -190,9 +189,7 @@ ENTRY_POINTS = {
         a["data"], "proxdist", sparsecov.CvSpec(grid=a["grid"], folds=4, loss="nll")
     ),
     "spectral_decompose": lambda a: sparsecov.spectral_decompose(a["S"]),
-    "compute_report": lambda a: sparsecov.compute_report(
-        a["truth"], a["Sigma"], S=a["S"], n=40, support=a["support"]
-    ),
+    "compute_report": lambda a: sparsecov.compute_report(a["truth"], a["Sigma"], S=a["S"], n=40),
     "roc_sweep": lambda a: sparsecov.roc_sweep(a["S"], a["truth"], "proxdist", a["grid"]),
 }
 

@@ -380,6 +380,31 @@ def test_fit_respects_max_outer(monkeypatch):
     result = sc.fit(S, sc.SparsityConstraint(3))
     assert result.iterations == 3
     assert not result.converged
+    # the schedule used the whole budget, so no finish put the estimate on
+    # the sparse set: a report scores its own dense nonzeros, not the
+    # projection's 3 pairs in FitResult.support
+    assert result.final_penalty > 0.0
+    assert np.count_nonzero(np.triu(result.support, 1)) == 3
+    dense = np.count_nonzero(np.triu(result.sigma_hat, 1))
+    assert dense > 3
+    assert sc.compute_report(S, result.sigma_hat).nnz == dense
+
+
+@pytest.mark.parametrize("mode", ["covariance", "correlation"])
+@pytest.mark.parametrize("n", [60, 8])  # full rank, and p > n with the auto ridge
+def test_finished_fit_is_its_own_support(mode, n):
+    # a fit whose finish ran ends on the sparse set, so FitResult.support
+    # is the estimate's exact nonzeros, the support every scorer counts;
+    # test_fit_at_either_end_of_k_takes_no_schedule_step checks the same
+    # at k = 0 and k = p(p-1)/2
+    S = _sample_problem(12, n, 4)
+    if mode == "correlation":
+        S = _correlation(S)
+    result = sc.fit(S, sc.SparsityConstraint(24, mode))
+    assert (result.ridge_delta > 0.0) == (n < 12)
+    assert result.final_penalty == 0.0
+    assert np.array_equal(result.support, result.sigma_hat != 0.0)
+    assert np.count_nonzero(np.triu(result.sigma_hat, 1)) == 24
 
 
 def test_refinement_shares_the_iteration_budget(monkeypatch):

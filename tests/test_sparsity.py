@@ -78,20 +78,6 @@ def test_tie_break_is_deterministic():
     assert P1[0, 1] == 1.0 and P1[0, 2] == 1.0 and P1[0, 3] == 0.0
 
 
-def test_support_mask_tolerance():
-    # entries above 1e-8 * max|M| count, at any scale of M
-    M = np.array([[1.0, 1e-12], [1e-12, 1.0]])
-    assert sc.support_mask(M).sum() == 2
-    for scale in (1e-6, 1.0, 1e6):
-        B = scale * np.array([[1.0, 2e-8, 0.0], [2e-8, 0.5, 5e-9], [0.0, 5e-9, 0.25]])
-        assert np.array_equal(sc.support_mask(B), np.abs(B) > 1e-8 * abs(B).max())
-        assert sc.support_mask(B).sum() == 5
-    assert sc.support_mask(np.zeros((2, 2))).sum() == 0
-    for bad in (np.ones(3), np.array([[1.0, 5.0], [0.0, 1.0]]), np.full((2, 2), np.nan)):
-        with pytest.raises(ValueError):
-            sc.support_mask(bad)
-
-
 def _reference_project(M, c):
     # the full stable argsort on descending magnitude that project replaced
     rows, cols = np.triu_indices(M.shape[0], 1)

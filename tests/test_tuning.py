@@ -245,9 +245,10 @@ def test_cross_validate_holds_one_fold_at_a_time():
 
 @pytest.mark.parametrize("method", sc.tuning.METHODS)
 def test_estimate_pairs_each_method_with_the_support_it_is_scored_on(method):
-    # a fit's FitResult.support, a threshold's exact nonzeros: at the
-    # grid's empty end (k = 0, or a threshold above every off-diagonal
-    # |s_ij|) and at an interior value
+    # the estimate alone, whose exact nonzeros are the support it is
+    # scored on: a fit's equal its FitResult.support.  At the grid's empty
+    # end (k = 0, or a threshold above every off-diagonal |s_ij|) and at
+    # an interior value
     design = sc.SimDesign(kind="random_sparse", p=8, sparsity_frac=0.15, seed=5)
     truth = sc.make_design(design)
     S = sc.sample_covariance(sc.sample_mvn(truth, 60, sc.RngStream(seed=5, stream_id=1)))
@@ -256,16 +257,15 @@ def test_estimate_pairs_each_method_with_the_support_it_is_scored_on(method):
     cfg = sc.FitConfig()
     pairs = []
     for param in grid:
-        est, support = sc.tuning._estimate(method, S, param, cfg)
+        est = sc.tuning._estimate(method, S, param, cfg)
         if method == "proxdist":
             res = sc.fit(S, sc.SparsityConstraint(param), cfg)
             assert est.tobytes() == res.sigma_hat.tobytes()
-            assert np.array_equal(support, res.support)
+            assert np.array_equal(est != 0.0, res.support)
         else:
             assert est.tobytes() == sc.threshold(S, sc.ThresholdSpec(param, method)).tobytes()
-            assert np.array_equal(support, est != 0.0)
-        assert support.dtype == bool and np.all(np.diag(support))
-        pairs.append(np.count_nonzero(np.triu(support, 1)))
+        assert np.all(np.diag(est) != 0.0)
+        pairs.append(np.count_nonzero(np.triu(est, 1)))
     assert pairs[0] == 0
     assert 0 < pairs[1] < 28
     if method == "proxdist":
