@@ -21,8 +21,11 @@ from __future__ import annotations
 
 import argparse
 import ctypes
+import importlib.metadata
 import importlib.util
 import json
+import os
+import platform
 import sys
 import time
 from contextlib import contextmanager
@@ -221,9 +224,10 @@ def _run_eval(params: dict, out: str) -> None:
 
 
 def _openblas_thread_counters(package: str) -> list[tuple]:
-    """``(get, set)``, ``scipy_openblas_{get,set}_num_threads<suffix>``, of
-    each OpenBLAS copy bundled in ``package``'s wheel that exports both,
-    found without importing the package.
+    """``(library, get, set)``: the file name and
+    ``scipy_openblas_{get,set}_num_threads<suffix>`` of each OpenBLAS copy
+    bundled in ``package``'s wheel that exports both, found without
+    importing the package.
 
     numpy's and scipy's wheels bundle ``libscipy_openblas*`` beside the
     package, in ``<package>.libs``, on Linux and Windows, and inside it, in
@@ -249,7 +253,7 @@ def _openblas_thread_counters(package: str) -> list[tuple]:
                 if get is not None and set_ is not None:
                     get.restype, get.argtypes = ctypes.c_int, []
                     set_.restype, set_.argtypes = None, [ctypes.c_int]
-                    found.append((get, set_))
+                    found.append((path.name, get, set_))
                     break
     return found
 
@@ -257,19 +261,21 @@ def _openblas_thread_counters(package: str) -> list[tuple]:
 @contextmanager
 def _single_blas_thread():
     """Run the block with the OpenBLAS copies bundled in numpy and scipy on
-    one thread each, then restore their previous thread counts.
+    one thread each, then restore their previous thread counts; yields
+    each copy's package, file name and thread count inside the block.
 
     With several threads, thread start-up dominates the small fits of a
     bench and flattens its scaling curve.  A library without the
     ``scipy_openblas_{get,set}_num_threads[64_]`` symbols is left alone.
     """
-    restore = []
+    restore, libraries = [], []
     for package in ("numpy", "scipy"):
-        for get, set_ in _openblas_thread_counters(package):
+        for library, get, set_ in _openblas_thread_counters(package):
             restore.append((set_, get()))
             set_(1)
+            libraries.append({"package": package, "library": library, "threads": get()})
     try:
-        yield
+        yield libraries
     finally:
         for set_, threads in restore:
             set_(threads)
@@ -286,7 +292,7 @@ def _run_bench(params: dict, out: str) -> None:
     # One BLAS thread for the whole loop, data generation included: an idle
     # OpenBLAS worker left spinning by a threaded call slows the fits
     # beside it, the small ones most.
-    with _single_blas_thread():
+    with _single_blas_thread() as openblas:
         for p in p_list:
             # Banded truth: positive definite at every dimension, unlike
             # random sparse draws whose rejection step stalls for large p.
@@ -313,10 +319,28 @@ def _run_bench(params: dict, out: str) -> None:
                 iterations = result.iterations
             rows.append((p, float(np.median(times)), iterations, *finish))
     out_dir = _ensure_dir(out)
+    columns = ("p", "median_seconds", "iterations", "finish_steps", "cg_products")
     with open(out_dir / "bench.csv", "w") as fh:
-        fh.write("p,median_seconds,iterations,finish_steps,cg_products\n")
+        fh.write(",".join(columns) + "\n")
         for p, secs, iters, steps, products in rows:
             fh.write(f"{p},{secs:.17g},{iters},{steps},{products}\n")
+    # the same rows with the host they ran on, whose CPU count and BLAS
+    # threads change the timings
+    host = {
+        "cpu_count": os.cpu_count(),
+        "python": platform.python_version(),
+        "numpy": np.__version__,
+        "scipy": importlib.metadata.version("scipy"),
+        "openblas": openblas,
+    }
+    _write_json(
+        out_dir / "bench.json",
+        {
+            "host": host,
+            "parameters": {"n": n, "reps": reps, "seed": seed},
+            "rows": [dict(zip(columns, row)) for row in rows],
+        },
+    )
     if len(rows) >= 2:
         logs = np.log([r[0] for r in rows]), np.log([r[1] for r in rows])
         slope = float(np.polyfit(logs[0], logs[1], 1)[0])

@@ -27,9 +27,10 @@ projection and the finish projects nothing.  Their conjugate gradient
 solves run on vectors of the free entries, with Hessian products that
 cost O(p m) for m free entries when m is small against p^2, and two
 GEMMs otherwise.  CG is preconditioned by the Fisher metric of the
-Gaussian model, whose inverse ``V -> Sigma V Sigma`` costs one more such
-product (Anderson, Ann. Statist. 1973), and a solve near the gradient
-test aims below it.
+Gaussian model (Anderson, Ann. Statist. 1973), whose inverse
+``V -> Sigma V Sigma`` costs two GEMMs beside the dense products, and
+beside the sparse ones two sparse products that read ``Sigma`` through
+its own nonzeros; a solve near the gradient test aims below it.
 
 One engine, private to this module, runs both phases: it holds the
 current iterate, which nothing else keeps, moves it by the one
@@ -102,11 +103,15 @@ DECREASE_RTOL = np.finfo(float).eps / 2.0
 LOCK_STEPS = 5
 # The finish's Hessian products run on the free entries alone once there
 # are at most p^2 / SPARSE_PRODUCT_RATIO of them, and as two dense GEMMs
-# otherwise.  Measured per product, dense against sparse, on one BLAS
-# thread of a 2-CPU host: 7 against 22 us at p = 20, m = 24; 546 against
-# 395 us at p = 200, m = 598; 630 against 1608 us at p = 200, m = 2190;
-# 5.5 against 3.2 ms at p = 400, m = 1996.  At m = p^2 / 40 the two tie at
-# p = 300.
+# otherwise.  Each CG iteration takes one Hessian and one preconditioner
+# product.  Measured per such pair, dense against sparse, on one BLAS
+# thread of a 2-CPU x86-64 host (the least of 7 to 25 medians): 7 against
+# 53 us at p = 20, m = 24; 174 against 184 us at p = 100, m = 199, and 128
+# against 165 us at m = 250; 1.08 against 0.49 ms at p = 200, m = 598,
+# 1.06 against 0.76 ms at m = 1000, and 1.09 against 1.67 ms at m = 2190;
+# 8.3 against 3.4 ms at p = 400, m = 1996.  At m = p^2 / 40 the sparse
+# pair wins at p = 200 and loses at p = 100, where the two tie near
+# m = p^2 / 54.
 SPARSE_PRODUCT_RATIO = 40
 # Floats per gathered block of the sparse Hessian product (256 KB): blocks
 # twice as large ran its dot products 3x slower at p = 200.  A block also
@@ -225,13 +230,15 @@ class _Iterate:
     no iterate holds it dense.  With ``c`` None, ``sigma`` is a point on
     the sparse set, as every point of the finish is: ``mask`` is None, the
     support being ``sigma``'s own, and ``dist2`` is 0.0.  Nothing else
-    factors or solves against ``Sigma``.  ``sigma`` must be exactly
+    factors or solves against ``Sigma``; the schedule's start ``Diag(S)``
+    is the one iterate built otherwise, in closed form by
+    :func:`_diagonal_start`.  ``sigma`` must be exactly
     symmetric; construction raises NotPositiveDefiniteError if it is not
     PD.
 
     An iterate holds no ``A S A``, since a rejected candidate never needs
-    it: each step forms it once with :func:`_asa` and owns that buffer,
-    which ``c_k`` and the finish's Hessian overwrite.  In the schedule an
+    it: each step forms it once, with :func:`_asa` after the first, and
+    owns that buffer, which ``c_k`` and the finish's Hessian overwrite.  In the schedule an
     iterate holds its inverse only until its step is formed, so that a
     fit's working set stays near 5.3 p x p matrices: :meth:`_Fit.schedule`
     sets ``inv`` to None before the line search, which reads ``sigma``,
@@ -257,6 +264,65 @@ class _Iterate:
         iterate was built with, whose mode sets the diagonal of ``P(Sigma)``."""
         proj = self.sigma if self.mask is None else _on_support(self.sigma, self.mask, c)
         return self.inv - _asa(self.inv, S) + rho * (self.sigma - proj)
+
+
+def _diagonal_start(
+    S: np.ndarray, c: SparsityConstraint, rho: float
+) -> tuple[_Iterate, np.ndarray]:
+    """The schedule's start ``Diag(S)`` as an iterate, and its MM direction
+    at ``rho``, both in closed form: what :class:`_Iterate`, :func:`_asa`,
+    :func:`_on_support` and :func:`_solve` make of that start, bit for
+    bit, with no factorization, eigendecomposition or GEMM.
+
+    With ``d = diag(S)`` the Cholesky factor is ``Diag(sqrt(d))``, the
+    inverse ``Diag(a)`` with ``a = (1/sqrt(d))^2`` as LAPACK rounds it, and
+    the support of ``P(Sigma)`` the diagonal, at a squared distance of 0,
+    or ``sum (d_i - 1)^2`` in correlation mode.  ``A S A`` is
+    ``(a_i S_ij) a_j``, which is what its GEMMs add up, averaged with its
+    transpose as :func:`_asa` averages it.  ``Diag(d)``'s eigenvectors are
+    a permutation, so the MM step is ``C_ij / (rho + 1/(d_i d_j))`` with
+    ``C = A S A + rho P(Sigma)``, ``P(Sigma)`` being ``Diag(d)``, or ``I``
+    in correlation mode.  ``<A, S>`` and that distance are summed over
+    p x p buffers, as the iterate sums them, so that they round alike.
+    The iterate holds no inverse, as a schedule iterate does once its step
+    is formed.
+    """
+    d = S.diagonal()
+    p = d.size
+    root = np.sqrt(d)  # the Cholesky factor's diagonal
+    a = 1.0 / root
+    a *= a
+    it = object.__new__(_Iterate)
+    it.sigma = np.diag(d)
+    it.inv = None
+    it.loss = 2.0 * float(np.log(root).sum()) + float(np.vdot(np.diag(a), S))
+    it.mask = np.eye(p, dtype=bool)
+    if c.mode == "correlation":
+        residual = np.zeros((p, p))
+        off = d - 1.0
+        off *= off
+        residual.reshape(-1)[:: p + 1] = off
+        it.dist2 = float(residual.sum())
+        del residual
+        projected = 1.0
+    else:
+        it.dist2 = 0.0
+        projected = d
+    M = S * a[:, None]
+    M *= a  # A S A
+    C = M.T.copy()
+    C += M
+    C *= 0.5
+    C.reshape(-1)[:: p + 1] += rho * projected
+    denom = M  # d_i d_j, as _solve forms it from the eigenvalues
+    denom[...] = d
+    denom *= d[:, None]
+    np.divide(1.0, denom, out=denom)
+    denom += rho
+    C /= denom
+    del denom, M
+    C.reshape(-1)[:: p + 1] -= d
+    return it, C
 
 
 def _check_inputs(
@@ -342,11 +408,16 @@ class _FreeEntries:
     ``cols`` hold the free entries' row and column indices, and ``csr``
     holds such a matrix in CSR form, both triangles, its index structure
     built here once: each product writes the vector's entries
-    ``csr_entry`` into ``csr.data``.
+    ``csr_entry`` into ``csr.data``.  ``fixed`` marks the diagonal
+    entries that are not free, all of them in correlation mode, or is
+    None where the whole diagonal is free: a finish iterate is zero off
+    the free entries and that diagonal, which is how the sparse kernel's
+    :meth:`_Hessian.fisher_inverse` reads it.
     """
 
     __slots__ = (
-        "p", "upper", "lower", "rows", "cols", "weights", "sparse", "csr", "csr_entry"
+        "p", "upper", "lower", "rows", "cols", "weights", "sparse", "csr", "csr_entry",
+        "fixed",
     )
 
     def __init__(self, mask: np.ndarray):
@@ -375,6 +446,7 @@ class _FreeEntries:
             indptr = np.zeros(p + 1, dtype=np.intp)
             np.cumsum(np.count_nonzero(mask, axis=1), out=indptr[1:])
             self.csr = csr_array((np.zeros(nz.size), cols, indptr), shape=(p, p))
+            self.fixed = None if mask.diagonal().all() else ~mask.diagonal()
 
     def vector(self, M: np.ndarray) -> np.ndarray:
         """The free upper-triangle entries of ``M``."""
@@ -416,9 +488,10 @@ class _Hessian:
     ``A`` and ``N``, serves one Newton direction, whose conjugate gradient
     solve reads ``H`` through products alone.  The preconditioner
     :meth:`fisher_inverse` is the same product with ``Sigma`` for both
-    ``A`` and ``N``, on the same kernel and the same buffers.  The dense
-    kernel's buffers are C-ordered whatever the layout of ``A``, so that
-    its flat view is a view.
+    ``A`` and ``N``: on the dense kernel in the same buffers, and on the
+    sparse one through ``Sigma``'s own nonzeros, two CSR products and no
+    dense row of ``Sigma``.  The dense kernel's buffers are C-ordered
+    whatever the layout of ``A``, so that its flat view is a view.
     """
 
     __slots__ = ("A", "N", "sigma", "free", "_v", "_flat", "_tmp")
@@ -443,16 +516,43 @@ class _Hessian:
         ``v``: the inverse of the Fisher metric ``V -> A V A``, which ``H``
         equals where ``S = Sigma``, up to a factor 2 that CG does not see.
         It is self-adjoint and positive definite in :meth:`_FreeEntries.inner`,
-        since ``<V, Sigma V Sigma> = ||Sigma^{1/2} V Sigma^{1/2}||^2``."""
-        return self._product(v, self.sigma, self.sigma)
+        since ``<V, Sigma V Sigma> = ||Sigma^{1/2} V Sigma^{1/2}||^2``.
+
+        The sparse kernel reads ``Sigma`` through its own nonzeros, since a
+        finish iterate is zero off the free entries and the diagonal:
+        ``W = V Sigma`` by the CSR product, then ``Sigma W`` by the same CSR
+        structure holding ``Sigma``'s free entries, read at the free
+        entries, plus ``d_i W_ij`` there for each diagonal entry ``d_i``
+        that is not free.  Both products cost p flops per nonzero, and
+        the two p x p results are all it holds: no transposed copy and no
+        gathered rows, which :meth:`__call__` needs for its dense ``A``."""
+        f = self.free
+        if not f.sparse:
+            return self._product(v, self.sigma, self.sigma)
+        sigma = self.sigma
+        v.take(f.csr_entry, out=f.csr.data, mode="clip")
+        W = f.csr @ sigma
+        if f.fixed is None:
+            out = np.zeros(v.size)
+        else:
+            d = np.where(f.fixed, sigma.diagonal(), 0.0)
+            out = d[f.rows] * W.take(f.upper) + d[f.cols] * W.take(f.lower)
+        sigma.take(f.upper).take(f.csr_entry, out=f.csr.data, mode="clip")
+        Y = f.csr @ W
+        del W
+        out += Y.take(f.upper)
+        out += Y.take(f.lower)
+        return out
 
     def _product(self, v: np.ndarray, A: np.ndarray, N: np.ndarray) -> np.ndarray:
         """``Y + Y^T`` at the free entries, ``Y = A V N``, on ``free``'s kernel."""
         f = self.free
         if f.sparse:
             # in range by construction: "clip" writes straight to ``out``
-            # where the default mode buffers a copy
-            np.take(v, f.csr_entry, out=f.csr.data, mode="clip")
+            # where the default mode buffers a copy.  Called as np.take, it
+            # left about 120 bytes a call that only the cycle collector
+            # freed, which raised the finish's peak step by step
+            v.take(f.csr_entry, out=f.csr.data, mode="clip")
             Wt = (f.csr @ N).T.copy()  # row j holds W[:, j]
             p = Wt.shape[0]
             out = np.empty_like(v)
@@ -673,34 +773,45 @@ class _Fit:
         self._start_on(S, support)
         self._record(self.it, self.it.objective(RHO0), RHO0, 0, False)
 
+    def _mm_direction(self, rho: float) -> np.ndarray:
+        """The MM step from the iterate at ``rho``, less the iterate:
+        ``c_k = A S A + rho P(Sigma)`` in a new ``A S A`` buffer,
+        ``P(Sigma)`` built from the iterate's support mask, and the
+        iterate then lets go of its inverse."""
+        it = self.it
+        c_k = _asa(it.inv, self.S)
+        it.inv = None
+        added = _on_support(it.sigma, it.mask, self.c)
+        added *= rho
+        c_k += added
+        del added
+        direction = _solve(it.sigma, c_k, rho)
+        del c_k
+        direction -= it.sigma
+        return direction
+
     def schedule(self) -> np.ndarray:
         """Run the rho schedule from ``Diag(S)``; returns the support of
         ``P(Sigma)`` it locked, or held when the budget ran out, in a mask
         that is not the iterate's own.
 
-        Each MM step forms ``c_k = A S A + rho P(Sigma)`` in a new ``A S A``
-        buffer, ``P(Sigma)`` built from the iterate's support mask, and the
-        iterate then lets go of its inverse.  A step that backtracking
-        rejects rebuilds it from ``sigma``, bit for bit, at the cost of one
-        more factorization, and is recorded as not accepted.
+        The start and its first MM step are closed-form
+        (:func:`_diagonal_start`): no factorization, eigendecomposition or
+        GEMM.  Each later step is :meth:`_mm_direction`, one
+        eigendecomposition and a few GEMMs.  A step that backtracking
+        rejects rebuilds the iterate from ``sigma``, bit for bit, at the
+        cost of one more factorization, and is recorded as not accepted.
         """
         S, c = self.S, self.c
-        self.it = _Iterate(np.diag(S.diagonal()), S, c)
         rho = RHO0
+        self.it, direction = _diagonal_start(S, c, rho)
         support = None
         held = 0  # consecutive steps that kept the support of P(Sigma)
         for _ in range(FitConfig.max_outer):
-            c_k = _asa(self.it.inv, S)
-            self.it.inv = None
-            added = _on_support(self.it.sigma, self.it.mask, c)
-            added *= rho
-            c_k += added
-            del added
-            direction = _solve(self.it.sigma, c_k, rho)
-            del c_k
-            direction -= self.it.sigma
+            if direction is None:
+                direction = self._mm_direction(rho)
             accepted = self._advance(direction, c, rho, FitConfig.max_halvings)
-            del direction
+            direction = None
             if not accepted:
                 self.it = _Iterate(self.it.sigma, S, c)
                 self._record(self.it, self.it.objective(rho), rho, 0, False)

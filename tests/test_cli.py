@@ -1,5 +1,7 @@
+import importlib.metadata
 import json
 import os
+import platform
 import re
 import subprocess
 import sys
@@ -351,6 +353,18 @@ def test_bench_outputs(tmp_path, monkeypatch):
     assert manifest["parameters"]["p_list"] == [10, 20]
     # one untimed warm-up fit per p, then the timed reps
     assert fit_sizes == [10, 10, 20, 20]
+    # bench.json: the same rows, and the host they ran on
+    record = _read_json(out / "bench.json")
+    columns = lines[0].split(",")
+    for row, line in zip(record["rows"], lines[1:], strict=True):
+        assert [row[name] for name in columns] == [float(x) for x in line.split(",")]
+    host = record["host"]
+    assert host["cpu_count"] >= 1
+    assert host["numpy"] == np.__version__
+    assert host["python"] == platform.python_version()
+    assert host["scipy"] == importlib.metadata.version("scipy")
+    assert all(lib["threads"] == 1 for lib in host["openblas"])
+    assert record["parameters"] == {"n": 80, "reps": 1, "seed": 0}
 
 
 def test_bench_rejects_zero_reps(tmp_path, monkeypatch):
@@ -480,13 +494,17 @@ def test_single_blas_thread_sets_and_restores_the_bundled_openblas():
     ]
     if not counters:
         pytest.skip("neither numpy nor scipy bundles OpenBLAS")
-    before = [get() for get, _ in counters]
+    before = [get() for _, get, _ in counters]
     try:
-        for _, set_ in counters:
+        for _, _, set_ in counters:
             set_(2)
-        with cli._single_blas_thread():
-            assert [get() for get, _ in counters] == [1] * len(counters)
-        assert [get() for get, _ in counters] == [2] * len(counters)
+        with cli._single_blas_thread() as libraries:
+            assert [get() for _, get, _ in counters] == [1] * len(counters)
+        assert [get() for _, get, _ in counters] == [2] * len(counters)
     finally:
-        for (_, set_), threads in zip(counters, before):
+        for (_, _, set_), threads in zip(counters, before):
             set_(threads)
+    # what it reports: each copy's file name, at one thread inside the block
+    assert [lib["library"] for lib in libraries] == [name for name, _, _ in counters]
+    assert all(lib["library"].startswith("libscipy_openblas") for lib in libraries)
+    assert [lib["threads"] for lib in libraries] == [1] * len(counters)

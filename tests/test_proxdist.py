@@ -310,8 +310,9 @@ def test_ridged_correlation_fit_on_every_pair(monkeypatch, case):
 def test_fit_reports_exact_objectives_with_one_eigh_per_step(monkeypatch):
     # the loop carries each iterate's loss and projection instead of
     # recomputing them; what it reports must still be the public objective,
-    # a step must cost one eigendecomposition and each candidate one
-    # Cholesky factorization
+    # a step after the first must cost one eigendecomposition and each
+    # candidate one Cholesky factorization.  The diagonal start and its
+    # first step are closed-form and cost neither
     S = _sample_problem(20, 100, 11)
     c = sc.SparsityConstraint(12)
     calls = []
@@ -337,21 +338,21 @@ def test_fit_reports_exact_objectives_with_one_eigh_per_step(monkeypatch):
         ev["halvings"] + 1 if ev["accepted"] else sc.FitConfig().max_halvings + 1
         for ev in events
     )
-    # one more each for the diagonal start and the finish's start, the
-    # projection of the schedule's last iterate
-    assert len(factorizations) == candidates + 2
+    # one more for the finish's start, the projection of the schedule's
+    # last iterate
+    assert len(factorizations) == candidates + 1
     for ev in events:
         expected = sc.objective(ev["sigma"], S, c, ev["rho"])
         assert ev["objective"] == pytest.approx(expected, rel=1e-12)
-    assert len(calls) <= len(events) + 1
+    assert len(calls) == _schedule_length([ev["rho"] for ev in events]) - 1
 
 
 def test_finish_reuses_a_schedule_iterate_already_on_the_sparse_set(monkeypatch):
     # five 4 x 4 diagonal blocks hold k = 30 pairs, and every schedule
     # iterate is block diagonal too, so it is its own projection: the
     # finish starts from the schedule's last iterate without factoring it
-    # again, one factorization per line-search candidate and one for the
-    # diagonal start
+    # again: one factorization per line-search candidate, and none for the
+    # closed-form diagonal start
     blocks = np.kron(np.eye(5, dtype=bool), np.ones((4, 4), dtype=bool))
     S = np.where(blocks, _sample_problem(20, 40, 0), 0.0)
     factorizations = []
@@ -371,7 +372,7 @@ def test_finish_reuses_a_schedule_iterate_already_on_the_sparse_set(monkeypatch)
     assert all(ev["accepted"] for ev in events)
     assert events[schedule]["objective_before"] == events[schedule - 1]["objective"]
     candidates = sum(ev["halvings"] + 1 for ev in events)
-    assert len(factorizations) == candidates + 1
+    assert len(factorizations) == candidates
 
 
 def test_fit_respects_max_outer(monkeypatch):
@@ -429,9 +430,10 @@ def _criterion6_training_fold():
 
 
 def test_each_step_forms_a_s_a_once(monkeypatch):
-    # A S A is formed once per schedule step, for c_k, and once per gradient
-    # test of the finish, whose Newton direction reads that same buffer; a
-    # finish left no budget builds no free entries
+    # A S A is formed once per schedule step after the first, for c_k, the
+    # first step's being closed-form, and once per gradient test of the
+    # finish, whose Newton direction reads that same buffer; a finish left
+    # no budget builds no free entries
     asa, free_entries = proxdist._asa, proxdist._FreeEntries
     formed, built = [], []
 
@@ -457,7 +459,7 @@ def test_each_step_forms_a_s_a_once(monkeypatch):
         newton_steps = sum(1 for ev in events if ev["cg_products"])
         # each accepted Newton step, and the gradient test that ends the fit
         assert newton_steps >= 1
-        assert len(formed) == schedule + newton_steps + 1
+        assert len(formed) == schedule - 1 + newton_steps + 1
         assert len(built) == 1
         with monkeypatch.context() as m:
             m.setattr(sc.FitConfig, "max_outer", schedule)
@@ -465,7 +467,7 @@ def test_each_step_forms_a_s_a_once(monkeypatch):
             built.clear()
             capped = sc.fit(S, c)
         assert capped.iterations == schedule
-        assert len(formed) == schedule
+        assert len(formed) == schedule - 1
         assert not built
     # the surrogate's gradient forms A S A once, and its curvature term
     # A (Sigma - Sigma_k) A through the same routine
@@ -840,9 +842,10 @@ def test_gradient_test_reads_numpys_frobenius_norm(monkeypatch):
 @pytest.mark.parametrize("p", [30, 60])
 @pytest.mark.parametrize("mode", ["covariance", "correlation"])
 def test_hessian_kernels_agree(monkeypatch, mode, p):
-    # the dense and the sparse product kernel on random supports: products
-    # to 1e-12 relative, whole Newton directions to 1e-10; the iterate's
-    # A S A and gradient, which both kernels read, are exactly symmetric
+    # the dense and the sparse product kernel on random supports: Hessian
+    # and preconditioner products to 1e-12 relative, whole Newton
+    # directions to 1e-10; the iterate's A S A and gradient, which both
+    # kernels read, are exactly symmetric
     rng = np.random.default_rng(p)
     products = []
     for _ in range(3):
@@ -860,9 +863,9 @@ def test_hessian_kernels_agree(monkeypatch, mode, p):
             hess = proxdist._Hessian(it, proxdist._asa(it.inv, S), free)
             g = free.vector(it.gradient(S, 0.0, sc.SparsityConstraint(0, mode)))
             D, count = _newton_direction_at(it, S, g, free)
-            out[kernel] = hess(v), D
+            out[kernel] = hess(v), hess.fisher_inverse(v), D
         products.append(count)
-        for rtol, dense, sparse in zip((1e-12, 1e-10), out["dense"], out["sparse"]):
+        for rtol, dense, sparse in zip((1e-12, 1e-12, 1e-10), out["dense"], out["sparse"]):
             assert np.max(np.abs(sparse - dense)) <= rtol * np.max(np.abs(dense))
     assert min(products) >= 3
 
@@ -891,6 +894,56 @@ def test_fisher_preconditioner_is_sigma_v_sigma(monkeypatch, mode, p):
             bound = math.sqrt(free.inner(u, u) * free.inner(Pv, Pv))
             assert abs(free.inner(u, Pv) - free.inner(Pu, v)) <= 1e-12 * bound
             assert free.inner(u, Pu) > 0.0 and free.inner(v, Pv) > 0.0
+
+
+@pytest.mark.parametrize("mode", ["covariance", "correlation"])
+def test_sparse_fisher_product_matches_the_dense_one_on_finish_iterates(monkeypatch, mode):
+    # every finish iterate is zero off the support and the diagonal, the
+    # unit diagonal in correlation mode, which is all of Sigma that the
+    # sparse kernel's preconditioner reads in its second product: at each
+    # Newton direction of a full-rank and of a ridged p > n fit it matches
+    # the dense kernel's 2 Sigma V Sigma to 1e-12
+    _use_kernel(monkeypatch, "sparse")
+    newton = proxdist._newton_direction
+    seen = []
+
+    def recorded(it, asa, g, g_norm, a_norm, free):
+        seen.append((it, free))
+        return newton(it, asa, g, g_norm, a_norm, free)
+
+    monkeypatch.setattr(proxdist, "_newton_direction", recorded)
+    rng = np.random.default_rng(8)
+    p = 60
+    for n in (300, 40):
+        S = _sample_problem(p, n, 7, frac=0.02)
+        if mode == "correlation":
+            S = _correlation(S)
+        seen.clear()
+        events = []
+        result = sc.fit(S, sc.SparsityConstraint(20, mode), callback=events.append)
+        assert (result.ridge_delta > 0.0) == (n < p) and result.final_penalty == 0.0
+        S_used = S + result.ridge_delta * np.eye(p)
+        pattern = result.support | np.eye(p, dtype=bool)
+        schedule = _schedule_length([ev["rho"] for ev in events])
+        assert schedule < len(events)
+        for ev in events[schedule:]:
+            assert np.all(ev["sigma"][~pattern] == 0.0)
+            if mode == "correlation":
+                assert np.all(np.diag(ev["sigma"]) == 1.0)
+        assert len(seen) >= 2
+        for it, free in seen:
+            assert free.sparse
+            assert np.all(it.sigma[~pattern] == 0.0)
+            v = rng.standard_normal(free.upper.size)
+            hess = proxdist._Hessian(it, proxdist._asa(it.inv, S_used), free)
+            sparse = hess.fisher_inverse(v)
+            with monkeypatch.context() as m:
+                _use_kernel(m, "dense")
+                dense_free = proxdist._FreeEntries(free.matrix(np.ones(free.upper.size)) != 0.0)
+                dense_hess = proxdist._Hessian(it, proxdist._asa(it.inv, S_used), dense_free)
+                dense = dense_hess.fisher_inverse(v)
+            assert not dense_free.sparse
+            assert np.max(np.abs(sparse - dense)) <= 1e-12 * np.max(np.abs(dense))
 
 
 @pytest.mark.parametrize("mode", ["covariance", "correlation"])
@@ -1169,14 +1222,28 @@ def test_refinement_stops_on_a_roundoff_model_decrease(monkeypatch, factor):
     )
     # a finish entry not accepted records its start and searched nothing
     candidates += sum(ev["halvings"] + 1 for ev in events[schedule:] if ev["accepted"])
-    # one more each for the diagonal start and the finish's start
-    searched = len(factorizations) - 2 - candidates  # by unrecorded line searches
+    # one more for the finish's start; the diagonal start is closed-form
+    searched = len(factorizations) - 1 - candidates  # by unrecorded line searches
     if factor < 1.0:
         assert searched == 0
         assert all(ev["cg_products"] == 0 for ev in events)
     else:
         assert 0 < searched <= 3
         assert all(ev["halvings"] <= 2 for ev in events if ev["cg_products"])
+
+
+@pytest.mark.parametrize("scale", [1.0, 1e3, 1e8, 1e12])
+def test_two_by_two_fit_keeps_its_pair_whatever_the_units(scale):
+    # k = 1 is every pair of a 2 x 2 S, so the fit runs no rho schedule,
+    # whose rho is in absolute units and once zeroed this pair at
+    # scale >= 1e8: it starts and ends at S itself, the pair kept at
+    # 0.5 * scale, and converged
+    S = scale * np.array([[2.0, 0.5], [0.5, 1.0]])
+    result = sc.fit(S, sc.SparsityConstraint(1))
+    assert result.converged and result.final_penalty == 0.0
+    assert np.array_equal(result.sigma_hat, S)
+    assert result.sigma_hat[0, 1] == 0.5 * scale
+    assert result.support.all()
 
 
 @pytest.mark.parametrize("scale", [1e-3, 1e3])

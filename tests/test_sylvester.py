@@ -6,7 +6,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 import sparsecov as sc
-from sparsecov import sylvester
+from sparsecov import proxdist, sylvester
 from sparsecov.sylvester import KRONECKER_MAX_DIM
 
 
@@ -146,3 +146,41 @@ def test_solve_rejects_a_nonpositive_or_nan_denominator(sigma_k, rho):
     # (0, 1); a NaN rho makes every denominator NaN
     with pytest.raises(ValueError, match="not all positive"):
         sylvester._solve(sigma_k, np.eye(2), rho)
+
+
+def _diagonal_start_cases():
+    # sample covariances, and their correlations ridged to 1 + delta, with
+    # distinct and with tied diagonals, on each side of the inverse's
+    # MIRROR_BLOCK and of dstedc's divide-and-conquer cutoff
+    for p in (1, 2, 7, 30, 65, 130):
+        rng = np.random.default_rng(p)
+        S = sc.sample_covariance(rng.standard_normal((2 * p + 3, p)))
+        d = np.sqrt(S.diagonal())
+        R = S / np.outer(d, d)
+        np.fill_diagonal(R, 1.0)
+        tied = S.copy()
+        np.fill_diagonal(tied, rng.choice([0.5, 1.0, 2.5], size=p))
+        yield p, "covariance", S
+        yield p, "covariance", tied
+        yield p, "correlation", R
+        yield p, "correlation", R + 1e-4 * np.eye(p)
+
+
+@pytest.mark.parametrize("rho", [proxdist.RHO0, 37.0])
+def test_diagonal_start_is_its_mm_step_in_closed_form(rho):
+    # the schedule's start Diag(S) and its first MM direction in closed
+    # form, bit for bit against the factorization, A S A, P(Sigma) and the
+    # spectral solve they replace: LAPACK's Cholesky factor and inverse of
+    # a diagonal matrix round as the closed form does, and its
+    # eigenvectors are a permutation, ties included
+    for p, mode, S in _diagonal_start_cases():
+        c = sc.SparsityConstraint(min(1, p * (p - 1) // 2), mode)
+        it, direction = proxdist._diagonal_start(S, c, rho)
+        engine = proxdist._Fit(S, c, None)
+        engine.it = ref = proxdist._Iterate(np.diag(S.diagonal()), S, c)
+        assert it.sigma.tobytes() == ref.sigma.tobytes()
+        assert it.loss == ref.loss and it.dist2 == ref.dist2
+        assert np.array_equal(it.mask, ref.mask) and it.inv is None
+        assert (it.dist2 == 0.0) == (mode == "covariance" or S[0, 0] == 1.0)
+        assert np.isin(sylvester.spectral_decompose(ref.sigma)[1], (-1.0, 0.0, 1.0)).all()
+        assert direction.tobytes() == engine._mm_direction(rho).tobytes()
