@@ -8,97 +8,27 @@ evaluation metrics, and cross-validation tuning round out the package;
 the ``sparsecov`` command line exposes reproducible workflows.
 """
 
-from .matcore import (
-    NotPositiveDefiniteError,
-    as_symmetric,
-    cholesky_pd,
-    inverse_pd,
-    is_positive_definite,
-    log_det_pd,
-    sample_covariance,
-    spectral_decompose,
-)
-from .sparsity import SparsityConstraint, project, squared_distance
-from .sylvester import (
-    NoConvergenceError,
-    SurrogateSystem,
-    equation_residual,
-    solve_fixed_point,
-    solve_kronecker,
-    solve_spectral,
-)
-from .proxdist import (
-    FitConfig,
-    FitResult,
-    fit,
-    fit_correlation,
-    negative_loglik_loss,
-    objective,
-    surrogate_gradient,
-)
-from .baselines import ThresholdSpec, threshold
-from .evaluation import (
-    MetricReport,
-    compute_report,
-    entropy_loss,
-    gaussian_nll,
-    rmse,
-)
-from .synthdata import (
-    ReplicateTable,
-    RngStream,
-    SimDesign,
-    make_design,
-    run_replicates,
-    sample_mvn,
-)
-from .tuning import CvRow, CvSpec, cross_validate, default_grid, kfold_split, roc_sweep
+from .matcore import *
+from .sparsity import *
+from .sylvester import *
+from .proxdist import *
+from .baselines import *
+from .evaluation import *
+from .synthdata import *
+from .tuning import *
 
 __version__ = "0.1.0"
 
+# Each module's __all__ is the one list of its public names.  Importing a
+# submodule binds it here, so the package exports their union.
 __all__ = [
     "__version__",
-    "NotPositiveDefiniteError",
-    "as_symmetric",
-    "cholesky_pd",
-    "inverse_pd",
-    "is_positive_definite",
-    "log_det_pd",
-    "sample_covariance",
-    "spectral_decompose",
-    "SparsityConstraint",
-    "project",
-    "squared_distance",
-    "NoConvergenceError",
-    "SurrogateSystem",
-    "equation_residual",
-    "solve_fixed_point",
-    "solve_kronecker",
-    "solve_spectral",
-    "FitConfig",
-    "FitResult",
-    "fit",
-    "fit_correlation",
-    "negative_loglik_loss",
-    "objective",
-    "surrogate_gradient",
-    "ThresholdSpec",
-    "threshold",
-    "MetricReport",
-    "compute_report",
-    "entropy_loss",
-    "gaussian_nll",
-    "rmse",
-    "roc_sweep",
-    "ReplicateTable",
-    "RngStream",
-    "SimDesign",
-    "make_design",
-    "run_replicates",
-    "sample_mvn",
-    "CvRow",
-    "CvSpec",
-    "cross_validate",
-    "default_grid",
-    "kfold_split",
+    *matcore.__all__,
+    *sparsity.__all__,
+    *sylvester.__all__,
+    *proxdist.__all__,
+    *baselines.__all__,
+    *evaluation.__all__,
+    *synthdata.__all__,
+    *tuning.__all__,
 ]

@@ -3,8 +3,10 @@
 Every command writes its outputs plus a manifest.json recording the
 command, its parameters, the seed, and the library version; ``rerun``
 replays a manifest and reproduces all outputs byte for byte (only the
-manifest timestamp differs), or refuses it with exit code 2 where this
-version cannot: a retired rho-schedule setting; the retired CV loss
+manifest timestamp differs) at any BLAS thread count, since every
+command runs with the OpenBLAS bundled in numpy and scipy on one thread,
+or refuses it with exit code 2 where this version cannot: a retired
+rho-schedule setting; the retired CV loss
 ``entropy``, which scored Stein's loss against the held-out covariance
 where ``nll`` scores the held-out Gaussian likelihood; or ``eval``'s
 retired ``--support`` mask, since ``eval`` scores an estimate's exact
@@ -258,24 +260,34 @@ def _openblas_thread_counters(package: str) -> list[tuple]:
     return found
 
 
+def _openblas_threads() -> list[dict]:
+    """Each OpenBLAS copy bundled in numpy and scipy: its package, file
+    name and current thread count."""
+    return [
+        {"package": package, "library": library, "threads": get()}
+        for package in ("numpy", "scipy")
+        for library, get, _ in _openblas_thread_counters(package)
+    ]
+
+
 @contextmanager
 def _single_blas_thread():
     """Run the block with the OpenBLAS copies bundled in numpy and scipy on
-    one thread each, then restore their previous thread counts; yields
-    each copy's package, file name and thread count inside the block.
+    one thread each, then restore their previous thread counts.
 
-    With several threads, thread start-up dominates the small fits of a
-    bench and flattens its scaling curve.  A library without the
+    OpenBLAS splits a GEMM or a factorization differently at each thread
+    count, so an estimate's last bits depend on it; and on the package's
+    fits thread start-up and idle spinning workers cost more than the
+    threads save.  A library without the
     ``scipy_openblas_{get,set}_num_threads[64_]`` symbols is left alone.
     """
-    restore, libraries = [], []
+    restore = []
     for package in ("numpy", "scipy"):
-        for library, get, set_ in _openblas_thread_counters(package):
+        for _, get, set_ in _openblas_thread_counters(package):
             restore.append((set_, get()))
             set_(1)
-            libraries.append({"package": package, "library": library, "threads": get()})
     try:
-        yield libraries
+        yield
     finally:
         for set_, threads in restore:
             set_(threads)
@@ -289,41 +301,39 @@ def _run_bench(params: dict, out: str) -> None:
         raise ValueError(f"--reps must be at least 1, got {reps}")
     seed = params["seed"]
     rows = []
-    # One BLAS thread for the whole loop, data generation included: an idle
-    # OpenBLAS worker left spinning by a threaded call slows the fits
-    # beside it, the small ones most.
-    with _single_blas_thread() as openblas:
-        for p in p_list:
-            # Banded truth: positive definite at every dimension, unlike
-            # random sparse draws whose rejection step stalls for large p.
-            design = SimDesign(kind="moving_average", p=p, seed=seed)
-            truth = make_design(design)
-            data = sample_mvn(truth, n, RngStream(seed=seed, stream_id=p))
-            S = sample_covariance(data)
-            k = max(1, round(0.02 * p * (p - 1) / 2))
-            times = []
-            iterations = 0
-            # The first fit of a size runs slower than the ones after it
-            # and would flatten the scaling curve at its small end, so an
-            # untimed fit goes first.  It alone reports its finish steps
-            # and Hessian products through the callback, so that the timed
-            # fits run without one.
-            events = []
-            fit(S, SparsityConstraint(k=k), callback=events.append)
-            products = [ev["cg_products"] for ev in events]
-            finish = sum(1 for count in products if count), sum(products)
-            for _ in range(reps):
-                start = time.perf_counter()
-                result = fit(S, SparsityConstraint(k=k))
-                times.append(time.perf_counter() - start)
-                iterations = result.iterations
-            rows.append((p, float(np.median(times)), iterations, *finish))
+    for p in p_list:
+        # Banded truth: positive definite at every dimension, unlike
+        # random sparse draws whose rejection step stalls for large p.
+        design = SimDesign(kind="moving_average", p=p, seed=seed)
+        truth = make_design(design)
+        data = sample_mvn(truth, n, RngStream(seed=seed, stream_id=p))
+        S = sample_covariance(data)
+        k = max(1, round(0.02 * p * (p - 1) / 2))
+        times = []
+        iterations = 0
+        # The first fit of a size runs slower than the ones after it
+        # and would flatten the scaling curve at its small end, so an
+        # untimed fit goes first.  It alone reports its finish steps
+        # and Hessian products through the callback, so that the timed
+        # fits run without one.
+        events = []
+        fit(S, SparsityConstraint(k=k), callback=events.append)
+        products = [ev["cg_products"] for ev in events]
+        finish = sum(1 for count in products if count), sum(products)
+        for _ in range(reps):
+            start = time.perf_counter()
+            result = fit(S, SparsityConstraint(k=k))
+            times.append(time.perf_counter() - start)
+            iterations = result.iterations
+        rows.append((p, float(np.median(times)), min(times), iterations, *finish))
     out_dir = _ensure_dir(out)
-    columns = ("p", "median_seconds", "iterations", "finish_steps", "cg_products")
+    columns = (
+        "p", "median_seconds", "min_seconds", "iterations", "finish_steps", "cg_products"
+    )
     with open(out_dir / "bench.csv", "w") as fh:
         fh.write(",".join(columns) + "\n")
-        for p, secs, iters, steps, products in rows:
-            fh.write(f"{p},{secs:.17g},{iters},{steps},{products}\n")
+        for p, median, fastest, iters, steps, products in rows:
+            fh.write(f"{p},{median:.17g},{fastest:.17g},{iters},{steps},{products}\n")
     # the same rows with the host they ran on, whose CPU count and BLAS
     # threads change the timings
     host = {
@@ -331,7 +341,7 @@ def _run_bench(params: dict, out: str) -> None:
         "python": platform.python_version(),
         "numpy": np.__version__,
         "scipy": importlib.metadata.version("scipy"),
-        "openblas": openblas,
+        "openblas": _openblas_threads(),
     }
     _write_json(
         out_dir / "bench.json",
@@ -357,8 +367,13 @@ COMMANDS = {
 
 
 def _run(command: str, params: dict, out: str) -> None:
-    """Run one command into ``out``, then record its manifest there."""
-    COMMANDS[command](params, out)
+    """Run one command into ``out``, then record its manifest there.
+
+    Every command runs on one BLAS thread: the outputs are then the same
+    bytes at any ``OPENBLAS_NUM_THREADS``, which ``rerun`` relies on.
+    """
+    with _single_blas_thread():
+        COMMANDS[command](params, out)
     _write_json(
         Path(out) / "manifest.json",
         {

@@ -77,6 +77,10 @@ class CvSpec:
 
 
 class CvRow(NamedTuple):
+    """One grid value's cross-validation score: its mean held-out loss over
+    ``n_folds`` folds and that mean's standard error; ``boundary`` is set on
+    the selected value's row when it is the grid's first or last."""
+
     param: float
     mean_loss: float
     stderr: float

@@ -344,10 +344,11 @@ def test_bench_outputs(tmp_path, monkeypatch):
     )
     assert code == 0
     lines = (out / "bench.csv").read_text().strip().splitlines()
-    assert lines[0] == "p,median_seconds,iterations,finish_steps,cg_products"
+    assert lines[0] == "p,median_seconds,min_seconds,iterations,finish_steps,cg_products"
     assert len(lines) == 3
     for line in lines[1:]:
-        p, _, iterations, steps, products = line.split(",")
+        p, median, fastest, iterations, steps, products = line.split(",")
+        assert 0 < float(fastest) <= float(median)
         assert 0 < int(steps) <= int(iterations) and int(steps) <= int(products)
     manifest = _read_json(out / "manifest.json")
     assert manifest["parameters"]["p_list"] == [10, 20]
@@ -498,13 +499,63 @@ def test_single_blas_thread_sets_and_restores_the_bundled_openblas():
     try:
         for _, _, set_ in counters:
             set_(2)
-        with cli._single_blas_thread() as libraries:
+        with cli._single_blas_thread():
             assert [get() for _, get, _ in counters] == [1] * len(counters)
+            libraries = cli._openblas_threads()
         assert [get() for _, get, _ in counters] == [2] * len(counters)
     finally:
         for (_, _, set_), threads in zip(counters, before):
             set_(threads)
-    # what it reports: each copy's file name, at one thread inside the block
+    # what a bench records: each copy's file name, at one thread inside the block
     assert [lib["library"] for lib in libraries] == [name for name, _, _ in counters]
     assert all(lib["library"].startswith("libscipy_openblas") for lib in libraries)
     assert [lib["threads"] for lib in libraries] == [1] * len(counters)
+
+
+def _run_cli_at(threads: int, *args: str) -> None:
+    """Run ``sparsecov.cli`` in a fresh interpreter, on the package imported
+    here, with its OpenBLAS copies started at ``threads`` threads."""
+    env = dict(os.environ, OPENBLAS_NUM_THREADS=str(threads))
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(Path(sc.__file__).resolve().parents[1]), env.get("PYTHONPATH")])
+    )
+    proc = subprocess.run(
+        [sys.executable, "-m", "sparsecov.cli", *args],
+        capture_output=True,
+        text=True,
+        timeout=120,
+        env=env,
+    )
+    assert proc.returncode == 0, proc.stderr
+
+
+@pytest.mark.parametrize(
+    "command",
+    [
+        ["estimate", "--k", "4"],
+        ["cv", "--method", "proxdist", "--grid-size", "4"],
+    ],
+    ids=lambda command: command[0],
+)
+def test_outputs_do_not_depend_on_the_blas_thread_count(tmp_path, command):
+    # OpenBLAS splits its kernels differently at each thread count: left
+    # at the process's count, a p = 20 estimate's last bits differ between
+    # one and two threads.  A replay at the other count matches too
+    if not any(cli._openblas_thread_counters(package) for package in ("numpy", "scipy")):
+        pytest.skip("neither numpy nor scipy bundles OpenBLAS")
+    sim = tmp_path / "sim"
+    code = main(["simulate", "--design", "ma", "--p", "20", "--n", "100", "--out-dir", str(sim)])
+    assert code == 0
+    runs = {threads: tmp_path / f"threads{threads}" for threads in (1, 2)}
+    for threads, out in runs.items():
+        _run_cli_at(threads, *command, "--input", str(sim / "data.csv"), "--out", str(out))
+    # each run's manifest, replayed at the other thread count
+    replays = [tmp_path / f"replay{threads}" for threads in runs]
+    for (threads, out), replay in zip(runs.items(), replays):
+        _run_cli_at(3 - threads, "rerun", str(out / "manifest.json"), "--out-dir", str(replay))
+    outputs = sorted(path.name for path in runs[1].iterdir() if path.name != "manifest.json")
+    assert outputs
+    for name in outputs:
+        data = (runs[1] / name).read_bytes()
+        for out in [runs[2], *replays]:
+            assert (out / name).read_bytes() == data, f"{out.name}/{name}"

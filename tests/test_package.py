@@ -13,18 +13,27 @@ import sparsecov
 MODULES = sorted(Path(sparsecov.__file__).parent.glob("*.py"))
 
 
-def _imported_names(tree: ast.Module) -> set[str]:
+def _imported_names(path: Path) -> set[str]:
     names = set()
-    for node in ast.walk(tree):
+    for node in ast.walk(ast.parse(path.read_text())):
         if isinstance(node, ast.Import):
             names.update((a.asname or a.name).split(".")[0] for a in node.names)
         elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
-            names.update(a.asname or a.name for a in node.names)
+            for alias in node.names:
+                if alias.name == "*":
+                    # a star import binds the names in its module's __all__
+                    names |= _exported_names(path.with_name(f"{node.module}.py"))
+                else:
+                    names.add(alias.asname or alias.name)
     return names
 
 
-def _exported_names(tree: ast.Module) -> set[str]:
-    for node in tree.body:
+def _exported_names(path: Path) -> set[str]:
+    """A module's literal ``__all__``; the package's is built from its
+    modules' at import, so it is read from the package itself."""
+    if path.stem == "__init__":
+        return set(sparsecov.__all__)
+    for node in ast.parse(path.read_text()).body:
         if (
             isinstance(node, ast.Assign)
             and any(isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets)
@@ -33,14 +42,21 @@ def _exported_names(tree: ast.Module) -> set[str]:
     return set()
 
 
-def test_package_exports_exactly_what_its_modules_export():
-    names = {"__version__"}
+def test_every_public_name_has_a_docstring_and_one_owning_module():
+    owners = {}
     for path in MODULES:
         if path.stem != "__init__":
-            names |= _exported_names(ast.parse(path.read_text()))
+            for name in _exported_names(path):
+                owners.setdefault(name, []).append(path.stem)
     assert len(sparsecov.__all__) == len(set(sparsecov.__all__))
-    assert set(sparsecov.__all__) == names
-    assert all(hasattr(sparsecov, name) for name in names)
+    assert set(sparsecov.__all__) == {"__version__", *owners}
+    for name, modules in owners.items():
+        assert len(modules) == 1, f"{name} is exported by {modules}"
+        obj = getattr(sparsecov, name)
+        assert obj.__module__ == f"sparsecov.{modules[0]}"
+        # a dataclass or NamedTuple without a docstring gets its signature
+        doc = obj.__doc__ or ""
+        assert doc.strip() and not doc.startswith(f"{name}("), f"{name} has no docstring"
 
 
 @pytest.mark.parametrize("path", MODULES, ids=lambda path: path.stem)
@@ -49,7 +65,7 @@ def test_every_import_is_used_or_exported(path):
     # weight in it; re-exports belong in __all__
     tree = ast.parse(path.read_text())
     used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
-    unused = _imported_names(tree) - used - _exported_names(tree)
+    unused = _imported_names(path) - used - _exported_names(path)
     assert not unused, f"{path.name} imports names it never uses: {sorted(unused)}"
 
 
