@@ -35,7 +35,10 @@ its own nonzeros; a solve near the gradient test aims below it.
 One engine, private to this module, runs both phases: it holds the
 current iterate, which nothing else keeps, moves it by the one
 backtracking line search of the schedule and the finish, and records
-every step.  :func:`fit` validates ``S``, applies the ridge and runs that
+every step.  Its finish is the one entry to the rho = inf limit: it
+picks its own start and takes what the budget leaves, so a fit is
+``finish(schedule())``, and a refit of a given support is ``finish`` on
+that support.  :func:`fit` validates ``S``, applies the ridge and runs that
 engine, and is the only public way to take an MM step;
 :func:`objective`, :func:`surrogate_gradient` and
 :func:`negative_loglik_loss` evaluate what a step reads.  The only
@@ -186,12 +189,16 @@ class FitResult:
     sigma_hat: np.ndarray
     objective_trace: list[float]
     rho_trace: list[float]
-    iterations: int
     total_halvings: int
     converged: bool
     final_penalty: float
     support: np.ndarray
     ridge_delta: float = 0.0
+
+    @property
+    def iterations(self) -> int:
+        """Recorded iterations, schedule and finish steps alike."""
+        return len(self.objective_trace)
 
 
 def _inverse_and_loss(sigma: np.ndarray, S: np.ndarray) -> tuple[np.ndarray, float]:
@@ -274,18 +281,17 @@ def _diagonal_start(
     :func:`_on_support` and :func:`_solve` make of that start, bit for
     bit, with no factorization, eigendecomposition or GEMM.
 
-    With ``d = diag(S)`` the Cholesky factor is ``Diag(sqrt(d))``, the
-    inverse ``Diag(a)`` with ``a = (1/sqrt(d))^2`` as LAPACK rounds it, and
-    the support of ``P(Sigma)`` the diagonal, at a squared distance of 0,
-    or ``sum (d_i - 1)^2`` in correlation mode.  ``A S A`` is
+    With ``d = diag(S)`` the Cholesky factor is ``Diag(sqrt(d))`` and the
+    inverse ``Diag(a)`` with ``a = (1/sqrt(d))^2`` as LAPACK rounds it;
+    the support of ``P(Sigma)``, the diagonal, and the squared distance
+    come from :func:`_select`, as the iterate's do.  ``A S A`` is
     ``(a_i S_ij) a_j``, which is what its GEMMs add up, averaged with its
     transpose as :func:`_asa` averages it.  ``Diag(d)``'s eigenvectors are
     a permutation, so the MM step is ``C_ij / (rho + 1/(d_i d_j))`` with
     ``C = A S A + rho P(Sigma)``, ``P(Sigma)`` being ``Diag(d)``, or ``I``
-    in correlation mode.  ``<A, S>`` and that distance are summed over
-    p x p buffers, as the iterate sums them, so that they round alike.
-    The iterate holds no inverse, as a schedule iterate does once its step
-    is formed.
+    in correlation mode.  ``<A, S>`` is summed over a p x p buffer, as the
+    iterate sums it, so that the two round alike.  The iterate holds no
+    inverse, as a schedule iterate does once its step is formed.
     """
     d = S.diagonal()
     p = d.size
@@ -296,18 +302,8 @@ def _diagonal_start(
     it.sigma = np.diag(d)
     it.inv = None
     it.loss = 2.0 * float(np.log(root).sum()) + float(np.vdot(np.diag(a), S))
-    it.mask = np.eye(p, dtype=bool)
-    if c.mode == "correlation":
-        residual = np.zeros((p, p))
-        off = d - 1.0
-        off *= off
-        residual.reshape(-1)[:: p + 1] = off
-        it.dist2 = float(residual.sum())
-        del residual
-        projected = 1.0
-    else:
-        it.dist2 = 0.0
-        projected = d
+    it.mask, it.dist2 = _select(it.sigma, c)
+    projected = 1.0 if c.mode == "correlation" else d
     M = S * a[:, None]
     M *= a  # A S A
     C = M.T.copy()
@@ -667,9 +663,11 @@ class _Fit:
     steps that led there.
 
     The engine is the only long-lived reference to the iterate, and makes
-    the first one itself: :meth:`schedule` starts from ``Diag(S)``, and
-    :meth:`skip_schedule` starts a fit that has no support to pick, or a
-    caller that brings its own, straight on the finish's support.  Both
+    the first one itself: :meth:`schedule` starts from ``Diag(S)`` where k
+    leaves a support to pick, and :meth:`finish`, given a support by the
+    schedule or by a caller, starts from ``P(S)`` on it when no schedule
+    step was taken.  ``finish(schedule())`` is a fit, and ``finish`` alone
+    on a support is its rho = inf refit.  Both
     phases move it through :meth:`_advance`, the one backtracking search,
     which records each step it accepts: ``objectives`` and ``rhos`` are
     the traces, ``halvings`` their summed halvings, and ``callback`` gets
@@ -681,9 +679,9 @@ class _Fit:
 
     __slots__ = ("S", "c", "callback", "it", "objectives", "rhos", "halvings")
 
-    def __init__(self, S: np.ndarray, c: SparsityConstraint, callback):
+    def __init__(self, S: np.ndarray, c: SparsityConstraint, callback=None):
         self.S, self.c, self.callback = S, c, callback
-        self.it: _Iterate | None = None  # made by schedule or skip_schedule
+        self.it: _Iterate | None = None  # made by schedule or finish
         self.objectives: list[float] = []
         self.rhos: list[float] = []
         self.halvings = 0
@@ -737,8 +735,8 @@ class _Fit:
     def _start_on(self, M: np.ndarray, support: np.ndarray) -> None:
         """Make ``P(M)`` on ``support`` the iterate, a point on the sparse
         set: ``M`` there, with ``M``'s diagonal, or a unit diagonal in
-        correlation mode.  Where that is not PD, make it ``Diag(S)``, or
-        ``I`` in correlation mode, which lie on every support."""
+        correlation mode.  Where that is not PD, make it ``P(S)`` on no
+        pair, ``Diag(S)`` or ``I``, which lies on every support."""
         try:
             self.it = _Iterate(_on_support(M, support, self.c), self.S, None)
             return
@@ -746,32 +744,7 @@ class _Fit:
             pass
         # built after the except block, whose traceback would keep the
         # failed factorization alive
-        S = self.S
-        diag = np.ones(S.shape[0]) if self.c.mode == "correlation" else np.diag(S)
-        self.it = _Iterate(np.diag(diag), S, None)
-
-    def skip_schedule(self, support: np.ndarray) -> None:
-        """Start the finish on ``support`` with no schedule step.
-
-        The start is ``P(S)`` on ``support``: ``S`` there, with its
-        diagonal; in correlation mode ``S`` is first scaled to unit
-        diagonal, which leaves a correlation matrix as it is.  Where that
-        start is not PD it is the diagonal start.  It is recorded once at
-        ``RHO0``, as not accepted, so that :meth:`finish`, which gets the
-        same ``support``, has a rho to repeat.
-
-        The scaling matters for a ridged correlation matrix ``R + delta I``
-        on every pair: ``P`` of it is ``R``, singular where ``R`` needed
-        the ridge.  From ``I`` instead, p > n fits at p = 20-50 took
-        222-401 steps and one ended unconverged; from the scaled ``S`` each
-        took 2 Newton steps to the same loss.
-        """
-        S = self.S
-        if self.c.mode == "correlation":
-            scale = 1.0 / np.sqrt(S.diagonal())
-            S = S * np.outer(scale, scale)  # exactly symmetric, as S is
-        self._start_on(S, support)
-        self._record(self.it, self.it.objective(RHO0), RHO0, 0, False)
+        self.it = _Iterate(_on_support(self.S, False, self.c), self.S, None)
 
     def _mm_direction(self, rho: float) -> np.ndarray:
         """The MM step from the iterate at ``rho``, less the iterate:
@@ -792,10 +765,12 @@ class _Fit:
 
     def schedule(self) -> np.ndarray:
         """Run the rho schedule from ``Diag(S)``; returns the support of
-        ``P(Sigma)`` it locked, or held when the budget ran out, in a mask
-        that is not the iterate's own.
+        ``P(Sigma)`` it locked, or held when the budget ran out.
 
-        The start and its first MM step are closed-form
+        The schedule runs only where k leaves a support to pick: at
+        ``k = 0`` it returns the diagonal and at ``k = p(p-1)/2`` every
+        pair, with no step and no iterate.  The start and its first MM
+        step are closed-form
         (:func:`_diagonal_start`): no factorization, eigendecomposition or
         GEMM.  Each later step is :meth:`_mm_direction`, one
         eigendecomposition and a few GEMMs.  A step that backtracking
@@ -803,6 +778,11 @@ class _Fit:
         cost of one more factorization, and is recorded as not accepted.
         """
         S, c = self.S, self.c
+        p = S.shape[0]
+        if not 0 < c.k < p * (p - 1) // 2:
+            support = np.full(S.shape, c.k > 0)
+            np.fill_diagonal(support, True)
+            return support
         rho = RHO0
         self.it, direction = _diagonal_start(S, c, rho)
         support = None
@@ -823,26 +803,47 @@ class _Fit:
                 return support  # equal to mask; a step replaces the iterate
             support = mask
             rho *= RHO_GROWTH
-        return support.copy()
+        return support
 
-    def finish(self, support: np.ndarray, budget: int) -> bool:
-        """Run the finish at rho = inf on ``support`` for at most ``budget``
-        steps; returns whether it converged.
+    def finish(self, support: np.ndarray) -> bool:
+        """Run the finish at rho = inf on ``support`` with the steps that
+        ``FitConfig.max_outer`` leaves after the trace; returns whether it
+        converged.
 
         Newton steps on the loss over the free entries, ``support`` plus the
-        covariance diagonal, from a start on the sparse set: the iterate
-        itself if it is there, which is not factored again, else ``P(Sigma)``
-        if that is PD, else ``Diag(S)``, or ``I`` in correlation mode, which
-        lie on every support.  The start is made before the free entries
-        are, and nothing after projects.  The steps search and record at
-        the trace's last rho, where a point on the set scores its loss
-        exactly.  In correlation mode ``support``'s diagonal is cleared in
-        place.  The finish keeps no p x p mask: :class:`_FreeEntries` keeps
-        index vectors, and a start other than the iterate holds no mask.
+        covariance diagonal, from a start on the sparse set.  With no
+        iterate, no schedule step was taken, and the start is ``P(S)`` on
+        ``support``, recorded once at ``RHO0``, as not accepted, so that the
+        steps have a rho to repeat; in correlation mode ``S`` is first
+        scaled to unit diagonal, which leaves a correlation matrix as it is.
+        Otherwise the start is the iterate itself if it is on the set, which
+        is not factored again, else ``P(Sigma)``.  Where the start is not PD
+        it is ``Diag(S)``, or ``I`` in correlation mode, which lie on every
+        support.  With no step left the finish returns at once, before it
+        moves the iterate.  The start is made before the free entries are,
+        and nothing after projects.  The steps search and record at the
+        trace's last rho, where a point on the set scores its loss exactly.
+        In correlation mode ``support``'s diagonal is cleared in place.  The
+        finish keeps no p x p mask: :class:`_FreeEntries` keeps index
+        vectors, and a start other than the iterate holds no mask.
+
+        The scaling matters for a ridged correlation matrix ``R + delta I``
+        on every pair: ``P`` of it is ``R``, singular where ``R`` needed
+        the ridge.  From ``I`` instead, p > n fits at p = 20-50 took
+        222-401 steps and one ended unconverged; from the scaled ``S`` each
+        took 2 Newton steps to the same loss.
         """
-        if not budget:
+        S = self.S
+        if self.it is None:
+            if self.c.mode == "correlation":
+                scale = 1.0 / np.sqrt(S.diagonal())
+                S = S * np.outer(scale, scale)  # exactly symmetric, as S is
+            self._start_on(S, support)
+            S = self.S  # the scaled copy goes before the steps
+            self._record(self.it, self.it.objective(RHO0), RHO0, 0, False)
+        rho, steps = self.rhos[-1], len(self.rhos)
+        if steps >= FitConfig.max_outer:
             return False
-        S, rho, steps = self.S, self.rhos[-1], len(self.rhos)
         moved = self.it.dist2 > 0.0
         if moved:
             self.it.inv = None
@@ -852,7 +853,7 @@ class _Fit:
         free = _FreeEntries(support)
         del support
         converged = False
-        for _ in range(budget):
+        for _ in range(FitConfig.max_outer - steps):
             # the loss gradient A - A S A on the free entries
             asa = _asa(self.it.inv, S)
             g = free.vector(self.it.inv) - free.vector(asa)
@@ -966,23 +967,14 @@ def fit(
         )
 
     engine = _Fit(S, c, callback)
-    p = S.shape[0]
-    if 0 < c.k < p * (p - 1) // 2:
-        # the schedule's support goes straight to the finish, which lets it
-        # go once its free entries are built
-        converged = engine.finish(engine.schedule(), cfg.max_outer - len(engine.rhos))
-    else:
-        # the one support of k pairs is the diagonal or every pair
-        support = np.full(S.shape, c.k > 0)
-        np.fill_diagonal(support, True)
-        engine.skip_schedule(support)
-        converged = engine.finish(support, cfg.max_outer - len(engine.rhos))
+    # the schedule's support goes straight to the finish, which lets it go
+    # once its free entries are built
+    converged = engine.finish(engine.schedule())
     it = engine.it
     return FitResult(
         sigma_hat=it.sigma,
         objective_trace=engine.objectives,
         rho_trace=engine.rhos,
-        iterations=len(engine.objectives),
         total_halvings=engine.halvings,
         converged=converged,
         final_penalty=it.dist2,

@@ -110,7 +110,9 @@ def _select(M: np.ndarray, c: SparsityConstraint) -> tuple[np.ndarray, float]:
 
 
 def _on_support(M: np.ndarray, mask: np.ndarray, c: SparsityConstraint) -> np.ndarray:
-    """``P(M)`` from its support ``mask``, as :func:`_select` returns it."""
+    """``P(M)`` from its support ``mask``, as :func:`_select` returns it;
+    a ``mask`` of False gives the diagonal rule alone: ``Diag(M)``, or
+    ``I`` in correlation mode."""
     out = np.zeros(M.shape)
     np.copyto(out, M, where=mask)
     out.reshape(-1)[:: M.shape[0] + 1] = 1.0 if c.mode == "correlation" else M.diagonal()

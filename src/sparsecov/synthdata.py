@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from numbers import Integral
 from typing import Sequence
 
 import numpy as np
@@ -60,17 +61,17 @@ class RngStream:
 
     Two streams with the same (seed, stream_id) produce identical draws
     on every platform; distinct stream_ids are statistically
-    independent.
+    independent.  Both are integers, NumPy's included.
     """
 
     seed: int
     stream_id: int = 0
 
     def __post_init__(self):
-        if not 0 <= self.seed < 2**64:
-            raise ValueError(f"seed must be a 64-bit unsigned integer, got {self.seed}")
-        if self.stream_id < 0:
-            raise ValueError(f"stream_id must be nonnegative, got {self.stream_id}")
+        if not (isinstance(self.seed, Integral) and 0 <= self.seed < 2**64):
+            raise ValueError(f"seed must be a 64-bit unsigned integer, got {self.seed!r}")
+        if not (isinstance(self.stream_id, Integral) and self.stream_id >= 0):
+            raise ValueError(f"stream_id must be a nonnegative integer, got {self.stream_id!r}")
 
     def generator(self) -> np.random.Generator:
         seq = np.random.SeedSequence(entropy=self.seed, spawn_key=(self.stream_id,))
@@ -85,7 +86,8 @@ def _derive_seed(seed: int, key: tuple[int, ...]) -> int:
 
 @dataclass(frozen=True)
 class SimDesign:
-    """Parameters of one ground-truth covariance design."""
+    """Parameters of one ground-truth covariance design; ``p`` and
+    ``seed`` are integers, NumPy's included."""
 
     kind: str
     p: int
@@ -95,14 +97,14 @@ class SimDesign:
     def __post_init__(self):
         if self.kind not in KINDS:
             raise ValueError(f"kind must be one of {KINDS}, got {self.kind!r}")
-        if self.p < 2:
-            raise ValueError(f"p must be at least 2, got {self.p}")
+        if not (isinstance(self.p, Integral) and self.p >= 2):
+            raise ValueError(f"p must be an integer of at least 2, got {self.p!r}")
         if not 0 < self.sparsity_frac <= 1:
             raise ValueError(
                 f"sparsity_frac must lie in (0, 1], got {self.sparsity_frac}"
             )
-        if not 0 <= self.seed < 2**64:
-            raise ValueError(f"seed must be a 64-bit unsigned integer, got {self.seed}")
+        if not (isinstance(self.seed, Integral) and 0 <= self.seed < 2**64):
+            raise ValueError(f"seed must be a 64-bit unsigned integer, got {self.seed!r}")
 
 
 def _random_sparse(d: SimDesign) -> np.ndarray:
@@ -160,6 +162,8 @@ def make_design(d: SimDesign) -> np.ndarray:
 def sample_mvn(Sigma: np.ndarray, n: int, rng: RngStream) -> np.ndarray:
     """Draw ``n`` rows from N(0, Sigma) as ``z L^T`` with ``L`` the Cholesky factor.
 
+    ``Sigma`` may be any array-like that :func:`as_symmetric` accepts.
+
     Raises
     ------
     ValueError
@@ -170,7 +174,7 @@ def sample_mvn(Sigma: np.ndarray, n: int, rng: RngStream) -> np.ndarray:
     if n < 1:
         raise ValueError(f"n must be at least 1, got {n}")
     L = cholesky_pd(as_symmetric(Sigma))
-    Z = rng.generator().standard_normal((n, Sigma.shape[0]))
+    Z = rng.generator().standard_normal((n, L.shape[0]))
     return Z @ L.T
 
 

@@ -8,7 +8,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 import sparsecov as sc
-from sparsecov import proxdist, sylvester, synthdata, tuning
+from sparsecov import proxdist, sparsity, sylvester, synthdata, tuning
 from sparsecov.proxdist import LOCK_STEPS, RHO0, RHO_GROWTH, STATIONARITY_RTOL
 
 
@@ -216,6 +216,12 @@ def test_objective_trace_ends_at_estimate():
     assert result.iterations == len(result.objective_trace)
 
 
+def _criterion6_data():
+    # the criterion-6 design's sample at p = 20, n = 100
+    design = sc.SimDesign(kind="random_sparse", p=20, sparsity_frac=0.02, seed=2025)
+    return sc.sample_mvn(sc.make_design(design), 100, sc.RngStream(seed=2025, stream_id=1))
+
+
 def _correlation(S):
     # exactly symmetric, with an exactly unit diagonal
     scale = 1.0 / np.sqrt(np.diag(S))
@@ -307,6 +313,38 @@ def test_ridged_correlation_fit_on_every_pair(monkeypatch, case):
     assert result.objective_trace[-1] == pytest.approx(at_estimate, rel=1e-12)
 
 
+@pytest.mark.parametrize("mode", ["covariance", "correlation"])
+def test_finish_refits_a_given_support_with_no_schedule(mode):
+    # the rho = inf refit of a support a caller brings is one call on a
+    # fresh engine: it starts at P(S) on that support, records the start
+    # once at RHO0, and ends on the support's estimate; at k = 0 and
+    # k = p(p-1)/2, where the schedule picks nothing, that is the fit
+    S = sc.sample_covariance(_criterion6_data())
+    if mode == "correlation":
+        S = _correlation(S)
+    top = 20 * 19 // 2
+    for k in (1, 4, 20, 95, top - 1):
+        c = sc.SparsityConstraint(k, mode)
+        support = sparsity._select(S, c)[0]
+        expected = support.copy()  # the finish clears a correlation diagonal
+        events = []
+        engine = proxdist._Fit(S, c, events.append)
+        assert engine.finish(support)
+        assert np.array_equal(engine.it.sigma != 0.0, expected)
+        assert engine.rhos == [RHO0] * len(events)
+        assert not events[0]["accepted"] and events[0]["halvings"] == 0
+        assert all(ev["accepted"] for ev in events[1:])
+    for k in (0, top):
+        c = sc.SparsityConstraint(k, mode)
+        engine = proxdist._Fit(S, c)
+        converged = engine.finish(sparsity._select(S, c)[0])
+        result = sc.fit(S, c)
+        assert engine.it.sigma.tobytes() == result.sigma_hat.tobytes()
+        assert engine.objectives == result.objective_trace
+        assert engine.rhos == result.rho_trace
+        assert converged == result.converged
+
+
 def test_fit_reports_exact_objectives_with_one_eigh_per_step(monkeypatch):
     # the loop carries each iterate's loss and projection instead of
     # recomputing them; what it reports must still be the public objective,
@@ -375,16 +413,22 @@ def test_finish_reuses_a_schedule_iterate_already_on_the_sparse_set(monkeypatch)
     assert len(factorizations) == candidates
 
 
-def test_fit_respects_max_outer(monkeypatch):
+@pytest.mark.parametrize("mode", ["covariance", "correlation"])
+def test_fit_respects_max_outer(monkeypatch, mode):
     monkeypatch.setattr(sc.FitConfig, "max_outer", 3)
     S = _sample_problem(6, 60, 7)
-    result = sc.fit(S, sc.SparsityConstraint(3))
+    if mode == "correlation":
+        S = _correlation(S)
+    result = sc.fit(S, sc.SparsityConstraint(3, mode))
     assert result.iterations == 3
     assert not result.converged
     # the schedule used the whole budget, so no finish put the estimate on
     # the sparse set: a report scores its own dense nonzeros, not the
-    # projection's 3 pairs in FitResult.support
+    # projection's 3 pairs in FitResult.support, which is the last
+    # iterate's own mask; a finish left no step must not clear its
+    # correlation diagonal
     assert result.final_penalty > 0.0
+    assert result.support.diagonal().all()
     assert np.count_nonzero(np.triu(result.support, 1)) == 3
     dense = np.count_nonzero(np.triu(result.sigma_hat, 1))
     assert dense > 3
@@ -424,9 +468,7 @@ def test_refinement_shares_the_iteration_budget(monkeypatch):
 
 def _criterion6_training_fold():
     # one training fold of the criterion-6 design at p = 20
-    design = sc.SimDesign(kind="random_sparse", p=20, sparsity_frac=0.02, seed=2025)
-    data = sc.sample_mvn(sc.make_design(design), 100, sc.RngStream(seed=2025, stream_id=1))
-    return sc.sample_covariance(data[:80])
+    return sc.sample_covariance(_criterion6_data()[:80])
 
 
 def test_each_step_forms_a_s_a_once(monkeypatch):
@@ -700,9 +742,9 @@ def test_finish_starts_from_the_diagonal_when_the_projection_is_not_pd(monkeypat
     starts, directions_at = [], []
     finish, newton = proxdist._Fit.finish, proxdist._newton_direction
 
-    def recorded(engine, support, budget):
+    def recorded(engine, support):
         projection_pd = sc.is_positive_definite(sc.project(engine.it.sigma, engine.c))
-        converged = finish(engine, support, budget)
+        converged = finish(engine, support)
         starts.append((projection_pd, directions_at[0], engine.S))
         return converged
 

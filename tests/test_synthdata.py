@@ -17,6 +17,27 @@ def test_rng_stream_validation():
         sc.RngStream(seed=0, stream_id=-1)
 
 
+def test_integer_fields_reject_non_integers_at_construction():
+    # a float that is whole is still no seed, stream id or dimension
+    for value in (2.5, 3.0, math.nan, "3", None):
+        with pytest.raises(ValueError, match="seed"):
+            sc.RngStream(seed=value)
+        with pytest.raises(ValueError, match="stream_id"):
+            sc.RngStream(seed=0, stream_id=value)
+        with pytest.raises(ValueError, match="p must"):
+            sc.SimDesign(kind="independent", p=value)
+        with pytest.raises(ValueError, match="seed"):
+            sc.SimDesign(kind="random_sparse", p=5, seed=value)
+    # NumPy integers pass, and give the draws their Python values give
+    for cast in (np.int64, np.uint64, np.int32):
+        stream = sc.RngStream(seed=cast(42), stream_id=cast(1))
+        draws = stream.generator().standard_normal(5)
+        assert np.array_equal(draws, sc.RngStream(42, 1).generator().standard_normal(5))
+        design = sc.SimDesign(kind="random_sparse", p=cast(8), sparsity_frac=0.1, seed=cast(3))
+        expected = sc.SimDesign(kind="random_sparse", p=8, sparsity_frac=0.1, seed=3)
+        assert np.array_equal(sc.make_design(design), sc.make_design(expected))
+
+
 def test_rng_stream_determinism_and_independence():
     a = sc.RngStream(seed=42).generator().standard_normal(5)
     b = sc.RngStream(seed=42).generator().standard_normal(5)
@@ -150,6 +171,17 @@ def test_sample_mvn_shape_and_determinism():
     X2 = sc.sample_mvn(Sigma, 30, sc.RngStream(seed=5, stream_id=1))
     assert X1.shape == (30, 4)
     assert np.array_equal(X1, X2)
+
+
+def test_sample_mvn_reads_an_array_like_sigma():
+    # the dimension comes from the validated factor, so a nested list
+    # draws what the same matrix as an ndarray draws
+    Sigma = sc.make_design(sc.SimDesign(kind="moving_average", p=4))
+    X = sc.sample_mvn(Sigma, 30, sc.RngStream(seed=5, stream_id=1))
+    listed = sc.sample_mvn(Sigma.tolist(), 30, sc.RngStream(seed=5, stream_id=1))
+    assert listed.tobytes() == X.tobytes()
+    identity = sc.sample_mvn([[1.0, 0.0], [0.0, 1.0]], 3, sc.RngStream(0))
+    assert identity.shape == (3, 2)
 
 
 def test_sample_mvn_covariance_consistency():
