@@ -10,8 +10,11 @@ Conventions used throughout the package:
   singular matrix whose round-off leaves every pivot positive passes it;
 - eigenvalues are always returned in ascending order;
 - the O(p^3) kernels, the Cholesky factorization, the inverse from it
-  and the symmetric eigendecomposition, call LAPACK through one binding,
-  scipy's f2py module ``_flapack``.
+  and the symmetric eigendecomposition, call LAPACK through scipy's f2py
+  module ``_flapack``, and the sparse Hessian products of
+  :mod:`sparsecov.proxdist` call scipy's CSR kernel through
+  :func:`_csr_times`, from its module ``_sparsetools``.  One loader binds
+  both, and it imports no scipy package.
 """
 
 from __future__ import annotations
@@ -143,51 +146,52 @@ def sample_covariance(data) -> np.ndarray:
     return S
 
 
-_FLAPACK = "scipy.linalg._flapack"
-
-
-def _flapack_from_file():
-    """scipy's f2py LAPACK module ``scipy.linalg._flapack``, executed from its
-    file without importing ``scipy.linalg``, and left out of ``sys.modules``.
+def _from_file(name: str):
+    """scipy's compiled module ``name``, such as ``scipy.linalg._flapack``,
+    executed from its file without importing its package, and left out of
+    ``sys.modules``.
 
     The loader of a single-phase extension module registers it there
-    itself; left registered, it would keep a later ``import scipy.linalg``
-    from binding its own ``_flapack`` as an attribute of the package.
+    itself; left registered, it would keep a later import of the package
+    from binding its own module as an attribute of the package.
     """
     scipy = importlib.util.find_spec("scipy")
     roots = scipy.submodule_search_locations if scipy else []
-    folders = [str(Path(root) / "linalg") for root in roots]
-    spec = importlib.machinery.PathFinder.find_spec(_FLAPACK, folders)
+    folders = [str(Path(root, name.split(".")[1])) for root in roots]
+    spec = importlib.machinery.PathFinder.find_spec(name, folders)
     if spec is None:
-        raise ModuleNotFoundError(f"No module named {_FLAPACK!r}", name=_FLAPACK)
+        raise ModuleNotFoundError(f"No module named {name!r}", name=name)
     module = importlib.util.module_from_spec(spec)
     try:
         spec.loader.exec_module(module)
     finally:
-        sys.modules.pop(_FLAPACK, None)
+        sys.modules.pop(name, None)
     return module
 
 
-def _load_flapack():
-    """``scipy.linalg._flapack``: the imported module if there is one, else
-    the module loaded from its file.
+def _load(name: str):
+    """scipy's compiled module ``name``: the imported module if there is
+    one, else the module loaded from its file.
 
-    Importing ``scipy.linalg`` for it took 0.3 s of a 0.45 s ``import
-    sparsecov`` on a 2-CPU x86-64 host.
+    Importing ``scipy.linalg`` for ``_flapack`` took 0.3 s of a 0.45 s
+    ``import sparsecov`` on a 2-CPU x86-64 host, and scipy's sparse package
+    for ``_sparsetools`` 0.1-0.25 s of a process's first fit on a small
+    support; a file load takes under a millisecond once numpy is imported.
     """
-    if _FLAPACK in sys.modules:
-        return sys.modules[_FLAPACK]
+    if name in sys.modules:
+        return sys.modules[name]
     try:
-        return _flapack_from_file()
+        return _from_file(name)
     except ImportError:
         # scipy's delvewheel-built Windows wheels put the DLLs the module
         # links against on the search path in scipy/__init__, so there the
         # file may load only once the top-level package has run
         importlib.import_module("scipy")
-        return _flapack_from_file()
+        return _from_file(name)
 
 
-_flapack = _load_flapack()
+_flapack = _load("scipy.linalg._flapack")
+_sparsetools = _load("scipy.sparse._sparsetools")
 
 
 # LAPACK's Cholesky factorization and inverse from the factor.  Each works
@@ -205,6 +209,17 @@ def _potrf(a: np.ndarray) -> int:
 
 def _potri(a: np.ndarray) -> int:
     return _flapack.dpotri(a.T, 1, 1)[1]
+
+
+def _csr_times(indptr, indices, data, X: np.ndarray) -> np.ndarray:
+    """``V X`` for ``V`` in CSR form ``(indptr, indices, data)``, whose index
+    arrays share one integer type, and a float64 ``X``: scipy's kernel
+    ``csr_matvecs``, as ``csr_array @ X`` calls it, which sums each row of
+    the product from zeros in the order of the row's stored entries."""
+    n, k = X.shape
+    out = np.zeros((indptr.size - 1, k))
+    _sparsetools.csr_matvecs(len(out), n, k, indptr, indices, data, X.ravel(), out.ravel())
+    return out
 
 
 def cholesky_pd(M: np.ndarray) -> np.ndarray:

@@ -55,6 +55,7 @@ import numpy as np
 
 from .matcore import (
     NotPositiveDefiniteError,
+    _csr_times,
     _inverse_from_cholesky,
     _log_det_from_cholesky,
     as_symmetric,
@@ -108,13 +109,13 @@ LOCK_STEPS = 5
 # are at most p^2 / SPARSE_PRODUCT_RATIO of them, and as two dense GEMMs
 # otherwise.  Each CG iteration takes one Hessian and one preconditioner
 # product.  Measured per such pair, dense against sparse, on one BLAS
-# thread of a 2-CPU x86-64 host (the least of 7 to 25 medians): 7 against
-# 53 us at p = 20, m = 24; 174 against 184 us at p = 100, m = 199, and 128
-# against 165 us at m = 250; 1.08 against 0.49 ms at p = 200, m = 598,
-# 1.06 against 0.76 ms at m = 1000, and 1.09 against 1.67 ms at m = 2190;
-# 8.3 against 3.4 ms at p = 400, m = 1996.  At m = p^2 / 40 the sparse
-# pair wins at p = 200 and loses at p = 100, where the two tie near
-# m = p^2 / 54.
+# thread of a 2-CPU x86-64 host (the least of 7 runs, each the least of 9
+# medians): 6.1 against 40 us at p = 20, m = 24; 119 against 118 us at
+# p = 100, m = 199, and 118 against 146 us at m = 250; 1.02 against
+# 0.48 ms at p = 200, m = 598, 1.02 against 0.73 ms at m = 1000, and 1.05
+# against 1.62 ms at m = 2190; 8.0 against 3.3 ms at p = 400, m = 1996.
+# At m = p^2 / 40 the sparse pair wins at p = 200 and loses at p = 100,
+# where the two tie near m = p^2 / 50, at the criterion-11 fit's m = 199.
 SPARSE_PRODUCT_RATIO = 40
 # Floats per gathered block of the sparse Hessian product (256 KB): blocks
 # twice as large ran its dot products 3x slower at p = 200.  A block also
@@ -401,19 +402,20 @@ class _FreeEntries:
 
     ``sparse`` selects :class:`_Hessian`'s product kernel: the sparse one
     once ``m <= p^2 / SPARSE_PRODUCT_RATIO``.  For it, ``rows`` and
-    ``cols`` hold the free entries' row and column indices, and ``csr``
-    holds such a matrix in CSR form, both triangles, its index structure
-    built here once: each product writes the vector's entries
-    ``csr_entry`` into ``csr.data``.  ``fixed`` marks the diagonal
-    entries that are not free, all of them in correlation mode, or is
-    None where the whole diagonal is free: a finish iterate is zero off
-    the free entries and that diagonal, which is how the sparse kernel's
-    :meth:`_Hessian.fisher_inverse` reads it.
+    ``cols`` hold the free entries' row and column indices, and
+    :meth:`times` multiplies by such a matrix in CSR form, both
+    triangles, through :func:`~sparsecov.matcore._csr_times`: ``indptr``
+    and the row-major column ``indices`` are built here once, and each
+    product writes the vector's entries ``csr_entry`` into ``data``.
+    ``fixed`` marks the diagonal entries that are not free, all of them
+    in correlation mode, or is None where the whole diagonal is free: a
+    finish iterate is zero off the free entries and that diagonal, which
+    is how the sparse kernel's :meth:`_Hessian.fisher_inverse` reads it.
     """
 
     __slots__ = (
-        "p", "upper", "lower", "rows", "cols", "weights", "sparse", "csr", "csr_entry",
-        "fixed",
+        "p", "upper", "lower", "rows", "cols", "weights", "sparse", "indptr", "indices",
+        "data", "csr_entry", "fixed",
     )
 
     def __init__(self, mask: np.ndarray):
@@ -429,19 +431,11 @@ class _FreeEntries:
         self.sparse = SPARSE_PRODUCT_RATIO * m <= p * p
         if self.sparse:
             self.rows, self.cols = free_rows, free_cols
-            # imported here: scipy.sparse takes 0.15-0.30 s to import on a
-            # 2-CPU x86-64 host, and only fits on small supports use it.
-            # It stays: a numpy V N that matches its product bit for bit
-            # (each row accumulated in column order from zeros) took
-            # 0.84 ms against its 0.10 ms at p = 200, m = 598.
-            from scipy.sparse import csr_array
-
             entry = np.zeros(p * p, dtype=np.intp)
             entry[self.upper] = entry[self.lower] = np.arange(m)
             self.csr_entry = entry[nz]
-            indptr = np.zeros(p + 1, dtype=np.intp)
-            np.cumsum(np.count_nonzero(mask, axis=1), out=indptr[1:])
-            self.csr = csr_array((np.zeros(nz.size), cols, indptr), shape=(p, p))
+            self.indptr = nz.searchsorted(np.arange(p + 1) * p)  # where rows start
+            self.indices, self.data = cols, np.empty(nz.size)
             self.fixed = None if mask.diagonal().all() else ~mask.diagonal()
 
     def vector(self, M: np.ndarray) -> np.ndarray:
@@ -459,6 +453,15 @@ class _FreeEntries:
         """The Frobenius inner product of the matrices of ``u`` and ``v``."""
         return float((self.weights * u).dot(v))
 
+    def times(self, v: np.ndarray, X: np.ndarray) -> np.ndarray:
+        """``V X`` for ``V`` the matrix of ``v``, on the sparse kernel."""
+        # in range by construction: "clip" writes straight to ``out`` where
+        # the default mode buffers a copy.  Called as np.take, it left about
+        # 120 bytes a call that only the cycle collector freed, which raised
+        # the finish's peak step by step
+        v.take(self.csr_entry, out=self.data, mode="clip")
+        return _csr_times(self.indptr, self.indices, self.data, X)
+
 
 class _Hessian:
     """Hessian of the loss over the free entries at an iterate.
@@ -475,7 +478,8 @@ class _Hessian:
 
     ``free.sparse`` picks one of two kernels.  The dense one forms
     ``Y = (A V) N`` by two GEMMs, 2 p^3 flops.  The sparse one forms
-    ``W = V N`` from ``V`` in CSR form, in p flops per nonzero of ``V``,
+    ``W = V N`` from ``V`` in CSR form, by :meth:`_FreeEntries.times` and
+    :func:`~sparsecov.matcore._csr_times`, in p flops per nonzero of ``V``,
     then ``Y_ij = <A[i, :], W[:, j]>`` at the free entries alone, as
     row-wise dot products of gathered rows of ``A`` and ``W^T``, in chunks
     of at most ``PRODUCT_CHUNK`` and at most ``p^2 / 2`` gathered floats:
@@ -526,15 +530,13 @@ class _Hessian:
         if not f.sparse:
             return self._product(v, self.sigma, self.sigma)
         sigma = self.sigma
-        v.take(f.csr_entry, out=f.csr.data, mode="clip")
-        W = f.csr @ sigma
+        W = f.times(v, sigma)
         if f.fixed is None:
             out = np.zeros(v.size)
         else:
             d = np.where(f.fixed, sigma.diagonal(), 0.0)
             out = d[f.rows] * W.take(f.upper) + d[f.cols] * W.take(f.lower)
-        sigma.take(f.upper).take(f.csr_entry, out=f.csr.data, mode="clip")
-        Y = f.csr @ W
+        Y = f.times(sigma.take(f.upper), W)
         del W
         out += Y.take(f.upper)
         out += Y.take(f.lower)
@@ -544,12 +546,7 @@ class _Hessian:
         """``Y + Y^T`` at the free entries, ``Y = A V N``, on ``free``'s kernel."""
         f = self.free
         if f.sparse:
-            # in range by construction: "clip" writes straight to ``out``
-            # where the default mode buffers a copy.  Called as np.take, it
-            # left about 120 bytes a call that only the cycle collector
-            # freed, which raised the finish's peak step by step
-            v.take(f.csr_entry, out=f.csr.data, mode="clip")
-            Wt = (f.csr @ N).T.copy()  # row j holds W[:, j]
+            Wt = f.times(v, N).T.copy()  # row j holds W[:, j]
             p = Wt.shape[0]
             out = np.empty_like(v)
             step = max(1, min(PRODUCT_CHUNK, p * p // 2) // p)

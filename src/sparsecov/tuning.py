@@ -28,6 +28,7 @@ from __future__ import annotations
 import operator
 import warnings
 from dataclasses import dataclass
+from numbers import Integral
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -74,6 +75,9 @@ class CvSpec:
             raise ValueError(f"folds must be at least 2, got {self.folds}")
         if self.loss not in LOSSES:
             raise ValueError(f"loss must be one of {LOSSES}, got {self.loss!r}")
+        # synthdata.RngStream's seed rule, for the seed kfold_split draws folds from
+        if not (isinstance(self.seed, Integral) and 0 <= self.seed < 2**64):
+            raise ValueError(f"seed must be a 64-bit unsigned integer, got {self.seed!r}")
 
 
 class CvRow(NamedTuple):

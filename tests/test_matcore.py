@@ -193,24 +193,30 @@ def _pivot(M):
 
 @pytest.fixture(params=["bundled OpenBLAS", "scipy.linalg.lapack"])
 def lapack_backend(request, monkeypatch):
-    """Install each source of the LAPACK wrappers in turn.
+    """Install each source of scipy's compiled modules in turn.
 
     The package calls scipy's f2py module ``scipy.linalg._flapack``, which
-    wraps the LAPACK scipy links (OpenBLAS in its wheels).  It loads that
-    module from its file when ``scipy.linalg`` is not imported, and takes
-    the one ``scipy.linalg.lapack`` imported when it is.
+    wraps the LAPACK scipy links (OpenBLAS in its wheels), and its CSR
+    kernels in ``scipy.sparse._sparsetools``.  It loads each module from
+    its file ("bundled OpenBLAS") when its package is not imported, and
+    takes the one ``scipy.linalg.lapack`` and ``scipy.sparse`` imported
+    when it is.
     """
     if request.param == "bundled OpenBLAS":
-        # the file load takes the module out of sys.modules again; keep
-        # whatever scipy.linalg registered there
-        monkeypatch.delitem(sys.modules, matcore._FLAPACK, raising=False)
-        module = matcore._flapack_from_file()
-        assert matcore._FLAPACK not in sys.modules
+        modules = {}
+        for name in ("scipy.linalg._flapack", "scipy.sparse._sparsetools"):
+            # the file load takes the module out of sys.modules again; keep
+            # whatever scipy.linalg or scipy.sparse registered there
+            monkeypatch.delitem(sys.modules, name, raising=False)
+            modules[name.rpartition(".")[2]] = matcore._from_file(name)
+            assert name not in sys.modules
     else:
         from scipy.linalg import lapack
+        from scipy.sparse import _sparsetools
 
-        module = lapack._flapack
-    monkeypatch.setattr(matcore, "_flapack", module)
+        modules = {"_flapack": lapack._flapack, "_sparsetools": _sparsetools}
+    for attribute, module in modules.items():
+        monkeypatch.setattr(matcore, attribute, module)
     return request.param
 
 
@@ -223,6 +229,9 @@ def test_lapack_backends_match_scipy_bit_for_bit(lapack_backend, p):
     A = sc.inverse_pd(M)
     assert A.flags.c_contiguous and _bits(A) == _bits(inverse_ref)
     assert sc.log_det_pd(M) == float(2.0 * np.sum(np.log(np.diag(L_ref))))
+    if p >= 1:
+        csr = _sparse_symmetric(p, diagonal=True)
+        assert _bits(matcore._csr_times(*csr, M)) == _bits(_reference_csr_times(*csr, M))
     if p >= 2:
         from scipy.linalg.lapack import dpotrf
 
@@ -230,6 +239,45 @@ def test_lapack_backends_match_scipy_bit_for_bit(lapack_backend, p):
             N = M.copy()
             N[k, k] = -1.0
             assert _pivot(N) == dpotrf(N, lower=1)[1] - 1 == k
+
+
+def _sparse_symmetric(p, diagonal, seed=0):
+    """CSR arrays ``(indptr, indices, data)`` of a random symmetric p x p
+    matrix with about 2% of its pairs nonzero, as the sparse Hessian
+    kernel holds one: with its diagonal (covariance mode) or without it
+    (correlation mode), where the last row is left empty too."""
+    rng = np.random.default_rng(seed)
+    upper = np.triu(rng.random((p, p)) < 0.02, 1)
+    mask = upper | upper.T
+    if diagonal:
+        np.fill_diagonal(mask, True)
+    else:
+        mask[-1, :] = mask[:, -1] = False
+    indptr = np.zeros(p + 1, dtype=np.intp)
+    np.cumsum(np.count_nonzero(mask, axis=1), out=indptr[1:])
+    indices = np.flatnonzero(mask) % p
+    return indptr, indices, rng.standard_normal(indices.size)
+
+
+def _reference_csr_times(indptr, indices, data, X):
+    """``V X`` as scipy.sparse computes it."""
+    from scipy.sparse import csr_array
+
+    p = indptr.size - 1
+    return csr_array((data, indices, indptr), shape=(p, p)) @ X
+
+
+@pytest.mark.parametrize("p", [1, 2, 20, 100, 200])
+@pytest.mark.parametrize("mode", ["covariance", "correlation"])
+def test_csr_times_matches_scipy_sparse_bit_for_bit(mode, p):
+    indptr, indices, data = _sparse_symmetric(p, diagonal=mode == "covariance")
+    if mode == "correlation":
+        assert np.diff(indptr)[-1] == 0  # a row with no entries
+    X = np.random.default_rng(1).standard_normal((p, p))
+    for operand in (X, np.asfortranarray(X), X[:, : (p + 1) // 2]):
+        V_X = matcore._csr_times(indptr, indices, data, operand)
+        reference = _reference_csr_times(indptr, indices, data, operand)
+        assert V_X.flags.c_contiguous and _bits(V_X) == _bits(reference)
 
 
 def test_spectral_decompose_reconstructs(monkeypatch):

@@ -89,20 +89,34 @@ def _loaded_in_fresh_interpreter(code: str) -> list[str]:
 
 
 def test_import_leaves_scipy_sparse_unloaded():
-    # matcore loads scipy's LAPACK wrappers from their file, without
-    # scipy.linalg, which took 0.3 s of a 0.45 s import; only the finish's
-    # sparse Hessian kernel needs scipy.sparse, which takes about 0.2 s to
-    # import, and imports it when it first runs
+    # matcore loads scipy's LAPACK wrappers and CSR kernels from their files,
+    # without scipy.linalg, which took 0.3 s of a 0.45 s import
     assert _loaded_in_fresh_interpreter("import sparsecov") == []
 
 
 def test_small_fit_and_grid_load_no_scipy_or_numpy_ma():
+    # nor does a fit import scipy.sparse, which took 0.1-0.25 s of the first
+    # fit that ran the finish's sparse Hessian kernel: here a p = 100 fit at
+    # k = 99, with m = 199 free entries
     code = (
         "import numpy as np, sparsecov\n"
         "X = np.random.default_rng(0).standard_normal((60, 20))\n"
         "S = sparsecov.sample_covariance(X)\n"
         "grid = sparsecov.default_grid('proxdist', S, 10)\n"
         "assert sparsecov.fit(S, sparsecov.SparsityConstraint(int(grid[1]))).converged\n"
+        "from sparsecov import proxdist\n"
+        "kernels = []\n"
+        "class FreeEntries(proxdist._FreeEntries):\n"
+        "    def __init__(self, mask):\n"
+        "        super().__init__(mask)\n"
+        "        kernels.append((self.upper.size, self.sparse))\n"
+        "proxdist._FreeEntries = FreeEntries\n"
+        "design = sparsecov.SimDesign(kind='moving_average', p=100)\n"
+        "rng = sparsecov.RngStream(seed=0, stream_id=100)\n"
+        "data = sparsecov.sample_mvn(sparsecov.make_design(design), 500, rng)\n"
+        "S = sparsecov.sample_covariance(data)\n"
+        "assert sparsecov.fit(S, sparsecov.SparsityConstraint(99)).converged\n"
+        "assert kernels == [(199, True)], kernels\n"
     )
     assert _loaded_in_fresh_interpreter(code) == []
 
@@ -116,11 +130,13 @@ def test_cli_help_loads_no_scipy():
     assert _loaded_in_fresh_interpreter(code) == []
 
 
-# The package's factor and inverse against scipy.linalg.lapack's, bit for
-# bit, after scipy.linalg has bound its own _flapack.
+# The package's factor and inverse against scipy.linalg.lapack's, and its
+# CSR product against scipy.sparse's, bit for bit, after scipy.linalg and
+# scipy.sparse have bound their own _flapack and _sparsetools.
 _MATCHES_SCIPY = """
 import numpy as np
 from scipy.linalg.lapack import dpotrf, dpotri
+from scipy.sparse import csr_array
 assert scipy.linalg._flapack.dpotrf is dpotrf
 B = np.random.default_rng(0).standard_normal((20, 20))
 M = B @ B.T + 20 * np.eye(20)
@@ -133,38 +149,54 @@ X = np.tril(X) + np.tril(X, -1).T
 bits = lambda A: A.view(np.uint64).tobytes(order="A")
 assert bits(sc.cholesky_pd(M)) == bits(L)
 assert bits(sc.inverse_pd(M)) == bits(X)
+indptr, indices = np.array([0, 2, 3, 4] + [4] * 17), np.array([0, 2, 1, 0])
+data = np.array([1.5, -0.5, 2.0, -0.5])
+V_M = csr_array((data, indices, indptr), shape=(20, 20)) @ M
+assert bits(sc.matcore._csr_times(indptr, indices, data, M)) == bits(V_M)
 """
 
 
 @pytest.mark.parametrize("first", ["scipy.linalg", "sparsecov"])
 def test_scipy_linalg_imports_before_and_after_the_package(first):
-    imports = ["import scipy.linalg", "import sparsecov as sc"]
+    imports = ["import scipy.linalg, scipy.sparse", "import sparsecov as sc"]
     if first == "sparsecov":
         imports.reverse()
+    else:  # the package binds the modules scipy imported
+        imports.append(
+            "assert sc.matcore._flapack is scipy.linalg._flapack\n"
+            "assert sc.matcore._sparsetools is scipy.sparse._sparsetools"
+        )
     loaded = _loaded_in_fresh_interpreter("\n".join(imports) + _MATCHES_SCIPY)
     assert "scipy.linalg._flapack" in loaded
+    assert "scipy.sparse._sparsetools" in loaded
 
 
 def test_lapack_file_load_retries_after_importing_scipy():
-    # as on a Windows wheel whose DLLs scipy/__init__ puts on the search path
+    # as on a Windows wheel whose DLLs scipy/__init__ puts on the search
+    # path: each module's first file load fails, _flapack's before the
+    # retry has imported scipy and _sparsetools' after it
     code = (
         "import importlib.machinery, sys\n"
         "Loader = importlib.machinery.ExtensionFileLoader\n"
-        "create, failed = Loader.create_module, []\n"
+        "create, failed = Loader.create_module, {}\n"
         "def create_once(self, spec):\n"
-        "    if spec.name == 'scipy.linalg._flapack' and not failed:\n"
-        "        failed.append('scipy' in sys.modules)\n"
+        "    if spec.name.rpartition('.')[2] in ('_flapack', '_sparsetools') "
+        "and spec.name not in failed:\n"
+        "        failed[spec.name] = 'scipy' in sys.modules\n"
         "        raise ImportError('DLL load failed')\n"
         "    return create(self, spec)\n"
         "Loader.create_module = create_once\n"
         "import numpy as np, sparsecov as sc\n"
-        "assert failed == [False]\n"
+        "assert failed == {'scipy.linalg._flapack': False, "
+        "'scipy.sparse._sparsetools': True}, failed\n"
         "L = sc.cholesky_pd(np.array([[4.0, 2.0], [2.0, 3.0]]))\n"
         "assert L[0, 0] == 2.0 and L[1, 0] == 1.0 and L[0, 1] == 0.0\n"
+        "V = (np.array([0, 1, 2]), np.array([1, 0]), np.array([2.0, 3.0]))\n"
+        "assert sc.matcore._csr_times(*V, np.eye(2)).tolist() == [[0, 2], [3, 0]]\n"
     )
     loaded = _loaded_in_fresh_interpreter(code)
     assert "scipy" in loaded
-    assert not any(m.startswith("scipy.linalg") for m in loaded)
+    assert not any(m.startswith(("scipy.linalg", "scipy.sparse")) for m in loaded)
 
 
 def _inputs():

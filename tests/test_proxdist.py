@@ -586,10 +586,7 @@ def test_fit_finishes_on_the_support_of_the_bench_instance():
 
 def _fit_peak_matrices(S, c, callback=None):
     # a fit, and its tracemalloc peak above its start in p x p float64
-    # matrices; LAPACK's own workspace is not traced.  The sparse Hessian
-    # kernel imports scipy.sparse on first use, so it is imported first
-    import scipy.sparse  # noqa: F401
-
+    # matrices; LAPACK's own workspace is not traced
     gc.collect()
     tracemalloc.start()
     try:
@@ -660,7 +657,7 @@ def test_sparse_kernel_finish_stays_under_the_schedule_peak(monkeypatch):
         return free
 
     monkeypatch.setattr(proxdist, "_FreeEntries", recorded_free_entries)
-    sc.fit(S, c)  # caches and scipy.sparse's first-use state, untraced
+    sc.fit(S, c)  # caches, untraced
     rhos, peaks = [], []
 
     def step_peak(ev):

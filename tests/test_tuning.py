@@ -80,6 +80,12 @@ def test_cv_spec_validation():
             sc.CvSpec(grid=grid)
     with pytest.raises(ValueError, match="integer"):
         sc.CvSpec(grid=np.array([0.1, 0.3]), folds=2.5)
+    # the random streams' seed rule: an integer, NumPy's included, in [0, 2**64)
+    for seed in (2.5, -1, 2**64, "1", None):
+        with pytest.raises(ValueError, match="seed"):
+            sc.CvSpec(grid=[0, 1], seed=seed)
+    for seed in (0, np.uint64(2**64 - 1), np.int32(7)):
+        assert sc.CvSpec(grid=[0, 1], seed=seed).seed == seed
 
 
 def test_cross_validate_proxdist_basic():
